@@ -1,25 +1,35 @@
 """Two-stage alternating-direction-implicit update for the 3D Maxwell system.
 
-Each full step of size dt is split into two half-updates.  In stage one every
-E component is implicit along one axis through the H component it curls with
-(ex with hz along y, ey with hx along z, ez with hy along x); in stage two the
-implicit axes rotate (ex with hy along z, ey with hz along x, ez with hx along
-y).  Eliminating the implicit H partner from each E equation yields, per
-pencil, a constant-coefficient tridiagonal system
+Components are indexed c = 0, 1, 2 for x, y, z, with cyclic neighbours
+(a, b) = (c+1, c+2) mod 3, so that (curl H)_c = d_a H_b - d_b H_a.  Each full
+step of size dt is split into two half-updates.  In each one every E_c is
+implicit along one axis imp through one H component, its partner H_p, and
+the implicit axes rotate between the stages:
 
-    (1 + 2*lam) u_p - lam * (u_{p-1} + u_{p+1}) = rhs_p,   lam = dt^2 / (4 eps mu h^2)
+    stage   imp   p   sigma   pairs (E_c along imp with H_p)
+      1      a    b    +1     ex along y with hz, ey along z with hx, ez along x with hy
+      2      b    a    -1     ex along z with hy, ey along x with hz, ez along y with hx
+
+Every H component is the partner of exactly one E component per stage.  With
+ce = dt/(2 eps), ch = dt/(2 mu) and q = ce ch = dt^2/(4 eps mu), one
+half-update computes, for each c,
+
+    H_p'  = H_p - sigma ch d_c E_imp                                (old E)
+    (1 - q d_imp d_imp) E_c* = E_c + sigma ce (d_imp H_p' - d_p H_imp)
+    H_p*  = H_p' + sigma ch d_imp E_c*
+
+The first line is the explicit part of the partner's update; reading it in
+the E right-hand side eliminates the partner without a mixed derivative.  The
+non-partner H_imp is read at the old level.  Per pencil along imp the E
+system is the constant-coefficient tridiagonal
+
+    (1 + 2*lam) u_p - lam * (u_{p-1} + u_{p+1}) = rhs_p,   lam = q / h_imp^2
 
 closed with homogeneous Dirichlet ends: the pencil endpoints are always
 tangential-E wall entries, which the PEC condition pins to zero.  The matrix
 is strictly diagonally dominant for every lam >= 0, so a single
 forward-elimination / back-substitution pass (Thomas algorithm) needs no
-pivoting.  Once the three E solves are done the H updates are explicit.
-
-Stage one solved forms (stage two mirrors them with rotated axes):
-
-    ex - lam_y d_yd_y ex  <-  ex + (dt/2 eps)(d_y hz - d_z hy) - (dt^2/4 eps mu) d_yd_x ey
-    ey - lam_z d_zd_z ey  <-  ey + (dt/2 eps)(d_z hx - d_x hz) - (dt^2/4 eps mu) d_zd_y ez
-    ez - lam_x d_xd_x ez  <-  ez + (dt/2 eps)(d_x hy - d_y hx) - (dt^2/4 eps mu) d_xd_z ex
+pivoting.
 
 Any derivation slip is caught mechanically: the residual functions evaluate
 the original coupled equations on the stage output, and the test suite holds
@@ -29,10 +39,11 @@ them to 1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import FieldState, GridSpec, Medium, check_extents, zero_state
+from .grid import FieldState, GridSpec, Medium, check_extents
 
 
 class NonFiniteFieldError(ValueError):
@@ -60,131 +71,109 @@ def solve_tridiagonal(system: TriDiagSystem) -> np.ndarray:
     return _solve_lines(system.lam, system.rhs.astype(float, copy=True), axis=0)
 
 
+@lru_cache(maxsize=64)
+def _thomas_coeffs(lam: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elimination coefficients (cp, 1/den) of the length-m system, read-only."""
+    cp, inv_den = np.empty(m), np.empty(m)
+    prev = 0.0
+    for p in range(m):
+        inv_den[p] = 1.0 / (1.0 + 2.0 * lam + lam * prev)
+        cp[p] = prev = -lam * inv_den[p]
+    cp.flags.writeable = inv_den.flags.writeable = False
+    return cp, inv_den
+
+
 def _solve_lines(lam: float, rhs: np.ndarray, axis: int) -> np.ndarray:
     """Thomas algorithm for the constant-coefficient Dirichlet system, batched.
 
-    Solves independently along `axis` for every pencil of `rhs`.  The
-    elimination coefficients depend only on (lam, length), so they are
-    precomputed once and the sweeps are vectorized across the batch.
+    Solves independently along `axis` for every pencil of `rhs` and returns
+    the solution; `rhs` itself may be overwritten.  The sweeps run in place,
+    plane by plane with one plane-sized temporary, on `rhs` for axis 0 and on
+    a contiguous copy with the solve axis leading otherwise.
     """
     if lam == 0.0:
-        return rhs.copy()
-    r = np.moveaxis(rhs, axis, 0)
-    m = r.shape[0]
-    b = 1.0 + 2.0 * lam
-    cp = np.empty(m)
-    den = np.empty(m)
-    den[0] = b
-    cp[0] = -lam / b
-    for p in range(1, m):
-        den[p] = b + lam * cp[p - 1]
-        cp[p] = -lam / den[p]
-    y = np.empty_like(r)
-    y[0] = r[0] / den[0]
-    for p in range(1, m):
-        y[p] = (r[p] + lam * y[p - 1]) / den[p]
-    u = np.empty_like(r)
-    u[m - 1] = y[m - 1]
-    for p in range(m - 2, -1, -1):
-        u[p] = y[p] - cp[p] * u[p + 1]
-    return np.moveaxis(u, 0, axis)
+        return rhs
+    work = np.ascontiguousarray(np.moveaxis(rhs, axis, 0)) if axis else rhs
+    cp, inv_den = _thomas_coeffs(lam, work.shape[0])
+    tmp = np.empty_like(work[0])
+    work[0] *= inv_den[0]
+    for p in range(1, work.shape[0]):
+        np.multiply(work[p - 1], lam, out=tmp)
+        work[p] += tmp
+        work[p] *= inv_den[p]
+    for p in range(work.shape[0] - 2, -1, -1):
+        np.multiply(work[p + 1], cp[p], out=tmp)
+        work[p] -= tmp
+    return np.moveaxis(work, 0, axis)
 
 
-def _coeffs(grid: GridSpec, med: Medium):
-    dt = grid.dt
-    ce = dt / (2.0 * med.eps)
-    ch = dt / (2.0 * med.mu)
-    q = dt * dt / (4.0 * med.eps * med.mu)
-    lams = tuple(q / grid.spacing(a) ** 2 for a in range(3))
-    return ce, ch, q, lams
+# stage -> (implicit axis offset from c, partner offset from c, sigma)
+_STAGES = {1: (1, 2, 1.0), 2: (2, 1, -1.0)}
 
 
-def _require_finite(state: FieldState) -> None:
-    if not state.all_finite():
-        raise NonFiniteFieldError("non-finite values in field state")
+def _pair(arr: np.ndarray, axis: int, trim: int | None = None):
+    """Upper and lower neighbours along `axis`, cut to 1:-1 along `trim`."""
+    hi = [slice(None)] * 3
+    if trim is not None:
+        hi[trim] = slice(1, -1)
+    lo = list(hi)
+    hi[axis], lo[axis] = slice(1, None), slice(None, -1)
+    return arr[tuple(hi)], arr[tuple(lo)]
+
+
+def _half_update(state: FieldState, grid: GridSpec, med: Medium, stage: int) -> FieldState:
+    """One half-update per the stage table in the module docstring.
+
+    The output is a fresh state: E wall entries are exact zeros by
+    construction, so the PEC condition holds bitwise at every level.
+    """
+    check_extents(state, grid)
+    d_imp, d_p, sigma = _STAGES[stage]
+    h = (grid.dx, grid.dy, grid.dz)
+    ce, ch = grid.dt / (2.0 * med.eps), grid.dt / (2.0 * med.mu)
+    e_old, h_old = state.e_triple(), state.h_triple()
+    e_new, h_new = [None] * 3, [None] * 3
+    for c in range(3):
+        imp, p = (c + d_imp) % 3, (c + d_p) % 3
+        # explicit part of the partner, from the old E over its whole lattice
+        hp = np.subtract(*_pair(e_old[imp], c))
+        hp *= -sigma * ch / h[c]
+        hp += h_old[p]
+        # implicit E_c along imp, on its interior (walls stay exact zeros)
+        interior = tuple(slice(None) if d == c else slice(1, -1) for d in range(3))
+        rhs = np.subtract(*_pair(hp, imp, trim=p))
+        rhs *= sigma * ce / h[imp]
+        tmp = np.subtract(*_pair(h_old[imp], p, trim=imp))
+        tmp *= sigma * ce / h[p]
+        rhs -= tmp
+        rhs += e_old[c][interior]
+        ec = np.zeros(e_old[c].shape)
+        ec[interior] = _solve_lines(ce * ch / h[imp] ** 2, rhs, imp)
+        # implicit part of the partner, from the new E_c
+        tmp = np.subtract(*_pair(ec, imp))
+        tmp *= sigma * ch / h[imp]
+        hp += tmp
+        e_new[c], h_new[p] = ec, hp
+    out = FieldState(*e_new, *h_new, time_level=state.time_level + 0.5)
+    # Checking the output attributes a NaN or infinity to the stage that made
+    # it, and still catches one in the input: every input entry feeds some
+    # output entry.  Each H_p is copied into its own output, and each E, wall
+    # entries included, is differenced over its whole lattice in the explicit
+    # part of one partner update (d_c E_imp), so non-finite input leaves
+    # non-finite output.
+    if not out.all_finite():
+        raise NonFiniteFieldError(f"non-finite values in the stage {stage} output")
+    return out
 
 
 def stage1(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
-    """Advance from a whole level to the intermediate level.
-
-    Output E boundary entries are exact zeros by construction (fresh arrays,
-    only interiors written), so the PEC condition holds bitwise at the
-    intermediate level.
-    """
-    check_extents(state, grid)
-    _require_finite(state)
-    nx, ny, nz = grid.cells
-    dx, dy, dz = grid.dx, grid.dy, grid.dz
-    ce, ch, q, (lx, ly, lz) = _coeffs(grid, med)
-    ex, ey, ez, hx, hy, hz = state.ex, state.ey, state.ez, state.hx, state.hy, state.hz
-
-    out = zero_state(grid, time_level=state.time_level + 0.5)
-
-    # ex implicit along y
-    dyhz = np.diff(hz, axis=1) / dy
-    dzhy = np.diff(hy, axis=2) / dz
-    dydxey = np.diff(np.diff(ey, axis=0) / dx, axis=1) / dy
-    rhs = ex[:, 1:ny, 1:nz] + ce * (dyhz[:, :, 1:nz] - dzhy[:, 1:ny, :]) - q * dydxey[:, :, 1:nz]
-    out.ex[:, 1:ny, 1:nz] = _solve_lines(ly, rhs, axis=1)
-
-    # ey implicit along z
-    dzhx = np.diff(hx, axis=2) / dz
-    dxhz = np.diff(hz, axis=0) / dx
-    dzdyez = np.diff(np.diff(ez, axis=1) / dy, axis=2) / dz
-    rhs = ey[1:nx, :, 1:nz] + ce * (dzhx[1:nx, :, :] - dxhz[:, :, 1:nz]) - q * dzdyez[1:nx, :, :]
-    out.ey[1:nx, :, 1:nz] = _solve_lines(lz, rhs, axis=2)
-
-    # ez implicit along x
-    dxhy = np.diff(hy, axis=0) / dx
-    dyhx = np.diff(hx, axis=1) / dy
-    dxdzex = np.diff(np.diff(ex, axis=2) / dz, axis=0) / dx
-    rhs = ez[1:nx, 1:ny, :] + ce * (dxhy[:, 1:ny, :] - dyhx[1:nx, :, :]) - q * dxdzex[:, 1:ny, :]
-    out.ez[1:nx, 1:ny, :] = _solve_lines(lx, rhs, axis=0)
-
-    # h explicit from the solved E fields; wall-normal entries get zero increments
-    out.hx = hx + ch * (np.diff(out.ey, axis=2) / dz - np.diff(ez, axis=1) / dy)
-    out.hy = hy + ch * (np.diff(out.ez, axis=0) / dx - np.diff(ex, axis=2) / dz)
-    out.hz = hz + ch * (np.diff(out.ex, axis=1) / dy - np.diff(ey, axis=0) / dx)
-    return out
+    """Advance from a whole level to the intermediate level."""
+    return _half_update(state, grid, med, 1)
 
 
 def stage2(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
     """Advance from the intermediate level to the next whole level."""
-    check_extents(state, grid)
-    _require_finite(state)
-    nx, ny, nz = grid.cells
-    dx, dy, dz = grid.dx, grid.dy, grid.dz
-    ce, ch, q, (lx, ly, lz) = _coeffs(grid, med)
-    ex, ey, ez, hx, hy, hz = state.ex, state.ey, state.ez, state.hx, state.hy, state.hz
-
-    out = zero_state(grid, time_level=state.time_level + 0.5)
-
-    # ex implicit along z
-    dyhz = np.diff(hz, axis=1) / dy
-    dzhy = np.diff(hy, axis=2) / dz
-    dzdxez = np.diff(np.diff(ez, axis=0) / dx, axis=2) / dz
-    rhs = ex[:, 1:ny, 1:nz] + ce * (dyhz[:, :, 1:nz] - dzhy[:, 1:ny, :]) - q * dzdxez[:, 1:ny, :]
-    out.ex[:, 1:ny, 1:nz] = _solve_lines(lz, rhs, axis=2)
-
-    # ey implicit along x
-    dzhx = np.diff(hx, axis=2) / dz
-    dxhz = np.diff(hz, axis=0) / dx
-    dxdyex = np.diff(np.diff(ex, axis=1) / dy, axis=0) / dx
-    rhs = ey[1:nx, :, 1:nz] + ce * (dzhx[1:nx, :, :] - dxhz[:, :, 1:nz]) - q * dxdyex[:, :, 1:nz]
-    out.ey[1:nx, :, 1:nz] = _solve_lines(lx, rhs, axis=0)
-
-    # ez implicit along y
-    dxhy = np.diff(hy, axis=0) / dx
-    dyhx = np.diff(hx, axis=1) / dy
-    dydzey = np.diff(np.diff(ey, axis=2) / dz, axis=1) / dy
-    rhs = ez[1:nx, 1:ny, :] + ce * (dxhy[:, 1:ny, :] - dyhx[1:nx, :, :]) - q * dydzey[1:nx, :, :]
-    out.ez[1:nx, 1:ny, :] = _solve_lines(ly, rhs, axis=1)
-
-    # h explicit: frozen terms read the intermediate E, implicit partners the new E
-    out.hx = hx + ch * (np.diff(ey, axis=2) / dz - np.diff(out.ez, axis=1) / dy)
-    out.hy = hy + ch * (np.diff(ez, axis=0) / dx - np.diff(out.ex, axis=2) / dz)
-    out.hz = hz + ch * (np.diff(ex, axis=1) / dy - np.diff(out.ey, axis=0) / dx)
-    return out
+    return _half_update(state, grid, med, 2)
 
 
 def step(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import adimax.harness as harness
+from adimax import stepper
 from adimax import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                     emit_config, energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
@@ -142,6 +143,25 @@ def test_run_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "sample_exact", poisoned)
     with pytest.raises(RuntimeError, match="step 1"):
         run(cfg)
+
+
+def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path)
+    solve = stepper._solve_lines
+    calls = []
+
+    def poisoned(lam, rhs, axis):
+        out = solve(lam, rhs, axis)
+        calls.append(axis)
+        if len(calls) == 6 * cfg.steps:  # last solve: stage two of the last step
+            out = out.copy()
+            out[(0,) * out.ndim] = np.inf
+        return out
+
+    monkeypatch.setattr(stepper, "_solve_lines", poisoned)
+    with pytest.raises(RuntimeError, match=rf"step {cfg.steps}\b"):
+        run(cfg)
+    assert len(calls) == 6 * cfg.steps
 
 
 # --- energy audit ----------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from adimax import (NonFiniteFieldError, TriDiagSystem, enforce_pec, lincomb,
+from adimax import (Medium, NonFiniteFieldError, TriDiagSystem, enforce_pec, lincomb,
                     make_grid, sample_exact, solve_tridiagonal, stage1, stage1_residual,
                     stage2, stage2_residual, step, step_residual, zero_state)
+from adimax import stepper
 from adimax.norms import energy_l2
 from adimax.operators import diff
 
@@ -37,6 +38,22 @@ def test_tridiagonal_residual_tiny(rng):
     padded = np.concatenate([[0.0], u, [0.0]])
     res = (1 + 2 * lam) * padded[1:-1] - lam * (padded[2:] + padded[:-2]) - rhs
     assert np.max(np.abs(res)) <= 1e-13 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 7.5])
+def test_batched_solve_matches_per_pencil(lam, axis, rng):
+    # pencil lengths 2, 3 and 5 along axes 0, 1 and 2
+    rhs = rng.standard_normal((2, 3, 5))
+    got = stepper._solve_lines(lam, rhs.copy(), axis)
+    want = np.apply_along_axis(lambda v: solve_tridiagonal(TriDiagSystem(lam, v)), axis, rhs)
+    assert got.shape == rhs.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if lam == 0.0:
+        assert np.array_equal(got, rhs)
+    # a second call reads the cached elimination coefficients
+    again = stepper._solve_lines(lam, rhs.copy(), axis)
+    assert np.array_equal(again, got)
 
 
 def test_tridiagonal_validates_input():
@@ -73,6 +90,16 @@ def test_stage_residuals_on_random_pec_data(dt, rng, medium):
     full = stage2(half, g, medium)
     assert stage1_residual(s0, half, g, medium) <= 1e-12
     assert stage2_residual(half, full, g, medium) <= 1e-12
+
+
+def test_stage_residuals_anisotropic_grid_nonunit_medium(rng):
+    med = Medium(eps=2.5, mu=0.4)
+    g = make_grid(12, 20, 9, 0.7)
+    for s0 in (random_state(g, rng), enforce_pec(sample_exact(0.0, g))):
+        half = stage1(s0, g, med)
+        full = stage2(half, g, med)
+        assert stage1_residual(s0, half, g, med) <= 1e-12
+        assert stage2_residual(half, full, g, med) <= 1e-12
 
 
 def test_residual_detects_perturbation(rng, medium):
@@ -136,12 +163,18 @@ def test_wall_normal_h_is_frozen(rng, medium):
     assert np.array_equal(out.hz[:, :, -1], s.hz[:, :, -1])
 
 
-@pytest.mark.parametrize("cells", [(3, 3, 3), (4, 4, 4), (3, 4, 5)])
-def test_step_matches_dense_loop_oracle(cells, rng, medium):
-    g = make_grid(*cells, 0.45)
+@pytest.mark.parametrize("cells, dt, med", [
+    pytest.param((3, 3, 3), 0.45, Medium(), id="cells0"),
+    pytest.param((4, 4, 4), 0.45, Medium(), id="cells1"),
+    pytest.param((3, 4, 5), 0.45, Medium(), id="cells2"),
+    pytest.param((3, 4, 5), 0.45, Medium(eps=2.0, mu=0.5), id="cells2-eps2-mu0.5"),
+    pytest.param((3, 4, 5), 1.7, Medium(), id="cells2-dt1.7"),
+])
+def test_step_matches_dense_loop_oracle(cells, dt, med, rng):
+    g = make_grid(*cells, dt)
     s = random_state(g, rng)
-    got = step(s, g, medium)
-    want = adi_step_loop(s, g, medium)
+    got = step(s, g, med)
+    want = adi_step_loop(s, g, med)
     scale = max(1.0, want.max_abs())
     assert max_component_diff(got, want) <= 1e-12 * scale
 
