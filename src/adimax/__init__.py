@@ -5,7 +5,7 @@ manufactured-solution error metrics, and divergence diagnostics."""
 
 from .grid import (COMPONENTS, FieldState, GridSpec, Medium, enforce_pec, extent, lincomb,
                    location_of, make_grid, read_component_blob, read_component_csv,
-                   rotate_grid, rotate_state, write_component_blob, write_component_csv,
+                   rotate_state, write_component_blob, write_component_csv,
                    write_snapshot, zero_state)
 from .harness import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                       emit_config, energy_audit, parse_config, run, stability)
@@ -15,8 +15,7 @@ from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, 
 from .norms import (DivergenceReport, EnergyReport, divergence, electric_norm_sq, energy_h1,
                     energy_h1_dt, energy_l2, energy_l2_dt, energy_report, energy_suite,
                     face_norm_sq, magnetic_norm_sq)
-from .operators import (diff, fused_second_diff, second_diff, split_curl_neg, split_curl_pos,
-                        time_avg, time_diff)
+from .operators import diff, split_curl_neg, split_curl_pos, time_diff
 from .stepper import (NonFiniteFieldError, TriDiagSystem, solve_tridiagonal, stage1,
                       stage1_residual, stage2, stage2_residual, step, step_residual)
 

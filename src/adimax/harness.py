@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .grid import GridSpec, Medium, enforce_pec, make_grid, write_snapshot, zero_state
-from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                           ErrorMetrics, metrics, observed_rate, sample_exact,
+from .manufactured import (ErrorMetrics, energy_constants, metrics, observed_rate, sample_exact,
                            sample_semidiscrete)
 from .norms import (DivergenceReport, EnergyReport, divergence, energy_l2, energy_report,
                     energy_suite, format_value)
@@ -194,7 +193,16 @@ class _OutDir:
 def _init_state(cfg: RunConfig, grid: GridSpec):
     if cfg.init == "zero":
         return zero_state(grid)
-    return enforce_pec(sample_exact(0.0, grid))
+    return enforce_pec(sample_exact(0.0, grid))  # at t = 0 the mode is the same in any medium
+
+
+def _start(cfg: RunConfig):
+    """Validate `cfg`, write config.echo, and build grid, medium and initial state."""
+    cfg.validate()
+    grid = cfg.to_grid()
+    out = _OutDir(cfg.out)
+    out.write_text("config.echo", emit_config(cfg))
+    return grid, cfg.to_medium(), out, _init_state(cfg, grid)
 
 
 def _advance(state, grid, med, step_index: int):
@@ -227,11 +235,7 @@ _RUN_HEADER = (EnergyReport.CSV_HEADER
 
 def run(cfg: RunConfig) -> RunResult:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
-    cfg.validate()
-    grid, med = cfg.to_grid(), cfg.to_medium()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    state = _init_state(cfg, grid)
+    grid, med, out, state = _start(cfg)
     prev = None
     ticks = _ticks(cfg.steps, cfg.cadence)
     energy, diverg, errors, rows = [], [], [], []
@@ -239,7 +243,7 @@ def run(cfg: RunConfig) -> RunResult:
     def record(curr, before):
         erpt = energy_report(curr, before, med, grid)
         drpt, _, _ = divergence(curr, med, grid)
-        empt = metrics(curr, before, grid, med)
+        empt = metrics(curr, before, grid, med, report=erpt)
         energy.append(erpt)
         diverg.append(drpt)
         errors.append(empt)
@@ -266,6 +270,12 @@ _AUDIT_COLUMNS = (
 )
 
 
+_STEMS = ("norm1", "norm1t", "norm2", "norm2t")
+# the value keys of the columns after time_level, in _AUDIT_COLUMNS order
+_AUDIT_KEYS = ([f"{stem}_{kind}" for stem in _STEMS for kind in ("drift", "ratio", "ratio_sq")]
+               + [f"{stem}_core_{kind}" for stem in _STEMS for kind in ("drift", "ratio")])
+
+
 def _drift(value_sq, ref_sq):
     if value_sq is None or ref_sq is None:
         return None
@@ -288,26 +298,23 @@ class AuditResult:
 def energy_audit(cfg: RunConfig) -> AuditResult:
     """Track the experiment energy norms: drifts against the initial level and
     ratios against the analytic mode constants, full and core (starred) forms."""
-    cfg.validate()
-    grid, med = cfg.to_grid(), cfg.to_medium()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    state = _init_state(cfg, grid)
-    ref = energy_suite(state, None, med, grid)
-    ref_t = None
+    grid, med, out, state = _start(cfg)
+    ref = ref_t = None
     ticks = _ticks(cfg.steps, cfg.cadence)
     rows, lines = [], []
 
-    consts = {"norm1": ENERGY_GRAD_SQ, "norm2": ENERGY_TOTAL_SQ,
-              "norm1t": ENERGY_GRAD_TIME_SQ, "norm2t": ENERGY_TIME_SQ}
+    k = energy_constants(med)
+    consts = {"norm1": k["grad"], "norm2": k["total"], "norm1t": k["grad_time"],
+              "norm2t": k["time"]}
 
     def record(curr, before):
-        nonlocal ref_t
+        nonlocal ref, ref_t
         suite = energy_suite(curr, before, med, grid)
+        ref = ref or suite  # the initial level is the drift reference
         if ref_t is None and suite["norm1t_sq"] is not None:
             ref_t = suite
         vals = {}
-        for stem in ("norm1", "norm1t", "norm2", "norm2t"):
+        for stem in _STEMS:
             full = suite[f"{stem}_sq"]
             core = suite[f"{stem}_core_sq"]
             refs = (ref if stem in ("norm1", "norm2") else ref_t) or {}
@@ -317,14 +324,8 @@ def energy_audit(cfg: RunConfig) -> AuditResult:
             vals[f"{stem}_core_drift"] = _drift(core, refs.get(f"{stem}_core_sq"))
             vals[f"{stem}_core_ratio"] = None if core is None else math.sqrt(core / consts[stem])
         rows.append(AuditRow(curr.time_level, vals))
-        lines.append(",".join([format_value(curr.time_level)] + [format_value(vals[c]) for c in (
-            "norm1_drift", "norm1_ratio", "norm1_ratio_sq",
-            "norm1t_drift", "norm1t_ratio", "norm1t_ratio_sq",
-            "norm2_drift", "norm2_ratio", "norm2_ratio_sq",
-            "norm2t_drift", "norm2t_ratio", "norm2t_ratio_sq",
-            "norm1_core_drift", "norm1_core_ratio", "norm1t_core_drift", "norm1t_core_ratio",
-            "norm2_core_drift", "norm2_core_ratio", "norm2t_core_drift", "norm2t_core_ratio",
-        )]))
+        lines.append(",".join(format_value(v) for v in
+                              [curr.time_level, *(vals[key] for key in _AUDIT_KEYS)]))
 
     record(state, None)
     prev = None
@@ -445,11 +446,7 @@ class DivergenceResult:
 
 
 def divergence_audit(cfg: RunConfig) -> DivergenceResult:
-    cfg.validate()
-    grid, med = cfg.to_grid(), cfg.to_medium()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    state = _init_state(cfg, grid)
+    grid, med, out, state = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     reports = [divergence(state, med, grid)[0]]
     for n in range(1, cfg.steps + 1):
@@ -476,11 +473,7 @@ def stability(cfg: RunConfig, drift_tol: float = 1e-10, growth_factor: float = 1
     """Long run at an arbitrary Courant number; passes when the L2-type energy
     drift stays within `drift_tol` and no field grows past `growth_factor`
     times the initial maximum."""
-    cfg.validate()
-    grid, med = cfg.to_grid(), cfg.to_medium()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    state = _init_state(cfg, grid)
+    grid, med, out, state = _start(cfg)
     q0 = energy_l2(state, med, grid)
     m0 = state.max_abs()
     scale = max(q0, 1e-300)

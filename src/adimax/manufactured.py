@@ -15,6 +15,10 @@ the boundary), and carry the closed-form energies
 
     int |e|^2 = (21/64) cos^2(w t),   int |h|^2 = (21/64) sin^2(w t).
 
+In a medium (eps, mu) the h amplitudes carry a factor sqrt(eps/mu) and
+w = sqrt(3) pi / sqrt(eps mu); `energy_constants` scales the constants below
+(by eps for the field and gradient forms, by 1/mu for their time derivatives).
+
 On a uniform staggered grid the sampled mode has two special discrete
 properties used heavily by the tests: the discrete divergence of the sampled
 field vanishes identically when the mesh sizes are equal (the three
@@ -33,8 +37,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, check_extents, extent
-from .norms import (electric_norm_sq, energy_h1, energy_l2, format_value, magnetic_norm_sq,
-                    _dt_state)
+from .norms import (EnergyReport, energy_h1, energy_h1_dt, energy_l2, energy_l2_dt, format_value,
+                    state_sums, _dt_state)
 
 OMEGA = math.sqrt(3.0) * math.pi
 
@@ -45,6 +49,14 @@ ENERGY_GRAD_SQ = 21.0 * math.pi**2 / 64.0              # |de/dx|^2 + |dh/dx|^2
 ENERGY_GRAD_TIME_SQ = 63.0 * math.pi**4 / 64.0         # |d2e/dxdt|^2 + |d2h/dxdt|^2
 
 _SQ3 = math.sqrt(3.0)
+_UNIT = Medium()
+
+
+def energy_constants(med: Medium) -> dict:
+    """The analytic energy constants of the mode in the medium `med`, by short name."""
+    return {"total": ENERGY_TOTAL_SQ * med.eps, "grad": ENERGY_GRAD_SQ * med.eps,
+            "time": ENERGY_TIME_SQ / med.mu, "grad_time": ENERGY_GRAD_TIME_SQ / med.mu}
+
 
 _AMPLITUDE = {
     "ex": _SQ3 / 4.0,
@@ -75,14 +87,16 @@ def _profile(comp: str, amplitude, x, y, z):
     return out
 
 
-def _exact_amplitude(comp: str, t):
-    temporal = np.cos(OMEGA * t) if comp.startswith("e") else np.sin(OMEGA * t)
-    return _AMPLITUDE[comp] * temporal
+def _exact_amplitude(comp: str, t, med: Medium):
+    w = OMEGA / math.sqrt(med.eps * med.mu)
+    if comp.startswith("e"):
+        return _AMPLITUDE[comp] * np.cos(w * t)
+    return _AMPLITUDE[comp] * math.sqrt(med.eps / med.mu) * np.sin(w * t)
 
 
 def exact_component(comp: str, t, x, y, z):
-    """Evaluate one mode component at arbitrary coordinates (broadcasting)."""
-    return _profile(comp, _exact_amplitude(comp, t), x, y, z)
+    """Evaluate one mode component (eps = mu = 1) at arbitrary coordinates (broadcasting)."""
+    return _profile(comp, _exact_amplitude(comp, t, _UNIT), x, y, z)
 
 
 def _sample(amplitudes: dict, t: float, grid: GridSpec) -> FieldState:
@@ -98,53 +112,58 @@ def _sample(amplitudes: dict, t: float, grid: GridSpec) -> FieldState:
     return FieldState(*arrays, time_level=t / grid.dt)
 
 
-def sample_exact(t: float, grid: GridSpec) -> FieldState:
-    """Sample the mode on every staggered lattice at time t.
+def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT) -> FieldState:
+    """Sample the mode in the medium `med` on every staggered lattice at time t.
 
     Wall entries of tangential e evaluate to sin(pi * 0) and the like, so they
     are zero only to round-off (about 1e-16); run initialization squares that
     away with enforce_pec.
     """
-    return _sample({c: _exact_amplitude(c, t) for c in COMPONENTS}, t, grid)
+    return _sample({c: _exact_amplitude(c, t, med) for c in COMPONENTS}, t, grid)
 
 
-def sample_semidiscrete(t: float, grid: GridSpec) -> FieldState:
+def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT) -> FieldState:
     """Sample the grid's time-exact solution that starts from the sampled mode.
 
     The Yee difference of a sampled cos/sin(pi(1-u)) profile along axis a is
     the continuous derivative with pi replaced by s_a = 2 sin(pi h_a/2)/h_a.
-    So under the semi-discrete equations dE/dt = curl_h H, dH/dt = -curl_h E
-    (eps = mu = 1, as for sample_exact) the field keeps the mode's six sampled
-    profiles, and only the amplitude vectors move: dA/dt = s x B for E and
-    dB/dt = s x A for H.  From (A, B) = (a, 0) at t = 0, with a split into
-    a_par along s and a_perp across it,
+    So under the semi-discrete equations eps dE/dt = curl_h H,
+    mu dH/dt = -curl_h E the field keeps the mode's six sampled profiles, and
+    only the amplitude vectors move.  With H = sqrt(eps/mu) B and time read in
+    units of sqrt(eps mu), dA/dt = s x B for E and dB/dt = s x A for H.  From
+    (A, B) = (a, 0) at t = 0, with a split into a_par along s and a_perp
+    across it, and w = |s| / sqrt(eps mu),
 
-        A(t) = a_par + a_perp cos(|s| t),   B(t) = (s x a) sin(|s| t) / |s|.
+        A(t) = a_par + a_perp cos(w t),   B(t) = (s x a) sin(w t) / |s|.
 
-    On a cube a . s = 0, and this is the sampled mode with w replaced by
-    w_h = sqrt(3) s.  The fully discrete solution differs from it only by the
+    On a cube a . s = 0, and this is the sampled mode with sqrt(3) pi replaced
+    by sqrt(3) s.  The fully discrete solution differs from it only by the
     error of the time stepping: the O(h^2) spatial error drops out.
     """
     s = np.array([2.0 * math.sin(0.5 * math.pi * h) / h for h in (grid.dx, grid.dy, grid.dz)])
     a = np.array([_AMPLITUDE[c] for c in ("ex", "ey", "ez")])
-    w = math.sqrt(s @ s)
+    norm = math.sqrt(s @ s)
+    w = norm / math.sqrt(med.eps * med.mu)
     a_par = (a @ s) / (s @ s) * s
     e_amp = a_par + (a - a_par) * math.cos(w * t)
-    h_amp = np.cross(s, a) * (math.sin(w * t) / w)
+    h_amp = np.cross(s, a) * (math.sin(w * t) / norm * math.sqrt(med.eps / med.mu))
     return _sample(dict(zip(COMPONENTS, (*e_amp, *h_amp))), t, grid)
 
 
-def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None) -> FieldState:
-    """Reference-minus-numeric field state at time t.
+def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None,
+                med: Medium = _UNIT) -> FieldState:
+    """Reference-minus-numeric field state at time t, formed in the reference's arrays.
 
-    `reference(t, grid)` samples the solution graded against; None means
-    sample_exact, looked up at call time so that a wrapper installed on this
-    module's attribute sees the call.
+    `reference(t, grid, med)` returns a fresh sample of the solution graded
+    against; None means sample_exact, looked up at call time so that a wrapper
+    installed on this module's attribute sees the call.
     """
     check_extents(numeric, grid)
-    exact = (reference or sample_exact)(t, grid)
-    arrays = [getattr(exact, c) - getattr(numeric, c) for c, _ in numeric.components()]
-    return FieldState(*arrays, time_level=numeric.time_level)
+    err = (reference or sample_exact)(t, grid, med)
+    for comp, arr in numeric.components():
+        np.subtract(getattr(err, comp), arr, out=getattr(err, comp))
+    err.time_level = numeric.time_level
+    return err
 
 
 @dataclass(frozen=True)
@@ -179,33 +198,41 @@ class ErrorMetrics:
 
 
 def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medium,
-            reference=None) -> ErrorMetrics:
+            reference=None, report: EnergyReport | None = None) -> ErrorMetrics:
     """Error metrics of `curr` (and of the time difference when `prev` is given)
-    against `reference`, which error_state takes as it does."""
-    t = curr.time_level * grid.dt
-    err = error_state(curr, t, grid, reference)
-    e_sq = electric_norm_sq(err.e_triple(), med.eps, grid)
-    h_sq = magnetic_norm_sq(err.h_triple(), med.mu, grid)
+    against `reference`, which error_state takes as it does.  The ratio columns
+    read `report`, the EnergyReport of the same (curr, prev) pair, if given."""
+    if report is None:
+        h1, l2 = energy_h1(curr, "x", med, grid), energy_l2(curr, med, grid)
+        h1t = l2t = None
+        if prev is not None:
+            h1t, l2t = energy_h1_dt(prev, curr, "x", med, grid), energy_l2_dt(prev, curr, med, grid)
+    else:
+        h1, l2, h1t, l2t = report.h1_x, report.l2, report.h1t_x, report.l2t
+    k = energy_constants(med)
+    err = error_state(curr, curr.time_level * grid.dt, grid, reference, med)
+    now = state_sums(err, med, grid, axes="x")
     kwargs = {}
     if prev is not None:
-        d_err = _dt_state(error_state(prev, prev.time_level * grid.dt, grid, reference),
-                           err, grid)
-        d_num = _dt_state(prev, curr, grid)
+        d_err = _dt_state(error_state(prev, prev.time_level * grid.dt, grid, reference, med),
+                          err, grid)
+        del err  # one error state at a time in the passes
+        d = state_sums(d_err, med, grid, axes="x")
         kwargs = {
-            "eht1": math.sqrt(energy_h1(d_err, "x", med, grid)) / math.sqrt(ENERGY_GRAD_TIME_SQ),
-            "eht2": math.sqrt(energy_l2(d_err, med, grid)) / math.sqrt(ENERGY_TIME_SQ),
-            "ratiot1": math.sqrt(energy_h1(d_num, "x", med, grid) / ENERGY_GRAD_TIME_SQ),
-            "ratiot2": math.sqrt(energy_l2(d_num, med, grid) / ENERGY_TIME_SQ),
+            "eht1": math.sqrt(d.h1["x"][1]) / math.sqrt(k["grad_time"]),
+            "eht2": math.sqrt(d.l2) / math.sqrt(k["time"]),
+            "ratiot1": math.sqrt(h1t / k["grad_time"]),
+            "ratiot2": math.sqrt(l2t / k["time"]),
         }
     return ErrorMetrics(
         time_level=curr.time_level,
-        eh0=math.sqrt((e_sq + h_sq) / ENERGY_TOTAL_SQ),
-        eh1=math.sqrt(energy_h1(err, "x", med, grid)) / math.sqrt(ENERGY_GRAD_SQ),
-        eh2=math.sqrt(energy_l2(err, med, grid)) / math.sqrt(ENERGY_TOTAL_SQ),
-        err_e=math.sqrt(e_sq),
-        err_h=math.sqrt(h_sq),
-        ratio1=math.sqrt(energy_h1(curr, "x", med, grid) / ENERGY_GRAD_SQ),
-        ratio2=math.sqrt(energy_l2(curr, med, grid) / ENERGY_TOTAL_SQ),
+        eh0=math.sqrt(now.l2_core / k["total"]),
+        eh1=math.sqrt(now.h1["x"][1]) / math.sqrt(k["grad"]),
+        eh2=math.sqrt(now.l2) / math.sqrt(k["total"]),
+        err_e=math.sqrt(now.e_sq),
+        err_h=math.sqrt(now.h_sq),
+        ratio1=math.sqrt(h1 / k["grad"]),
+        ratio2=math.sqrt(l2 / k["total"]),
         **kwargs,
     )
 

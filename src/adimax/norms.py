@@ -13,6 +13,16 @@ of the two-stage update, for any time step:
 Their time-difference variants (the same forms applied to (next - prev)/dt
 across two consecutive whole levels) are conserved as well.
 
+All of them, and their core forms (``core=True``, without the dt^2 terms),
+are partial sums of one pass over a state, `state_sums`.  It forms the six
+curl pieces once, split_curl_pos(E) = (d_y ez, d_z ex, d_x ey) and
+split_curl_neg(H) = (d_z hy, d_x hz, d_y hx), for the L2 perturbation sums,
+the dt^2 partners of the three H1 sums (each piece differenced along the axis)
+and the wall-plane partners.  The H1 index table is written once, for x, in
+roles: for axis a, role r is array axis (a + r) % 3 and the components
+(x, y, z) are read as (a, a+1, a+2), exact because the scheme and the norms
+are invariant under that cyclic relabeling.
+
 The index ranges of each squared sum are not arbitrary: they are exactly the
 sets on which the corresponding half-update equation holds, which is what
 makes every summation-by-parts cancellation close without remainder.  Getting
@@ -21,8 +31,9 @@ the authoritative check on the tables below.  Weights follow the field
 identity (eps for E-derived quantities, mu for H-derived ones); index ranges
 follow the lattice the quantity lives on.
 
-Sums use numpy's pairwise summation, which keeps drift ratios reproducible at
-the 1e-13 level across run-to-run and thread-count variation.
+Sums square into contiguous scratch and use numpy's pairwise summation, which
+keeps drift ratios reproducible at the 1e-13 level across run-to-run and
+thread-count variation.
 """
 
 from __future__ import annotations
@@ -31,8 +42,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import FieldState, GridSpec, Medium, check_extents, rotate_grid, rotate_state
-from .operators import diff, time_diff
+# rotate_state is unused here; perfbench traces this name to count rotation copies
+from .grid import FieldState, GridSpec, Medium, check_extents, rotate_state  # noqa: F401
+from .operators import diff, split_curl_neg, split_curl_pos, time_diff
+
+_AXES = {"x": 0, "y": 1, "z": 2}
+
 
 def format_value(x) -> str:
     """CSV cell: 17 significant digits, '.' decimal separator; empty for None."""
@@ -41,13 +56,38 @@ def format_value(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _ssq(a: np.ndarray) -> float:
+def _ssq(a: np.ndarray, buf: np.ndarray | None = None) -> float:
+    """Sum of squares; `buf`, a flat scratch array, takes the squares if given."""
     if a.size == 0:
         return 0.0
-    return float(np.sum(np.square(a)))
+    out = None if buf is None else buf[:a.size].reshape(a.shape)
+    return float(np.add.reduce(np.square(a, out=out), axis=None))  # np.sum, less overhead
 
 
-def electric_norm_sq(u, weight: float, grid: GridSpec) -> float:
+def _dssq(u: np.ndarray, axis: int, h: float, idx: tuple, buf: np.ndarray) -> float:
+    """_ssq of diff(u, axis) restricted to the index tuple `idx`, formed in `buf`
+    (the 1/h^2 is applied to the sum, not to every entry)."""
+    start, stop, _ = idx[axis].indices(u.shape[axis] - 1)
+    hi, lo = list(idx), list(idx)
+    hi[axis], lo[axis] = slice(start + 1, stop + 1), slice(start, stop)
+    upper, lower = u[tuple(hi)], u[tuple(lo)]
+    return _ssq(np.subtract(upper, lower, out=buf[:upper.size].reshape(upper.shape)), buf) / h**2
+
+
+def _ix(a: int, *roles) -> tuple:
+    """Index tuple that applies roles[r] along array axis (a + r) % 3."""
+    idx = [slice(None)] * 3
+    for r, s in enumerate(roles):
+        idx[(a + r) % 3] = s
+    return tuple(idx)
+
+
+def _roles(seq, a: int) -> tuple:
+    """The entries of a per-axis triple in role order for axis a."""
+    return tuple(seq[(a + r) % 3] for r in range(3))
+
+
+def electric_norm_sq(u, weight: float, grid: GridSpec, buf: np.ndarray | None = None) -> float:
     """Squared norm over E-located triples with the interior index ranges.
 
     The x-slot sums all half-offset x indices but only interior y, z nodes
@@ -55,27 +95,25 @@ def electric_norm_sq(u, weight: float, grid: GridSpec) -> float:
     mu for magnetic quantities measured on E locations.
     """
     nx, ny, nz = grid.cells
-    ux, uy, uz = u
-    _expect(ux, (nx, ny + 1, nz + 1))
-    _expect(uy, (nx + 1, ny, nz + 1))
-    _expect(uz, (nx + 1, ny + 1, nz))
-    s = _ssq(ux[:, 1:ny, 1:nz]) + _ssq(uy[1:nx, :, 1:nz]) + _ssq(uz[1:nx, 1:ny, :])
+    ux, uy, uz = _expect(u, ((nx, ny + 1, nz + 1), (nx + 1, ny, nz + 1), (nx + 1, ny + 1, nz)))
+    s = (_ssq(ux[:, 1:ny, 1:nz], buf) + _ssq(uy[1:nx, :, 1:nz], buf)
+         + _ssq(uz[1:nx, 1:ny, :], buf))
     return weight * grid.dv * s
 
 
-def magnetic_norm_sq(v, weight: float, grid: GridSpec) -> float:
+def magnetic_norm_sq(v, weight: float, grid: GridSpec, buf: np.ndarray | None = None) -> float:
     """Squared norm over H-located triples; every lattice entry participates."""
     nx, ny, nz = grid.cells
-    vx, vy, vz = v
-    _expect(vx, (nx + 1, ny, nz))
-    _expect(vy, (nx, ny + 1, nz))
-    _expect(vz, (nx, ny, nz + 1))
-    return weight * grid.dv * (_ssq(vx) + _ssq(vy) + _ssq(vz))
+    vx, vy, vz = _expect(v, ((nx + 1, ny, nz), (nx, ny + 1, nz), (nx, ny, nz + 1)))
+    return weight * grid.dv * (_ssq(vx, buf) + _ssq(vy, buf) + _ssq(vz, buf))
 
 
-def _expect(arr: np.ndarray, shape) -> None:
-    if arr.shape != tuple(shape):
-        raise ValueError(f"lattice shape {arr.shape} does not match expected {tuple(shape)}")
+def _expect(triple, shapes):
+    """`triple` itself once every lattice has its expected shape."""
+    for arr, shape in zip(triple, shapes):
+        if arr.shape != shape:
+            raise ValueError(f"lattice shape {arr.shape} does not match expected {shape}")
+    return triple
 
 
 def face_norm_sq(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> tuple[float, float]:
@@ -84,124 +122,127 @@ def face_norm_sq(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> t
     Returns (tangential-E part, wall-normal-H part), both squared.  For the x
     axis the planes are i' in {1, nx-1}; the E part sums ey and ez there, the
     H part sums hx, each scaled by the transverse area element over the axis
-    spacing.
+    spacing.  The other axes read this through the role map.
     """
-    rotations = {"x": 0, "y": 1, "z": 2}[axis]
-    s, g = state, grid
-    for _ in range(rotations):
-        s, g = rotate_state(s), rotate_grid(g)
-    check_extents(s, g)
-    if g.nx < 3:
+    a = _AXES[axis]
+    check_extents(state, grid)
+    n0, n1, n2 = _roles(grid.cells, a)
+    if n0 < 3:
         raise ValueError("wall planes collide for fewer than 3 cells")
-    return (_face_e_sq(s.ey, s.ez, med.eps, g), _face_h_sq(s.hx, med.mu, g))
-
-
-def _face_e_sq(ey, ez, weight: float, grid: GridSpec) -> float:
-    nx, ny, nz = grid.cells
-    cb = grid.dy * grid.dz / grid.dx
+    h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
+    _, e1, e2 = _roles(state.e_triple(), a)
+    m0 = state.h_triple()[a]
+    cb = h1 * h2 / h0
     total = 0.0
-    for ip in (1, nx - 1):
-        total += _ssq(ey[ip, :, 1:nz]) + _ssq(ez[ip, 1:ny, :])
-    return weight * cb * total
+    for ip in (1, n0 - 1):
+        total += (_ssq(e1[_ix(a, ip, slice(None), slice(1, n2))])
+                  + _ssq(e2[_ix(a, ip, slice(1, n1))]))
+    return med.eps * cb * total, med.mu * cb * (_ssq(m0[_ix(a, 1)]) + _ssq(m0[_ix(a, n0 - 1)]))
 
 
-def _face_h_sq(hx, weight: float, grid: GridSpec) -> float:
-    nx = grid.nx
-    cb = grid.dy * grid.dz / grid.dx
-    return weight * cb * (_ssq(hx[1, :, :]) + _ssq(hx[nx - 1, :, :]))
+@dataclass(frozen=True)
+class StateSums:
+    """The quadratic sums of one field state, squared and weighted; `h1` maps each
+    axis of the pass to its (core, full) directional H1-type energy."""
+
+    e_sq: float
+    h_sq: float
+    curl_pos_e: float
+    curl_neg_h: float
+    l2_core: float
+    l2: float
+    h1: dict
 
 
-def energy_l2(state: FieldState, med: Medium, grid: GridSpec, core: bool = False) -> float:
-    """L2-type conserved energy; `core` drops the dt^2 perturbation terms."""
-    check_extents(state, grid)
-    e_sq = electric_norm_sq(state.e_triple(), med.eps, grid)
-    h_sq = magnetic_norm_sq(state.h_triple(), med.mu, grid)
-    if core:
-        return e_sq + h_sq
-    q = grid.dt ** 2 / (4.0 * med.eps * med.mu)
-    return e_sq + h_sq + q * (curl_neg_h_sq(state, med, grid) + curl_pos_e_sq(state, med, grid))
-
-
-def curl_neg_h_sq(state: FieldState, med: Medium, grid: GridSpec) -> float:
-    """|curl_neg H|_E^2: (d_z hy, d_x hz, d_y hx) measured on E locations, mu weight."""
-    nx, ny, nz = grid.cells
-    dzhy = diff(state.hy, 2, grid)
-    dxhz = diff(state.hz, 0, grid)
-    dyhx = diff(state.hx, 1, grid)
-    s = _ssq(dzhy[:, 1:ny, :]) + _ssq(dxhz[:, :, 1:nz]) + _ssq(dyhx[1:nx, :, :])
-    return med.mu * grid.dv * s
-
-
-def curl_pos_e_sq(state: FieldState, med: Medium, grid: GridSpec) -> float:
-    """|curl_pos E|_H^2: (d_y ez, d_z ex, d_x ey) measured on H locations, eps weight."""
-    dyez = diff(state.ez, 1, grid)
-    dzex = diff(state.ex, 2, grid)
-    dxey = diff(state.ey, 0, grid)
-    return med.eps * grid.dv * (_ssq(dyez) + _ssq(dzex) + _ssq(dxey))
-
-
-def energy_h1(state: FieldState, axis: str, med: Medium, grid: GridSpec,
-              core: bool = False) -> float:
-    """Directional H1-type conserved energy for one axis.
-
-    The y and z functionals are the x functional of the cyclically relabeled
-    state, which is exact because the scheme and the norms are invariant under
-    that relabeling.
-    """
-    rotations = {"x": 0, "y": 1, "z": 2}[axis]
-    s, g = state, grid
-    for _ in range(rotations):
-        s, g = rotate_state(s), rotate_grid(g)
-    return _energy_h1_x(s, med, g, core=core)
-
-
-def _energy_h1_x(state: FieldState, med: Medium, grid: GridSpec, core: bool) -> float:
+def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz") -> StateSums:
+    """Every quadratic functional of `state` in one pass: the L2-type energy and
+    its parts, and the directional H1-type energies along `axes`."""
     check_extents(state, grid)
     nx, ny, nz = grid.cells
-    eps, mu = med.eps, med.mu
-    dv = grid.dv
+    eps, mu, dv = med.eps, med.mu, grid.dv
+    buf = np.empty((nx + 1) * (ny + 1) * (nz + 1))
+    hx, hy, hz = state.h_triple()
+    pos = split_curl_pos(state.e_triple(), grid)
+    # curl_neg H is only ever read on the E sets: drop the H planes that miss them
+    neg = split_curl_neg((hx[1:nx], hy[:, 1:ny], hz[:, :, 1:nz]), grid)
+    neg_sq = [_ssq(c, buf) for c in neg]
+    h1 = {axis: _h1(state, pos, neg, neg_sq, _AXES[axis], med, grid, buf) for axis in axes}
+    e_sq = electric_norm_sq(state.e_triple(), eps, grid, buf)
+    h_sq = magnetic_norm_sq(state.h_triple(), mu, grid, buf)
+    curl_neg_h = mu * dv * sum(neg_sq)
+    # the last read of the cyclic pieces, so they are squared in place
+    curl_pos_e = eps * dv * sum(_ssq(p, p.reshape(-1)) for p in pos)
     q = grid.dt ** 2 / (4.0 * eps * mu)
-    ex, ey, ez, hx, hy, hz = state.ex, state.ey, state.ez, state.hx, state.hy, state.hz
-    d0 = lambda a: diff(a, 0, grid)
-    d1 = lambda a: diff(a, 1, grid)
-    d2 = lambda a: diff(a, 2, grid)
+    l2_core = e_sq + h_sq
+    return StateSums(e_sq, h_sq, curl_pos_e, curl_neg_h, l2_core,
+                     l2_core + q * (curl_neg_h + curl_pos_e), h1)
+
+
+def _h1(state: FieldState, pos, neg, neg_sq, a: int, med: Medium, grid: GridSpec,
+        buf: np.ndarray) -> tuple[float, float]:
+    """(core, full) H1-type energy along axis a from the curl pieces; neg_sq[k] = ssq(neg[k]).
+
+    Written for a = 0 (x) with roles: `_ix(a, s0, s1, s2)` puts s_r on array
+    axis (a + r) % 3, and e0, e1, e2 are (ex, ey, ez) for a = 0.
+    """
+    n0, n1, n2 = _roles(grid.cells, a)
+    h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
+    e0, _, e2 = _roles(state.e_triple(), a)
+    m0, m1, _ = _roles(state.h_triple(), a)
+    p0, p1, p2 = _roles(pos, a)      # (d_y e2, d_z e0, d_x e1) in roles
+    c0, c1, c2 = _roles(neg, a)      # (d_z m1, d_x m2, d_y m0), trimmed on roles 1, 2, 0
+    eps, mu = med.eps, med.mu
+    q = grid.dt ** 2 / (4.0 * eps * mu)
+    every, inner = slice(None), slice(1, n0 - 1)
+    ix = lambda *roles: _ix(a, *roles)
+    d0 = lambda u, *roles: _dssq(u, a, h0, ix(*roles), buf)
 
     # x-differenced component energies.  Each sum runs over the set where the
     # x-differenced update equation for that component holds: E components on
     # their interior sets, H components with wall-adjacent x entries dropped
     # (those pencils are accounted for by the wall-plane terms below).
-    vol = eps * (_ssq(d0(ex)[:, 1:ny, 1:nz])            # integer x in [1, nx-1]
-                 + _ssq(d0(ey)[1:nx - 1, :, 1:nz])      # half x in [3/2, nx-3/2]
-                 + _ssq(d0(ez)[1:nx - 1, 1:ny, :]))
-    vol += mu * (_ssq(d0(hx)[1:nx - 1, :, :])
-                 + _ssq(d0(hy)[:, 1:ny, :])
-                 + _ssq(d0(hz)[:, :, 1:nz]))
+    vol = eps * (d0(e0, every, slice(1, n1), slice(1, n2))      # integer x in [1, nx-1]
+                 + _ssq(p2[ix(inner, every, slice(1, n2))], buf)  # half x in [3/2, nx-3/2]
+                 + d0(e2, inner, slice(1, n1)))
+    vol += mu * (d0(m0, inner)
+                 + d0(m1, every, slice(1, n1))
+                 + _roles(neg_sq, a)[1])                    # d_x m2 is the piece c1
 
-    faces = _face_e_sq(ey, ez, eps, grid) + _face_h_sq(hx, mu, grid)
-
-    if core:
-        return dv * vol + faces
+    faces = sum(face_norm_sq(state, "xyz"[a], med, grid))
 
     # dt^2 partners: x-differenced anticyclic curl of H on the E sets and
     # cyclic curl of E on the H sets, paired term by term with the sums above.
-    pert = mu * (_ssq(d0(d2(hy))[:, 1:ny, :])
-                 + _ssq(d0(d0(hz))[:, :, 1:nz])
-                 + _ssq(d0(d1(hx))[1:nx - 1, :, :]))
-    pert += eps * (_ssq(d0(d1(ez))[1:nx - 1, :, :])
-                   + _ssq(d0(d2(ex))[:, 1:ny, :])
-                   + _ssq(d0(d0(ey))[:, :, 1:nz]))
+    pert = mu * (d0(c0) + d0(c1) + d0(c2))
+    pert += eps * (d0(p0, inner)
+                   + d0(p1, every, slice(1, n1))
+                   + d0(p2, every, every, slice(1, n2)))
 
-    # wall-plane partners: anticyclic-curl slots on the E planes, cyclic-curl
-    # slot on the H planes
-    dxhz = d0(hz)
-    dyhx = d1(hx)
-    dyez = d1(ez)
-    cb = grid.dy * grid.dz / grid.dx
+    # wall-plane partners: anticyclic-curl slots (d_x hz, d_y hx) on the E
+    # planes, cyclic-curl slot d_y ez on the H planes
+    cb = h1 * h2 / h0
     fpert = 0.0
-    for ip in (1, nx - 1):
-        fpert += mu * (_ssq(dxhz[ip - 1, :, 1:nz]) + _ssq(dyhx[ip, :, :]))
-        fpert += eps * _ssq(dyez[ip, :, :])
-    return dv * (vol + q * pert) + faces + q * cb * fpert
+    for ip in (1, n0 - 1):
+        fpert += mu * (_ssq(c1[ix(ip - 1)], buf) + _ssq(c2[ix(ip - 1)], buf))
+        fpert += eps * _ssq(p0[ix(ip)], buf)
+    return grid.dv * vol + faces, grid.dv * (vol + q * pert) + faces + q * cb * fpert
+
+
+def energy_l2(state: FieldState, med: Medium, grid: GridSpec, core: bool = False) -> float:
+    """L2-type conserved energy; `core` drops the dt^2 perturbation terms."""
+    sums = state_sums(state, med, grid, axes="")
+    return sums.l2_core if core else sums.l2
+
+
+def energy_h1(state: FieldState, axis: str, med: Medium, grid: GridSpec,
+              core: bool = False) -> float:
+    """Directional H1-type conserved energy for one axis; `core` drops the dt^2 terms.
+
+    All three axes share one index table, read through the role map: for axis
+    a, role r is array axis (a + r) % 3 and the components (x, y, z) are read
+    as (a, a+1, a+2).  This is exact because the scheme and the norms are
+    invariant under that cyclic relabeling.
+    """
+    return state_sums(state, med, grid, axes=axis).h1[axis][0 if core else 1]
 
 
 def energy_l2_dt(prev: FieldState, curr: FieldState, med: Medium, grid: GridSpec,
@@ -252,12 +293,12 @@ def divergence(state: FieldState, med: Medium, grid: GridSpec):
     """
     check_extents(state, grid)
     nx, ny, nz = grid.cells
-    div_e = (diff(state.ex, 0, grid)[:, 1:ny, 1:nz]
-             + diff(state.ey, 1, grid)[1:nx, :, 1:nz]
-             + diff(state.ez, 2, grid)[1:nx, 1:ny, :])
-    div_h = (diff(state.hx, 0, grid)
-             + diff(state.hy, 1, grid)
-             + diff(state.hz, 2, grid))
+    div_e = diff(state.ex[:, 1:ny, 1:nz], 0, grid)
+    div_e += diff(state.ey[1:nx, :, 1:nz], 1, grid)
+    div_e += diff(state.ez[1:nx, 1:ny, :], 2, grid)
+    div_h = diff(state.hx, 0, grid)
+    div_h += diff(state.hy, 1, grid)
+    div_h += diff(state.hz, 2, grid)
     report = DivergenceReport(
         time_level=state.time_level,
         div_e_linf=med.eps * (float(np.max(np.abs(div_e))) if div_e.size else 0.0),
@@ -304,46 +345,24 @@ class EnergyReport:
 
 def energy_report(curr: FieldState, prev: FieldState | None, med: Medium,
                   grid: GridSpec) -> EnergyReport:
-    kwargs = {}
+    """One pass over `curr` and, when `prev` is given, one over (curr - prev)/dt."""
+    s = state_sums(curr, med, grid)
+    dt_part = ()
     if prev is not None:
-        d = _dt_state(prev, curr, grid)
-        kwargs = {
-            "h1t_x": _energy_h1_x(d, med, grid, core=False),
-            "h1t_y": energy_h1(d, "y", med, grid),
-            "h1t_z": energy_h1(d, "z", med, grid),
-            "l2t": energy_l2(d, med, grid),
-        }
-    return EnergyReport(
-        time_level=curr.time_level,
-        h1_x=energy_h1(curr, "x", med, grid),
-        h1_y=energy_h1(curr, "y", med, grid),
-        h1_z=energy_h1(curr, "z", med, grid),
-        l2=energy_l2(curr, med, grid),
-        e_sq=electric_norm_sq(curr.e_triple(), med.eps, grid),
-        h_sq=magnetic_norm_sq(curr.h_triple(), med.mu, grid),
-        curl_pos_e=curl_pos_e_sq(curr, med, grid),
-        curl_neg_h=curl_neg_h_sq(curr, med, grid),
-        **kwargs,
-    )
+        d = state_sums(_dt_state(prev, curr, grid), med, grid)
+        dt_part = (*(d.h1[a][1] for a in "xyz"), d.l2)
+    return EnergyReport(curr.time_level, *(s.h1[a][1] for a in "xyz"), s.l2, s.e_sq, s.h_sq,
+                        s.curl_pos_e, s.curl_neg_h, *dt_part)
 
 
 def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec) -> dict:
     """The squared experiment norms: H1-type (x axis) and L2-type, full and core,
-    plus the dt-variants when a previous level is supplied."""
-    out = {
-        "norm1_sq": energy_h1(curr, "x", med, grid),
-        "norm2_sq": energy_l2(curr, med, grid),
-        "norm1_core_sq": energy_h1(curr, "x", med, grid, core=True),
-        "norm2_core_sq": energy_l2(curr, med, grid, core=True),
-        "norm1t_sq": None,
-        "norm2t_sq": None,
-        "norm1t_core_sq": None,
-        "norm2t_core_sq": None,
-    }
-    if prev is not None:
-        d = _dt_state(prev, curr, grid)
-        out["norm1t_sq"] = energy_h1(d, "x", med, grid)
-        out["norm2t_sq"] = energy_l2(d, med, grid)
-        out["norm1t_core_sq"] = energy_h1(d, "x", med, grid, core=True)
-        out["norm2t_core_sq"] = energy_l2(d, med, grid, core=True)
+    plus the dt-variants when a previous level is supplied; one pass per state."""
+    s = state_sums(curr, med, grid, axes="x")
+    d = None if prev is None else state_sums(_dt_state(prev, curr, grid), med, grid, axes="x")
+    out = {}
+    for t, sums in (("", s), ("t", d)):
+        keys = (f"norm1{t}_sq", f"norm2{t}_sq", f"norm1{t}_core_sq", f"norm2{t}_core_sq")
+        out.update(dict.fromkeys(keys) if sums is None else
+                   zip(keys, (sums.h1["x"][1], sums.l2, sums.h1["x"][0], sums.l2_core)))
     return out

@@ -17,26 +17,11 @@ from .grid import FieldState, GridSpec, lincomb
 def diff(u: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
     if u.shape[axis] < 2:
         raise ValueError(f"extent {u.shape[axis]} along axis {axis} too small to difference")
-    return np.diff(u, axis=axis) / grid.spacing(axis)
-
-
-def second_diff(u: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
-    """Composition diff(diff(u)); lands back on the operand's stagger class."""
-    return diff(diff(u, axis, grid), axis, grid)
-
-
-def fused_second_diff(u: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
-    """Fused 3-point form (u[p+1] - 2 u[p] + u[p-1]) / h^2; equals second_diff."""
-    if u.shape[axis] < 3:
-        raise ValueError(f"extent {u.shape[axis]} along axis {axis} too small")
-    lo = [slice(None)] * u.ndim
-    mid = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    lo[axis] = slice(None, -2)
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    h = grid.spacing(axis)
-    return (u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]) / (h * h)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    out = np.subtract(u[hi], u[lo])
+    out /= grid.spacing(axis)
+    return out
 
 
 def time_diff(u_next: FieldState, u_prev: FieldState, span: float) -> FieldState:
@@ -44,13 +29,6 @@ def time_diff(u_next: FieldState, u_prev: FieldState, span: float) -> FieldState
     _check_same_shapes(u_next, u_prev)
     mid = 0.5 * (u_next.time_level + u_prev.time_level)
     return lincomb(1.0 / span, u_next, -1.0 / span, u_prev, time_level=mid)
-
-
-def time_avg(u_next: FieldState, u_prev: FieldState) -> FieldState:
-    """Componentwise mean of two states."""
-    _check_same_shapes(u_next, u_prev)
-    mid = 0.5 * (u_next.time_level + u_prev.time_level)
-    return lincomb(0.5, u_next, 0.5, u_prev, time_level=mid)
 
 
 def _check_same_shapes(a: FieldState, b: FieldState) -> None:

@@ -9,10 +9,11 @@ tricks.  Only meant for tiny grids.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from adimax import FieldState
+from adimax import FieldState, GridSpec
 
 
 def dense_tridiag_solve(lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -53,6 +54,11 @@ def norm_h_loop(v, weight, grid):
     return weight * grid.dv * s
 
 
+def rotate_grid(grid: GridSpec) -> GridSpec:
+    """Grid under the cyclic axis map (x, y, z) -> (y, z, x)."""
+    return replace(grid, nx=grid.ny, ny=grid.nz, nz=grid.nx)
+
+
 def rotate_loop(state: FieldState) -> FieldState:
     """Cyclic axis relabeling via explicit index loops: out[a, b, c] = src[c, a, b]."""
 
@@ -72,7 +78,6 @@ def rotate_loop(state: FieldState) -> FieldState:
 
 def face_norm_loop(state, axis, med, grid):
     s, g = state, grid
-    from adimax import rotate_grid
     for _ in range({"x": 0, "y": 1, "z": 2}[axis]):
         s, g = rotate_loop(s), rotate_grid(g)
     nx, ny, nz = g.cells
@@ -131,7 +136,6 @@ def energy_l2_loop(state, med, grid, core=False):
 
 def energy_h1_loop(state, axis, med, grid, core=False):
     s, g = state, grid
-    from adimax import rotate_grid
     for _ in range({"x": 0, "y": 1, "z": 2}[axis]):
         s, g = rotate_loop(s), rotate_grid(g)
     return _h1x_loop(s, med, g, core)

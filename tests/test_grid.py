@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from adimax import (COMPONENTS, enforce_pec, extent, location_of, make_grid,
-                    read_component_blob, read_component_csv, rotate_grid, rotate_state,
+                    read_component_blob, read_component_csv, rotate_state,
                     sample_exact, write_component_blob, write_component_csv, write_snapshot,
                     zero_state)
 from adimax.norms import electric_norm_sq, magnetic_norm_sq
 
 from conftest import grid3, max_component_diff, random_state
+from oracles import rotate_grid
 
 
 def test_make_grid_sets_unit_cube_spacings():

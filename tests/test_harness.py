@@ -1,8 +1,15 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
 import adimax.harness as harness
-from adimax import stepper
+from adimax import grid as grid_module
+from adimax import manufactured, norms, stepper
+from adimax import (divergence, electric_norm_sq, energy_h1, energy_h1_dt, energy_l2, energy_l2_dt,
+                    enforce_pec, magnetic_norm_sq, metrics, sample_exact, split_curl_neg,
+                    split_curl_pos, step)
 from adimax import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                     emit_config, energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
@@ -189,6 +196,141 @@ def test_energy_audit_ratios_near_one(tmp_path):
         assert last[key] == pytest.approx(1.0, abs=1e-2)
 
 
+# --- report ticks: one pass per field state ----------------------------------
+
+def _count_passes(monkeypatch):
+    """Count state_sums passes per step interval (entry n: the tick after step n)
+    and fail on any rotation copy."""
+    counts = [0]
+    real_sums, real_stage1 = norms.state_sums, harness.stage1
+
+    def counting(*args, **kwargs):
+        counts[-1] += 1
+        return real_sums(*args, **kwargs)
+
+    def marking(*args, **kwargs):
+        counts.append(0)
+        return real_stage1(*args, **kwargs)
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("rotate_state called")
+
+    monkeypatch.setattr(norms, "state_sums", counting)
+    monkeypatch.setattr(manufactured, "state_sums", counting)
+    monkeypatch.setattr(harness, "stage1", marking)
+    monkeypatch.setattr(norms, "rotate_state", no_copy)
+    monkeypatch.setattr(grid_module, "rotate_state", no_copy)
+    return counts
+
+
+def _trajectory(cfg):
+    grid, med = cfg.to_grid(), cfg.to_medium()
+    states = [enforce_pec(sample_exact(0.0, grid))]
+    for _ in range(cfg.steps):
+        states.append(step(states[-1], grid, med))
+    return grid, med, states
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _assert_close(got: str, want, label):
+    if want is None:
+        assert got == "", label
+    else:
+        assert abs(float(got) - want) <= 1e-14 * abs(want), (label, float(got), want)
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_run_tick_reads_each_state_once(tmp_path, monkeypatch, cadence):
+    cfg = desk_cfg(tmp_path, nx=12, ny=20, nz=9, dt=0.7, T=4.9, eps=2.5, mu=0.4,
+                   cadence=cadence)
+    counts = _count_passes(monkeypatch)
+    run(cfg)
+    monkeypatch.undo()
+    ticks = sorted(harness._ticks(cfg.steps, cfg.cadence))
+    assert counts[0] <= 2  # curr and its error; no previous level yet
+    assert all(counts[n] <= 4 for n in ticks)  # curr, delta, error, delta error
+    assert all(counts[n] == 0 for n in range(cfg.steps + 1) if n not in ticks)
+
+    grid, med, states = _trajectory(cfg)
+    rows = _rows(tmp_path / "out" / "run.csv")
+    header = rows[0]
+    assert [float(r[0]) for r in rows[1:]] == ticks
+    dv, ny, nz, nx = grid.dv, grid.ny, grid.nz, grid.nx
+    for row, n in zip(rows[1:], ticks):
+        curr, prev = states[n], (states[n - 1] if n else None)
+        dz_hy, dx_hz, dy_hx = split_curl_neg(curr.h_triple(), grid)
+        want = [n, *(energy_h1(curr, a, med, grid) for a in "xyz"), energy_l2(curr, med, grid),
+                electric_norm_sq(curr.e_triple(), med.eps, grid),
+                magnetic_norm_sq(curr.h_triple(), med.mu, grid),
+                med.eps * dv * sum(float(np.sum(p ** 2))
+                                   for p in split_curl_pos(curr.e_triple(), grid)),
+                med.mu * dv * (float(np.sum(dz_hy[:, 1:ny, :] ** 2))
+                               + float(np.sum(dx_hz[:, :, 1:nz] ** 2))
+                               + float(np.sum(dy_hx[1:nx] ** 2)))]
+        if prev is None:
+            want += [None] * 4
+        else:
+            want += [*(energy_h1_dt(prev, curr, a, med, grid) for a in "xyz"),
+                     energy_l2_dt(prev, curr, med, grid)]
+        want += [float(x) for x in divergence(curr, med, grid)[0].csv_row().split(",")[1:]]
+        m = metrics(curr, prev, grid, med)
+        want += [getattr(m, f) for f in ("eh0", "eh1", "eh2", "err_e", "err_h", "ratio1",
+                                          "ratio2", "eht1", "eht2", "ratiot1", "ratiot2")]
+        assert len(want) == len(header)
+        for label, got, value in zip(header, row, want):
+            _assert_close(got, value, (n, label))
+
+
+def test_audit_tick_reads_each_state_once(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path, kind="energy-audit", nx=12, ny=20, nz=9, dt=0.7, T=4.9,
+                   eps=2.5, mu=0.4, cadence=3)
+    counts = _count_passes(monkeypatch)
+    energy_audit(cfg)
+    monkeypatch.undo()
+    ticks = sorted(harness._ticks(cfg.steps, cfg.cadence))
+    assert all(c <= 2 for c in counts)
+
+    grid, med, states = _trajectory(cfg)
+    k = manufactured.energy_constants(med)
+    consts = {"1": k["grad"], "2": k["total"], "1t": k["grad_time"], "2t": k["time"]}
+
+    def norms_at(n, core):
+        curr, prev = states[n], states[n - 1]
+        return {"1": energy_h1(curr, "x", med, grid, core=core),
+                "2": energy_l2(curr, med, grid, core=core),
+                "1t": energy_h1_dt(prev, curr, "x", med, grid, core=core) if n else None,
+                "2t": energy_l2_dt(prev, curr, med, grid, core=core) if n else None}
+
+    refs = {core: {**norms_at(0, core), **{s: norms_at(1, core)[s] for s in ("1t", "2t")}}
+            for core in (False, True)}
+
+    def drift(v, r):
+        return None if v is None else (math.sqrt(v) - math.sqrt(r)) / math.sqrt(r)
+
+    def ratio(v, c, root=True):
+        return None if v is None else (math.sqrt(v / c) if root else v / c)
+
+    rows = _rows(tmp_path / "out" / "energy_audit.csv")
+    for row, n in zip(rows[1:], ticks):
+        full, core = norms_at(n, False), norms_at(n, True)
+        want = [n]
+        for stem in ("1", "1t", "2", "2t"):
+            want += [drift(full[stem], refs[False][stem]), ratio(full[stem], consts[stem]),
+                     ratio(full[stem], consts[stem], root=False)]
+        for stem in ("1", "1t", "2", "2t"):
+            want += [drift(core[stem], refs[True][stem]), ratio(core[stem], consts[stem])]
+        assert len(want) == len(rows[0])
+        for label, got, value in zip(rows[0], row, want):
+            if value == 0.0:  # a drift against itself
+                assert float(got) == 0.0, (n, label)
+            else:
+                _assert_close(got, value, (n, label))
+
+
 # --- convergence -----------------------------------------------------------
 
 def test_converge_time_rates_reproducible_from_csv(tmp_path):
@@ -227,6 +369,26 @@ def test_converge_space_second_order_small(tmp_path):
                     grid_list=(6, 12), out=str(tmp_path)).validate()
     result = converge_space(cfg)
     assert result.rows[1].rates["eh2"] == pytest.approx(2.0, abs=0.35)
+
+
+def test_nonunit_medium_errors_and_ratios(tmp_path):
+    # the mode is scaled to the medium, so the error columns stay small and the
+    # energy ratios stay near 1 (tolerances of test_metrics_zero_for_exact_samples)
+    cfg = RunConfig(nx=12, ny=12, nz=12, T=1.0, eps=2.0, mu=0.5, kind="converge-time",
+                    dt_list=(0.05, 0.04, 0.025), out=str(tmp_path / "ct")).validate()
+    rows = converge_time(cfg).rows
+    for row in rows[1:]:
+        for key in ("eh1_semi", "eh2_semi"):
+            assert 1.6 <= row.rates[key] <= 2.2  # the window of criterion 3
+    assert max(row.eh1 for row in rows) < 0.1
+    result = run(desk_cfg(tmp_path, dt=0.05, eps=2.0, mu=0.5, cadence=5))
+    for m in result.errors:
+        assert m.ratio1 == pytest.approx(1.0, abs=2e-2)
+        assert m.ratio2 == pytest.approx(1.0, abs=5e-3)
+    run_csv = _rows(tmp_path / "out" / "run.csv")
+    cols = [run_csv[0].index(c) for c in ("EH1_n", "EH2_n")]
+    assert [float(run_csv[-1][c]) for c in cols] == [result.errors[-1].ratio1,
+                                                      result.errors[-1].ratio2]
 
 
 # --- divergence audit ------------------------------------------------------

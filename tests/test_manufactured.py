@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                    OMEGA, enforce_pec, error_state, exact_component, make_grid, metrics,
-                    observed_rate, sample_exact, sample_semidiscrete, step, zero_state)
+                    OMEGA, Medium, electric_norm_sq, enforce_pec, error_state, exact_component,
+                    magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
+                    sample_semidiscrete, step, zero_state)
+from adimax.manufactured import energy_constants
 
 from conftest import max_component_diff
 
@@ -77,9 +79,9 @@ def _yee_curls(s, g):
     return curl_h, curl_e
 
 
-def _semidiscrete_defect(sample, g, t=0.37, delta=1e-4):
-    """Max defect of dE/dt = curl_h H, dH/dt = -curl_h E, d/dt by a centered difference."""
-    s, hi, lo = sample(t, g), sample(t + delta, g), sample(t - delta, g)
+def _semidiscrete_defect(sample, g, t=0.37, delta=1e-4, med=Medium()):
+    """Max defect of eps dE/dt = curl_h H, mu dH/dt = -curl_h E, d/dt by a centered difference."""
+    s, hi, lo = sample(t, g, med), sample(t + delta, g, med), sample(t - delta, g, med)
     curl_h, curl_e = _yee_curls(s, g)
     interior = ((slice(None), slice(1, -1), slice(1, -1)),
                 (slice(1, -1), slice(None), slice(1, -1)),
@@ -87,10 +89,10 @@ def _semidiscrete_defect(sample, g, t=0.37, delta=1e-4):
     worst = 0.0
     for c, name in enumerate(("ex", "ey", "ez")):
         rate = (getattr(hi, name) - getattr(lo, name))[interior[c]] / (2 * delta)
-        worst = max(worst, float(np.max(np.abs(rate - curl_h[c]))))
+        worst = max(worst, float(np.max(np.abs(med.eps * rate - curl_h[c]))))
     for c, name in enumerate(("hx", "hy", "hz")):
         rate = (getattr(hi, name) - getattr(lo, name)) / (2 * delta)
-        worst = max(worst, float(np.max(np.abs(rate + curl_e[c]))))
+        worst = max(worst, float(np.max(np.abs(med.mu * rate + curl_e[c]))))
     return worst
 
 
@@ -101,6 +103,35 @@ def test_semidiscrete_solves_semidiscrete_equations():
     g = make_grid(12, 20, 9, 0.1)
     assert _semidiscrete_defect(sample_semidiscrete, g) <= 1e-6
     assert _semidiscrete_defect(sample_exact, g) >= 1e-3
+
+
+def test_semidiscrete_solves_semidiscrete_equations_in_a_medium():
+    # eps mu = 1.5 slows the mode by sqrt(1.5) and H carries sqrt(eps/mu) = sqrt(6).
+    # Tolerance as in the unit-medium test; the truncation here is about 5.6e-7.
+    g = make_grid(12, 20, 9, 0.1)
+    med = Medium(3.0, 0.5)
+    assert _semidiscrete_defect(sample_semidiscrete, g, med=med) <= 1e-6
+    # the unit-medium solution misses them by far
+    unit = lambda t, grid, _: sample_semidiscrete(t, grid)
+    assert _semidiscrete_defect(unit, g, med=med) >= 1e-1
+
+
+def test_mode_energies_scale_with_the_medium():
+    # the alias-free lattice sums hit the scaled constants to round-off
+    g = make_grid(12, 12, 12, 0.05)
+    med = Medium(3.0, 0.5)
+    total = energy_constants(med)["total"]
+    assert total == 3.0 * ENERGY_TOTAL_SQ
+    w = OMEGA / math.sqrt(1.5)
+    for t in (0.0, 0.3):
+        s = sample_exact(t, g, med)
+        e_sq = electric_norm_sq(s.e_triple(), med.eps, g)
+        h_sq = magnetic_norm_sq(s.h_triple(), med.mu, g)
+        assert abs(e_sq - total * math.cos(w * t) ** 2) <= 1e-13 * total
+        assert abs(h_sq - total * math.sin(w * t) ** 2) <= 1e-13 * total
+    assert energy_constants(Medium()) == {"total": ENERGY_TOTAL_SQ, "grad": ENERGY_GRAD_SQ,
+                                          "time": ENERGY_TIME_SQ,
+                                          "grad_time": ENERGY_GRAD_TIME_SQ}
 
 
 def test_error_state_trivial_cases(medium):

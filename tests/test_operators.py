@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adimax import (diff, fused_second_diff, make_grid, second_diff, split_curl_neg,
-                    split_curl_pos, time_avg, time_diff, sample_exact, zero_state, lincomb)
+from adimax import (diff, make_grid, split_curl_neg, split_curl_pos, time_diff, sample_exact,
+                    zero_state, lincomb)
 
 from conftest import grid4, random_state
 
@@ -57,21 +57,13 @@ def test_diff_axes_commute(rng):
     assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
 
 
-def test_fused_second_diff_matches_composition(rng):
-    g = make_grid(6, 6, 6, 0.1)
-    u = rng.standard_normal((7, 6, 6))
-    a = second_diff(u, 0, g)
-    b = fused_second_diff(u, 0, g)
-    assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(a)))
-
-
 def test_diff_rejects_tiny_extent():
     g = make_grid(3, 3, 3, 0.1)
     with pytest.raises(ValueError):
         diff(np.ones((1, 4, 4)), 0, g)
 
 
-def test_time_diff_and_avg(rng):
+def test_time_diff(rng):
     g = grid4()
     a = random_state(g, rng, time_level=0.0)
     b = random_state(g, rng, time_level=1.0)
@@ -79,11 +71,6 @@ def test_time_diff_and_avg(rng):
     assert zero.max_abs() == 0.0
     twice = lincomb(2.0, a, 0.0, a, time_level=1.0)
     assert np.allclose(time_diff(twice, a, 1.0).ex, a.ex, rtol=0, atol=1e-15)
-    assert time_avg(a, a).max_abs() == pytest.approx(a.max_abs())
-    neg = lincomb(-1.0, a, 0.0, a)
-    assert time_avg(a, neg).max_abs() == 0.0
-    half = time_avg(b, zero_state(g))
-    assert np.array_equal(half.hz, 0.5 * b.hz)
     assert time_diff(b, a, g.dt).time_level == pytest.approx(0.5)
 
 
