@@ -234,7 +234,7 @@ def write_component_blob(path, comp: str, values: np.ndarray, grid: GridSpec,
                           comp.encode("ascii").ljust(4), 0, float(time_level))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_component_blob(path) -> tuple[str, np.ndarray, tuple[int, int, int], float]:

@@ -66,21 +66,18 @@ class RunConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.init not in INITS:
             raise ConfigError(f"init must be one of {INITS}, got {self.init!r}")
-        if not self.T > 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        for key in ("T", "dt", "eps", "mu"):
+            if not (math.isfinite(getattr(self, key)) and getattr(self, key) > 0):
+                raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.cadence < 1:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.mu <= 0:
-            raise ConfigError(f"mu must be positive, got {self.mu}")
-        dts = self.dt_list if (self.kind == "converge-time" and self.dt_list) else (self.dt,)
-        for dt in dts:
+        key = "dt_list" if (self.kind == "converge-time" and self.dt_list) else "dt"
+        for dt in self.dt_list if key == "dt_list" else (self.dt,):
+            if not (math.isfinite(dt) and dt > 0):
+                raise ConfigError(f"{key} entries must be positive and finite, got {dt}")
             n = round(self.T / dt)
             if n < 1 or abs(n * dt - self.T) > 1e-9 * self.T:
-                raise ConfigError(f"dt={dt} does not divide T={self.T} (key `dt`)")
+                raise ConfigError(f"dt={dt} does not divide T={self.T} (key `{key}`)")
         if self.kind == "converge-time" and not self.dt_list:
             raise ConfigError("converge-time needs dt_list")
         if self.kind == "converge-space":

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from adimax import FieldState, Medium, enforce_pec, extent, make_grid
+from adimax import FieldState, Medium, enforce_pec, extent, make_grid, stepper
 
 
 @pytest.fixture
@@ -34,3 +36,20 @@ def grid4(dt=0.4):
 def max_component_diff(a: FieldState, b: FieldState) -> float:
     return max(float(np.max(np.abs(getattr(a, c) - getattr(b, c))))
                for c in ("ex", "ey", "ez", "hx", "hy", "hz"))
+
+
+def force_split(monkeypatch) -> list[int]:
+    """Run every half-update as two slabs, whatever the grid size and core count.
+
+    Returns a list that collects the thread id of every sweep the worker runs.
+    """
+    monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(stepper.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sweep, threads = stepper._sweep, []
+
+    def recording(lam, rhs, axis):
+        threads.append(threading.get_ident())
+        return sweep(lam, rhs, axis)
+
+    monkeypatch.setattr(stepper, "_sweep", recording)
+    return threads

@@ -7,6 +7,7 @@ from adimax import (COMPONENTS, enforce_pec, extent, location_of, make_grid,
                     read_component_blob, read_component_csv, rotate_state,
                     sample_exact, write_component_blob, write_component_csv, write_snapshot,
                     zero_state)
+from adimax import grid as grid_module
 from adimax.norms import electric_norm_sq, magnetic_norm_sq
 
 from conftest import grid3, max_component_diff, random_state
@@ -134,6 +135,21 @@ def test_blob_snapshot_round_trip(tmp_path, rng):
     raw = path.read_bytes()
     assert raw[:4] == b"ADIM" and len(raw) == 48 + 8 * s.ex.size
     assert np.frombuffer(raw[48:], dtype="<f8")[1] == s.ex[0, 0, 1]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided", "big-endian"])
+def test_blob_bytes_are_header_then_little_endian_values(tmp_path, rng, layout):
+    g = make_grid(3, 4, 5, 0.125)
+    values = rng.standard_normal(extent("hy", g))
+    given = {"contiguous": values, "fortran": np.asfortranarray(values),
+             "strided": np.repeat(values, 2, axis=2)[:, :, ::2],
+             "big-endian": values.astype(">f8")}[layout]
+    assert given.flags.c_contiguous == (layout in ("contiguous", "big-endian"))
+    path = tmp_path / "hy.bin"
+    write_component_blob(path, "hy", given, g, 2.5)
+    header = grid_module._HEADER.pack(grid_module.SNAPSHOT_MAGIC, grid_module.SNAPSHOT_VERSION,
+                                      3, 4, 5, b"hy  ", 0, 2.5)
+    assert path.read_bytes() == header + values.astype("<f8").tobytes()
 
 
 def test_csv_snapshot_round_trip(tmp_path, rng):

@@ -14,6 +14,8 @@ from adimax import (ConfigError, RunConfig, converge_space, converge_time, diver
                     emit_config, energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
 
+from conftest import force_split
+
 
 def desk_cfg(tmp_path, **kw):
     base = dict(nx=8, ny=8, nz=8, dt=0.1, T=1.0, cadence=2, out=str(tmp_path / "out"))
@@ -54,6 +56,24 @@ def test_parse_rejects_type_mismatch_with_key(tmp_path):
 def test_parse_rejects_non_divisible_dt():
     with pytest.raises(ConfigError, match="divide"):
         RunConfig(dt=0.3, T=1.0).validate()
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("T", "--T", "inf"), ("dt", "--dt", "nan"), ("eps", "--eps", "inf"), ("mu", "--mu", "nan"),
+    ("dt_list", "--dt-list", "0.1,inf"),
+])
+def test_cli_rejects_non_finite_values_by_key(tmp_path, capsys, key, flag, value):
+    kind = "converge-time" if key == "dt_list" else "run"
+    rc = cli_main([kind, flag, value, "--grid", "4,4,4", "--out", str(tmp_path / "cli")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ") and "finite" in err
+    assert not (tmp_path / "cli").exists()
+
+
+def test_non_divisible_dt_list_names_its_key():
+    with pytest.raises(ConfigError, match="key `dt_list`"):
+        RunConfig(kind="converge-time", T=1.0, dt_list=(0.1, 0.3)).validate()
 
 
 def test_config_round_trip(tmp_path):
@@ -169,6 +189,36 @@ def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match=rf"step {cfg.steps}\b"):
         run(cfg)
     assert len(calls) == 6 * cfg.steps
+
+
+def test_run_reports_nonfinite_made_in_the_workers_half(tmp_path, monkeypatch):
+    cfg = desk_cfg(tmp_path)
+    force_split(monkeypatch)
+    sweep = stepper._sweep
+    calls = []
+
+    def poisoned(lam, rhs, axis):
+        out = sweep(lam, rhs, axis)
+        calls.append(axis)
+        if len(calls) == 6 + 3 + 2:  # the worker's second stage-two sweep of step 2
+            out = out.copy()
+            out[(-1,) * out.ndim] = np.nan
+        return out
+
+    monkeypatch.setattr(stepper, "_sweep", poisoned)
+    with pytest.raises(RuntimeError, match=r"step 2\b") as info:
+        run(cfg)
+    assert isinstance(info.value.__cause__, stepper.NonFiniteFieldError)
+    assert "stage 2" in str(info.value.__cause__)
+    assert len(calls) == 3 * 4
+    # the worker is idle again: the next step runs, bitwise as unsplit
+    grid, med = cfg.to_grid(), cfg.to_medium()
+    state = enforce_pec(sample_exact(0.0, grid))
+    got = step(state, grid, med)
+    monkeypatch.setattr(stepper, "_SPLIT_MIN", 10 ** 9)
+    want = step(state, grid, med)
+    assert all(a.tobytes() == b.tobytes()
+               for (_, a), (_, b) in zip(got.components(), want.components()))
 
 
 # --- energy audit ----------------------------------------------------------

@@ -1,14 +1,20 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from adimax import (Medium, NonFiniteFieldError, TriDiagSystem, enforce_pec, lincomb,
+from adimax import (FieldState, Medium, NonFiniteFieldError, TriDiagSystem, enforce_pec, lincomb,
                     make_grid, sample_exact, solve_tridiagonal, stage1, stage1_residual,
                     stage2, stage2_residual, step, step_residual, zero_state)
 from adimax import stepper
 from adimax.norms import energy_l2
 from adimax.operators import diff
 
-from conftest import grid3, grid4, max_component_diff, random_state
+from conftest import force_split, grid3, grid4, max_component_diff, random_state
 from oracles import adi_step_loop, dense_tridiag_solve
 
 
@@ -177,6 +183,142 @@ def test_step_matches_dense_loop_oracle(cells, dt, med, rng):
     want = adi_step_loop(s, g, med)
     scale = max(1.0, want.max_abs())
     assert max_component_diff(got, want) <= 1e-12 * scale
+
+
+# --- two slabs on two threads ---------------------------------------------
+
+def _assert_same_bytes(got, want):
+    assert got.time_level == want.time_level
+    for (name, a), (_, b) in zip(got.components(), want.components()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("cells, dt, med", [
+    pytest.param((12, 20, 9), 0.7, Medium(eps=2.5, mu=0.4), id="12x20x9"),
+    pytest.param((3, 3, 3), 0.45, Medium(), id="3x3x3"),
+    pytest.param((3, 4, 5), 1.7, Medium(), id="3x4x5"),
+])
+def test_split_half_updates_are_bytewise_the_unsplit_ones(cells, dt, med, rng, monkeypatch):
+    g = make_grid(*cells, dt)
+    s = random_state(g, rng)
+    whole = [update(s, g, med) for update in (stage1, stage2, step)]
+    workers = force_split(monkeypatch)
+    for update, want in zip((stage1, stage2, step), whole):
+        _assert_same_bytes(update(s, g, med), want)
+    assert workers and threading.get_ident() not in workers
+
+
+@pytest.mark.parametrize("cells, med", [
+    pytest.param((3, 4, 5), Medium(eps=2.0, mu=0.5), id="3x4x5-eps2-mu0.5"),
+    pytest.param((5, 4, 6), Medium(), id="5x4x6"),
+])
+def test_split_step_matches_dense_loop_oracle(cells, med, rng, monkeypatch):
+    g = make_grid(*cells, 0.45)
+    s = random_state(g, rng)
+    want = adi_step_loop(s, g, med)
+    workers = force_split(monkeypatch)
+    got = step(s, g, med)
+    assert workers
+    assert max_component_diff(got, want) <= 1e-12 * max(1.0, want.max_abs())
+
+
+def test_split_solves_and_guards_run_on_the_calling_thread(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    workers = force_split(monkeypatch)
+    solve, finite, calls = stepper._solve_lines, FieldState.all_finite, []
+
+    def solve_here(lam, rhs, axis):
+        calls.append(("solve", threading.get_ident()))
+        return solve(lam, rhs, axis)
+
+    def finite_here(state):
+        calls.append(("guard", threading.get_ident()))
+        return finite(state)
+
+    monkeypatch.setattr(stepper, "_solve_lines", solve_here)
+    monkeypatch.setattr(FieldState, "all_finite", finite_here)
+    s = random_state(g, rng)
+    for _ in range(3):
+        s = step(s, g, med)
+    assert [kind for kind, _ in calls].count("solve") == 6 * 3
+    assert [kind for kind, _ in calls].count("guard") == 2 * 3
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    assert len(workers) == 6 * 3 and threading.get_ident() not in workers
+
+
+def test_split_joins_the_worker_before_raising(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    force_split(monkeypatch)
+    sweep, finished = stepper._sweep, []
+
+    def slow(lam, rhs, axis):
+        time.sleep(0.05)
+        out = sweep(lam, rhs, axis)
+        finished.append(axis)
+        return out
+
+    def boom(lam, rhs, axis):
+        raise ArithmeticError("solve failed")
+
+    monkeypatch.setattr(stepper, "_sweep", slow)
+    monkeypatch.setattr(stepper, "_solve_lines", boom)
+    with pytest.raises(ArithmeticError, match="solve failed"):
+        stage1(random_state(g, rng), g, Medium())
+    assert len(finished) == 3
+
+
+def test_split_from_more_callers_than_cores(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    states = [random_state(g, rng) for _ in range(4)]
+    want = [step(step(s, g, med), g, med) for s in states]
+    workers = force_split(monkeypatch)
+    got = [None] * len(states)
+
+    def caller(i):
+        got[i] = step(step(states[i], g, med), g, med)
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(workers) == 6 * 2 * len(states)
+    for state, expected in zip(got, want):
+        _assert_same_bytes(state, expected)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with a live thread
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_steps_with_the_split(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    s = random_state(g, rng)
+    want = step(s, g, med)
+    workers = force_split(monkeypatch)
+    _assert_same_bytes(step(s, g, med), want)  # the parent's worker is running now
+    assert workers
+
+    def child():
+        workers.clear()
+        _assert_same_bytes(step(s, g, med), want)
+        assert workers and threading.get_ident() not in workers
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child did not finish stepping within 60 s")
+    assert proc.exitcode == 0
 
 
 def test_half_level_energy_balance(rng, medium):
