@@ -4,19 +4,18 @@ verification machinery: exactly conserved discrete energy functionals,
 manufactured-solution error metrics, and divergence diagnostics."""
 
 from .grid import (COMPONENTS, FieldState, GridSpec, Medium, enforce_pec, extent, lincomb,
-                   location_of, make_grid, read_component_blob, read_component_csv,
-                   rotate_state, write_component_blob, write_component_csv,
+                   make_grid, read_component_blob, rotate_state, write_component_blob,
                    write_snapshot, zero_state)
 from .harness import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                       emit_config, energy_audit, parse_config, run, stability)
 from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                           OMEGA, ErrorMetrics, error_state, exact_component, metrics,
-                           observed_rate, sample_exact, sample_semidiscrete)
+                           OMEGA, ErrorMetrics, error_state, metrics, observed_rate, sample_exact,
+                           sample_semidiscrete)
 from .norms import (DivergenceReport, EnergyReport, divergence, electric_norm_sq, energy_h1,
                     energy_h1_dt, energy_l2, energy_l2_dt, energy_report, energy_suite,
                     face_norm_sq, magnetic_norm_sq)
 from .operators import diff, split_curl_neg, split_curl_pos, time_diff
-from .stepper import (NonFiniteFieldError, TriDiagSystem, solve_tridiagonal, stage1,
-                      stage1_residual, stage2, stage2_residual, step, step_residual)
+from .stepper import (NonFiniteFieldError, stage1, stage1_residual, stage2, stage2_residual, step,
+                      step_residual)
 
 __version__ = "0.1.0"

@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", choices=harness.INITS, help="initial fields")
         p.add_argument("--paper-scale", action="store_true",
                        help="use the full-scale experiment defaults (slow)")
-        p.add_argument("--snapshots", action="store_true",
-                       help="dump final field snapshots (run only)")
+        if kind == "run":
+            p.add_argument("--snapshots", action="store_true",
+                           help="dump final field snapshots")
         if kind == "converge-time":
             p.add_argument("--dt-list", metavar="DT,DT,...", help="time steps to compare")
         if kind == "converge-space":
@@ -76,7 +77,7 @@ def _overrides(args: argparse.Namespace) -> dict:
         over["dt_list"] = args.dt_list
     if getattr(args, "grid_list", None):
         over["grid_list"] = args.grid_list
-    if args.snapshots:
+    if getattr(args, "snapshots", False):
         over["snapshots"] = True
     over["kind"] = args.kind
     return over

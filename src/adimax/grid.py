@@ -19,7 +19,6 @@ Component placements (index ranges follow from the offsets):
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -115,17 +114,6 @@ def extent(comp: str, grid: GridSpec) -> tuple[int, int, int]:
     return tuple(n if o else n + 1 for n, o in zip(grid.cells, off))
 
 
-def location_of(comp: str, i: int, j: int, k: int, grid: GridSpec) -> tuple[float, float, float]:
-    """Physical coordinates of lattice entry (i, j, k) of a component."""
-    ext = extent(comp, grid)
-    for idx, n in zip((i, j, k), ext):
-        if not 0 <= idx < n:
-            raise IndexError(f"index {(i, j, k)} outside extent {ext} of {comp!r}")
-    off = HALF_OFFSET[comp]
-    h = (grid.dx, grid.dy, grid.dz)
-    return tuple((idx + 0.5 * o) * s for idx, o, s in zip((i, j, k), off, h))
-
-
 @dataclass
 class FieldState:
     """The six component lattices at one time level.
@@ -215,7 +203,7 @@ def rotate_state(state: FieldState) -> FieldState:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot I/O: one file per component, CSV or flat binary blob.
+# Snapshot I/O: one flat binary blob per component.
 # ---------------------------------------------------------------------------
 
 SNAPSHOT_MAGIC = b"ADIM"
@@ -253,44 +241,12 @@ def read_component_blob(path) -> tuple[str, np.ndarray, tuple[int, int, int], fl
     return comp, data, (nx, ny, nz), time_level
 
 
-def write_component_csv(path, values: np.ndarray) -> None:
-    """CSV snapshot with header row i,j,k,value, rows in k-fastest order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "k", "value"])
-        ni, nj, nk = values.shape
-        for i in range(ni):
-            for j in range(nj):
-                for k in range(nk):
-                    writer.writerow([i, j, k, f"{values[i, j, k]:.17g}"])
-
-
-def read_component_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["i", "j", "k", "value"]:
-            raise ValueError(f"bad snapshot header {header!r}")
-        rows = [(int(i), int(j), int(k), float(v)) for i, j, k, v in reader]
-    shape = tuple(max(r[d] for r in rows) + 1 for d in range(3))
-    out = np.zeros(shape)
-    for i, j, k, v in rows:
-        out[i, j, k] = v
-    return out
-
-
-def write_snapshot(state: FieldState, grid: GridSpec, directory, fmt: str = "blob") -> list[str]:
-    """Dump all six components into `directory`; returns the file names written."""
+def write_snapshot(state: FieldState, grid: GridSpec, directory) -> list[str]:
+    """Dump all six components into `directory` as blobs; returns the file names written."""
     check_extents(state, grid)
     names = []
     for comp, values in state.components():
-        if fmt == "blob":
-            name = f"snapshot_{comp}.bin"
-            write_component_blob(directory / name, comp, values, grid, state.time_level)
-        elif fmt == "csv":
-            name = f"snapshot_{comp}.csv"
-            write_component_csv(directory / name, values)
-        else:
-            raise ValueError(f"unknown snapshot format {fmt!r}")
+        name = f"snapshot_{comp}.bin"
+        write_component_blob(directory / name, comp, values, grid, state.time_level)
         names.append(name)
     return names

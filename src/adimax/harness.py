@@ -1,6 +1,14 @@
 """Experiment drivers: simulation runs, energy audits, convergence studies,
 divergence audits, and stability stress runs, with CSV emission.
 
+Every driver steps one trajectory, `_trajectory(cfg, grid)`: from the initial
+state that `cfg.init` names it yields `(n, prev, level)` for n = 0 ... round(T/dt),
+where `level` is time level n and `prev` is level n-1 (None at n = 0).  Each
+driver does only its own work on those levels: report ticks for `run`, the
+audits and `stability`, the last pair per resolution for the convergence
+studies.  A non-finite field ends the trajectory with a RuntimeError naming
+the step that made it.
+
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
 fully resolved configuration, reparseable) and `MANIFEST` (the files written).
@@ -71,6 +79,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.cadence < 1:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
+        if self.init == "zero" and self.kind in ("converge-time", "converge-space"):
+            raise ConfigError(f"init = zero does not apply to {self.kind}, "
+                              "whose errors are graded against the sampled mode")
+        if self.snapshots and self.kind != "run":
+            raise ConfigError(f"snapshots = true applies only to run, not to {self.kind}")
         key = "dt_list" if (self.kind == "converge-time" and self.dt_list) else "dt"
         for dt in self.dt_list if key == "dt_list" else (self.dt,):
             if not (math.isfinite(dt) and dt > 0):
@@ -118,10 +131,7 @@ def _parse_value(key: str, text: str, where: str):
 def parse_config(path=None, overrides: dict | None = None,
                  defaults: dict | None = None) -> RunConfig:
     """Resolve a config from defaults, then a `key = value` file, then flag overrides."""
-    cfg = RunConfig()
-    for source in (defaults or {},):
-        for key, value in source.items():
-            setattr(cfg, key, value)
+    cfg = RunConfig(**(defaults or {}))
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -187,26 +197,31 @@ class _OutDir:
         return self.names
 
 
-def _init_state(cfg: RunConfig, grid: GridSpec):
-    if cfg.init == "zero":
-        return zero_state(grid)
-    return enforce_pec(sample_exact(0.0, grid))  # at t = 0 the mode is the same in any medium
-
-
 def _start(cfg: RunConfig):
-    """Validate `cfg`, write config.echo, and build grid, medium and initial state."""
+    """Validate `cfg`, write config.echo, and build the output directory, grid and medium."""
     cfg.validate()
-    grid = cfg.to_grid()
     out = _OutDir(cfg.out)
     out.write_text("config.echo", emit_config(cfg))
-    return grid, cfg.to_medium(), out, _init_state(cfg, grid)
+    return out, cfg.to_grid(), cfg.to_medium()
 
 
-def _advance(state, grid, med, step_index: int):
-    try:
-        return stage2(stage1(state, grid, med), grid, med)
-    except NonFiniteFieldError as exc:
-        raise RuntimeError(f"non-finite field detected at step {step_index}") from exc
+def _trajectory(cfg: RunConfig, grid: GridSpec):
+    """Yield (n, level n-1, level n) for n = 0 ... round(T / grid.dt), starting
+    from the initial state of `cfg.init`; at n = 0 the previous level is None.
+    Step n+1 runs while the caller still holds what it kept of yield n."""
+    med = cfg.to_medium()
+    if cfg.init == "zero":
+        level = zero_state(grid)
+    else:
+        level = enforce_pec(sample_exact(0.0, grid))  # at t = 0 the mode is the same in any medium
+    yield 0, None, level
+    for n in range(1, round(cfg.T / grid.dt) + 1):
+        prev = level
+        try:
+            level = stage2(stage1(prev, grid, med), grid, med)
+        except NonFiniteFieldError as exc:
+            raise RuntimeError(f"non-finite field detected at step {n}") from exc
+        yield n, prev, level
 
 
 def _ticks(n_steps: int, cadence: int):
@@ -232,27 +247,21 @@ _RUN_HEADER = (EnergyReport.CSV_HEADER
 
 def run(cfg: RunConfig) -> RunResult:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
-    grid, med, out, state = _start(cfg)
-    prev = None
+    out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     energy, diverg, errors, rows = [], [], [], []
-
-    def record(curr, before):
-        erpt = energy_report(curr, before, med, grid)
-        drpt, _, _ = divergence(curr, med, grid)
-        empt = metrics(curr, before, grid, med, report=erpt)
+    for n, prev, state in _trajectory(cfg, grid):
+        if n not in ticks:
+            continue
+        erpt = energy_report(state, prev, med, grid)
+        drpt = divergence(state, med, grid)[0]  # its lattices would live through the next step
+        empt = metrics(state, prev, grid, med, report=erpt)
         energy.append(erpt)
         diverg.append(drpt)
         errors.append(empt)
         rows.append(erpt.csv_row()
                     + "," + drpt.csv_row().split(",", 1)[1]
                     + "," + empt.csv_row().split(",", 1)[1])
-
-    record(state, None)
-    for n in range(1, cfg.steps + 1):
-        prev, state = state, _advance(state, grid, med, n)
-        if n in ticks:
-            record(state, prev)
     out.write_rows("run.csv", _RUN_HEADER, rows)
     if cfg.snapshots and out.path is not None:
         out.add(write_snapshot(state, grid, out.path))
@@ -260,17 +269,16 @@ def run(cfg: RunConfig) -> RunResult:
     return RunResult(cfg, grid.courant(med.eps, med.mu), energy, diverg, errors, files)
 
 
+# functional stem -> column label; the core (starred) columns add "s" to the label
+_AUDIT_STEMS = {"norm1": "EH1", "norm1t": "EHt1", "norm2": "EH2", "norm2t": "EHt2"}
+# (column, value key) after time_level: full-norm drift, ratio and squared ratio
+# per stem, then core-norm drift and ratio per stem
 _AUDIT_COLUMNS = (
-    "time_level,EH1_n0,EH1_n,EH1_nsq,EHt1_n0,EHt1_n,EHt1_nsq,"
-    "EH2_n0,EH2_n,EH2_nsq,EHt2_n0,EHt2_n,EHt2_nsq,"
-    "EH1s_n0,EH1s_n,EHt1s_n0,EHt1s_n,EH2s_n0,EH2s_n,EHt2s_n0,EHt2s_n"
-)
-
-
-_STEMS = ("norm1", "norm1t", "norm2", "norm2t")
-# the value keys of the columns after time_level, in _AUDIT_COLUMNS order
-_AUDIT_KEYS = ([f"{stem}_{kind}" for stem in _STEMS for kind in ("drift", "ratio", "ratio_sq")]
-               + [f"{stem}_core_{kind}" for stem in _STEMS for kind in ("drift", "ratio")])
+    [(f"{label}{suffix}", f"{stem}_{kind}") for stem, label in _AUDIT_STEMS.items()
+     for suffix, kind in (("_n0", "drift"), ("_n", "ratio"), ("_nsq", "ratio_sq"))]
+    + [(f"{label}s{suffix}", f"{stem}_core_{kind}") for stem, label in _AUDIT_STEMS.items()
+       for suffix, kind in (("_n0", "drift"), ("_n", "ratio"))])
+_AUDIT_HEADER = ",".join(["time_level", *(column for column, _ in _AUDIT_COLUMNS)])
 
 
 def _drift(value_sq, ref_sq):
@@ -295,7 +303,7 @@ class AuditResult:
 def energy_audit(cfg: RunConfig) -> AuditResult:
     """Track the experiment energy norms: drifts against the initial level and
     ratios against the analytic mode constants, full and core (starred) forms."""
-    grid, med, out, state = _start(cfg)
+    out, grid, med = _start(cfg)
     ref = ref_t = None
     ticks = _ticks(cfg.steps, cfg.cadence)
     rows, lines = [], []
@@ -304,14 +312,18 @@ def energy_audit(cfg: RunConfig) -> AuditResult:
     consts = {"norm1": k["grad"], "norm2": k["total"], "norm1t": k["grad_time"],
               "norm2t": k["time"]}
 
-    def record(curr, before):
-        nonlocal ref, ref_t
-        suite = energy_suite(curr, before, med, grid)
+    for n, prev, state in _trajectory(cfg, grid):
+        if n not in ticks:
+            if ref_t is None:
+                # the drift reference for the time-difference norms is the (0, 1) pair
+                ref_t = energy_suite(state, prev, med, grid)
+            continue
+        suite = energy_suite(state, prev, med, grid)
         ref = ref or suite  # the initial level is the drift reference
         if ref_t is None and suite["norm1t_sq"] is not None:
             ref_t = suite
         vals = {}
-        for stem in _STEMS:
+        for stem in _AUDIT_STEMS:
             full = suite[f"{stem}_sq"]
             core = suite[f"{stem}_core_sq"]
             refs = (ref if stem in ("norm1", "norm2") else ref_t) or {}
@@ -320,20 +332,10 @@ def energy_audit(cfg: RunConfig) -> AuditResult:
             vals[f"{stem}_ratio_sq"] = None if full is None else full / consts[stem]
             vals[f"{stem}_core_drift"] = _drift(core, refs.get(f"{stem}_core_sq"))
             vals[f"{stem}_core_ratio"] = None if core is None else math.sqrt(core / consts[stem])
-        rows.append(AuditRow(curr.time_level, vals))
+        rows.append(AuditRow(state.time_level, vals))
         lines.append(",".join(format_value(v) for v in
-                              [curr.time_level, *(vals[key] for key in _AUDIT_KEYS)]))
-
-    record(state, None)
-    prev = None
-    for n in range(1, cfg.steps + 1):
-        prev, state = state, _advance(state, grid, med, n)
-        if n in ticks:
-            record(state, prev)
-        elif ref_t is None:
-            # the drift reference for the time-difference norms is the (0, 1) pair
-            ref_t = energy_suite(state, prev, med, grid)
-    out.write_rows("energy_audit.csv", _AUDIT_COLUMNS, lines)
+                              [state.time_level, *(vals[key] for _, key in _AUDIT_COLUMNS)]))
+    out.write_rows("energy_audit.csv", _AUDIT_HEADER, lines)
     return AuditResult(cfg, rows, out.finish())
 
 
@@ -365,23 +367,14 @@ _CONV_COLUMNS = (("eh1", "ERR1", "rate1"), ("eh2", "ERR2", "rate2"), ("eht1", "E
 _SEMI_COLUMNS = (("eh1_semi", "ERR1_semi", "rate1_semi"), ("eh2_semi", "ERR2_semi", "rate2_semi"))
 
 
-def _final_levels(grid: GridSpec, med: Medium, cfg: RunConfig):
-    """(level N-1, level N) of the run from the sampled mode to T."""
-    state = enforce_pec(sample_exact(0.0, grid))
-    n_steps = round(cfg.T / grid.dt)
-    prev = None
-    for n in range(1, n_steps + 1):
-        prev, state = state, _advance(state, grid, med, n)
-    return prev, state
-
-
-def _conv_rows(points, cfg: RunConfig, semi: bool = False) -> list[ConvergenceRow]:
-    """points: iterable of (resolution, grid). Rates compare with the previous row.
-    With `semi` the rows also carry the errors against sample_semidiscrete."""
-    med = cfg.to_medium()
+def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> ConvergenceResult:
+    """Error at T for each (resolution, grid) of `points(cfg)`, with rates against the
+    previous row.  With `semi` the rows also carry the errors against sample_semidiscrete."""
+    out, _, med = _start(cfg)
     rows: list[ConvergenceRow] = []
-    for res, grid in points:
-        prev, state = _final_levels(grid, med, cfg)
+    for res, grid in points(cfg):
+        for _, prev, state in _trajectory(cfg, grid):
+            pass  # only the last pair of levels is graded
         m = metrics(state, prev, grid, med)
         values = {key: getattr(m, key) for key, _, _ in _CONV_COLUMNS}
         if semi:
@@ -396,11 +389,7 @@ def _conv_rows(points, cfg: RunConfig, semi: bool = False) -> list[ConvergenceRo
                 else:
                     rates[key] = observed_rate((getattr(last, key), value), (last.resolution, res))
         rows.append(ConvergenceRow(resolution=res, rates=rates, **values))
-    return rows
-
-
-def _write_conv(out: _OutDir, name: str, rows: list[ConvergenceRow],
-                columns=_CONV_COLUMNS) -> None:
+    columns = _CONV_COLUMNS + _SEMI_COLUMNS if semi else _CONV_COLUMNS
     header = ",".join(["resolution", *(col for _, err, rate in columns for col in (err, rate))])
     lines = []
     for row in rows:
@@ -410,29 +399,20 @@ def _write_conv(out: _OutDir, name: str, rows: list[ConvergenceRow],
             cells.append(format_value(row.rates.get(key)))
         lines.append(",".join(cells))
     out.write_rows(name, header, lines)
+    return ConvergenceResult(cfg, rows, out.finish())
 
 
 def converge_time(cfg: RunConfig) -> ConvergenceResult:
     """Error at T for each dt in dt_list on the fixed grid, with observed rates,
     against the continuous mode and against the grid's time-exact solution."""
-    cfg.validate()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    points = [(dt, cfg.to_grid(dt=dt)) for dt in cfg.dt_list]
-    rows = _conv_rows(points, cfg, semi=True)
-    _write_conv(out, "converge_time.csv", rows, _CONV_COLUMNS + _SEMI_COLUMNS)
-    return ConvergenceResult(cfg, rows, out.finish())
+    return _converge(cfg, "converge_time.csv",
+                     lambda c: [(dt, c.to_grid(dt=dt)) for dt in c.dt_list], semi=True)
 
 
 def converge_space(cfg: RunConfig) -> ConvergenceResult:
     """Error at T for each cube grid in grid_list at the fixed small dt."""
-    cfg.validate()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    points = [(1.0 / n, cfg.to_grid(n=n)) for n in cfg.grid_list]
-    rows = _conv_rows(points, cfg)
-    _write_conv(out, "converge_space.csv", rows)
-    return ConvergenceResult(cfg, rows, out.finish())
+    return _converge(cfg, "converge_space.csv",
+                     lambda c: [(1.0 / n, c.to_grid(n=n)) for n in c.grid_list])
 
 
 @dataclass
@@ -443,11 +423,11 @@ class DivergenceResult:
 
 
 def divergence_audit(cfg: RunConfig) -> DivergenceResult:
-    grid, med, out, state = _start(cfg)
+    out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
-    reports = [divergence(state, med, grid)[0]]
-    for n in range(1, cfg.steps + 1):
-        state = _advance(state, grid, med, n)
+    reports = []
+    for n, prev, state in _trajectory(cfg, grid):
+        del prev  # unused; without it only one level lives through the next step
         if n in ticks:
             reports.append(divergence(state, med, grid)[0])
     out.write_rows("divergence_audit.csv", DivergenceReport.CSV_HEADER,
@@ -470,22 +450,20 @@ def stability(cfg: RunConfig, drift_tol: float = 1e-10, growth_factor: float = 1
     """Long run at an arbitrary Courant number; passes when the L2-type energy
     drift stays within `drift_tol` and no field grows past `growth_factor`
     times the initial maximum."""
-    grid, med, out, state = _start(cfg)
-    q0 = energy_l2(state, med, grid)
-    m0 = state.max_abs()
-    scale = max(q0, 1e-300)
+    out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
-    max_drift = 0.0
-    max_field = m0
-    lines = [f"0,{format_value(q0)},{format_value(0.0)},{format_value(m0)}"]
-    for n in range(1, cfg.steps + 1):
-        state = _advance(state, grid, med, n)
-        q = energy_l2(state, med, grid)
-        drift = abs(q - q0) / scale
+    max_drift = max_field = 0.0
+    lines = []
+    for n, prev, state in _trajectory(cfg, grid):
+        del prev  # unused; without it only one level lives through the next step
+        q, m = energy_l2(state, med, grid), state.max_abs()
+        if n == 0:
+            q0, m0 = q, m
+        drift = abs(q - q0) / max(q0, 1e-300)
         max_drift = max(max_drift, drift)
-        max_field = max(max_field, state.max_abs())
+        max_field = max(max_field, m)
         if n in ticks:
-            lines.append(f"{n},{format_value(q)},{format_value(drift)},{format_value(state.max_abs())}")
+            lines.append(f"{n},{format_value(q)},{format_value(drift)},{format_value(m)}")
     passed = bool(max_drift <= drift_tol and max_field <= growth_factor * max(m0, 1e-300))
     out.write_rows("stability.csv", "time_level,Q_l2,drift,max_field", lines)
     return StabilityResult(cfg, grid.courant(med.eps, med.mu), passed, max_drift, max_field,

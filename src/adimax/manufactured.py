@@ -94,11 +94,6 @@ def _exact_amplitude(comp: str, t, med: Medium):
     return _AMPLITUDE[comp] * math.sqrt(med.eps / med.mu) * np.sin(w * t)
 
 
-def exact_component(comp: str, t, x, y, z):
-    """Evaluate one mode component (eps = mu = 1) at arbitrary coordinates (broadcasting)."""
-    return _profile(comp, _exact_amplitude(comp, t, _UNIT), x, y, z)
-
-
 def _sample(amplitudes: dict, t: float, grid: GridSpec) -> FieldState:
     """The six sampled profiles on their staggered lattices, scaled per component."""
     arrays = []

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,27 +61,6 @@ from .grid import FieldState, GridSpec, Medium, check_extents
 
 class NonFiniteFieldError(ValueError):
     """A field lattice contains NaN or infinity."""
-
-
-@dataclass(frozen=True)
-class TriDiagSystem:
-    """One Dirichlet pencil: (1 + 2 lam) u - lam (u+ + u-) = rhs, zero ends."""
-
-    lam: float
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if self.rhs.ndim != 1:
-            raise ValueError("rhs must be one-dimensional")
-        if not np.isfinite(self.rhs).all():
-            raise ValueError("rhs must be finite")
-
-
-def solve_tridiagonal(system: TriDiagSystem) -> np.ndarray:
-    """Solve one pencil; lam = 0 degenerates to the identity system."""
-    return _solve_lines(system.lam, system.rhs.astype(float, copy=True), axis=0)
 
 
 @lru_cache(maxsize=64)

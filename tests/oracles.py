@@ -29,6 +29,21 @@ def dense_tridiag_solve(lam: float, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
+def mode_component(comp: str, t, x, y, z):
+    """One component of the (1,1,1) cavity mode (eps = mu = 1) at any coordinates
+    (broadcasting), written out from its closed form: E varies as cos(omega t),
+    H as sin(omega t), and each axis contributes cos(pi(1-u)) or sin(pi(1-u))."""
+    amplitude = {"ex": math.sqrt(3) / 4, "ey": math.sqrt(3) / 2, "ez": -3 * math.sqrt(3) / 4,
+                 "hx": -5 / 4, "hy": 1.0, "hz": 1 / 4}[comp]
+    cos_axes = {"ex": "x", "ey": "y", "ez": "z", "hx": "yz", "hy": "xz", "hz": "xy"}[comp]
+    omega = math.sqrt(3) * math.pi
+    out = amplitude * (math.cos(omega * t) if comp.startswith("e") else math.sin(omega * t))
+    for axis, u in zip("xyz", (x, y, z)):
+        phase = math.pi * (1.0 - np.asarray(u, dtype=float))
+        out = out * (np.cos(phase) if axis in cos_axes else np.sin(phase))
+    return out
+
+
 def norm_e_loop(u, weight, grid):
     ux, uy, uz = u
     nx, ny, nz = grid.cells

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adimax import (COMPONENTS, enforce_pec, extent, location_of, make_grid,
-                    read_component_blob, read_component_csv, rotate_state,
-                    sample_exact, write_component_blob, write_component_csv, write_snapshot,
-                    zero_state)
+from adimax import (enforce_pec, extent, make_grid, read_component_blob, rotate_state, sample_exact,
+                    write_component_blob, write_snapshot, zero_state)
 from adimax import grid as grid_module
 from adimax.norms import electric_norm_sq, magnetic_norm_sq
 
@@ -39,28 +37,6 @@ def test_extents_match_stagger_classes():
     assert extent("hx", g) == (5, 5, 6)
     assert extent("hy", g) == (4, 6, 6)
     assert extent("hz", g) == (4, 5, 7)
-
-
-def test_location_examples():
-    g = make_grid(10, 10, 10, 0.1)
-    assert location_of("ex", 0, 0, 0, g) == pytest.approx((0.05, 0.0, 0.0))
-    assert location_of("hx", 10, 0, 0, g) == pytest.approx((1.0, 0.05, 0.05))
-    assert location_of("ez", 5, 5, 4, g) == pytest.approx((0.5, 0.5, 0.45))
-
-
-def test_location_rejects_out_of_extent():
-    g = make_grid(10, 10, 10, 0.1)
-    with pytest.raises(IndexError):
-        location_of("ex", 10, 0, 0, g)  # half-offset axis has only 10 entries
-
-
-def test_location_injective_per_class():
-    g = grid3()
-    for comp in COMPONENTS:
-        ni, nj, nk = extent(comp, g)
-        locs = {location_of(comp, i, j, k, g)
-                for i in range(ni) for j in range(nj) for k in range(nk)}
-        assert len(locs) == ni * nj * nk
 
 
 def test_zero_state_has_zero_norms(medium):
@@ -150,16 +126,6 @@ def test_blob_bytes_are_header_then_little_endian_values(tmp_path, rng, layout):
     header = grid_module._HEADER.pack(grid_module.SNAPSHOT_MAGIC, grid_module.SNAPSHOT_VERSION,
                                       3, 4, 5, b"hy  ", 0, 2.5)
     assert path.read_bytes() == header + values.astype("<f8").tobytes()
-
-
-def test_csv_snapshot_round_trip(tmp_path, rng):
-    g = grid3()
-    s = random_state(g, rng)
-    path = tmp_path / "hy.csv"
-    write_component_csv(path, s.hy)
-    data = read_component_csv(path)
-    assert np.array_equal(data, s.hy)
-    assert path.read_text().splitlines()[0] == "i,j,k,value"
 
 
 def test_write_snapshot_emits_six_files(tmp_path, rng):

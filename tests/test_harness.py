@@ -1,5 +1,6 @@
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -78,12 +79,33 @@ def test_non_divisible_dt_list_names_its_key():
 
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(nx=10, ny=12, nz=14, dt=0.025, T=0.5, eps=2.0, mu=0.5,
-                    kind="converge-time", cadence=5, out="somewhere",
+                    kind="run", cadence=5, out="somewhere",
                     dt_list=(0.025, 0.0125), init="zero", snapshots=True).validate()
     path = tmp_path / "echo"
     path.write_text(emit_config(cfg))
     again = parse_config(path)
     assert again == cfg
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("converge-time", "init = zero"), ("converge-space", "init = zero"),
+    *((kind, "snapshots = true") for kind in harness.KINDS if kind != "run"),
+])
+def test_keys_a_kind_ignores_are_rejected(tmp_path, capsys, kind, line):
+    key = line.split(" =")[0]
+    path = tmp_path / "cfg"
+    path.write_text(f"kind = {kind}\ndt_list = 0.1\ngrid_list = 4\n{line}\n")
+    with pytest.raises(ConfigError, match=rf"^{key} "):
+        parse_config(path)
+    rc = cli_main([kind, "--config", str(path), "--grid", "4,4,4", "--dt", "0.1", "--T", "0.2",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
+    assert not (tmp_path / "cli").exists()
+    if key == "snapshots":  # the flag exists only on the run subcommand
+        with pytest.raises(SystemExit) as info:
+            cli_main([kind, "--snapshots"])
+        assert info.value.code == 2
 
 
 def test_flags_override_file(tmp_path):
@@ -158,8 +180,9 @@ def test_run_snapshots_round_trip(tmp_path):
     assert np.isfinite(data).all()
 
 
-def test_run_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch):
-    cfg = desk_cfg(tmp_path)
+@pytest.mark.parametrize("kind", list(harness.DRIVERS))
+def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind):
+    cfg = desk_cfg(tmp_path, kind=kind, dt_list=(0.1,), grid_list=(8,))
 
     def poisoned(t, grid):
         from adimax import zero_state
@@ -168,8 +191,35 @@ def test_run_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch):
         return s
 
     monkeypatch.setattr(harness, "sample_exact", poisoned)
-    with pytest.raises(RuntimeError, match="step 1"):
-        run(cfg)
+    with pytest.raises(RuntimeError, match=r"step 1\b"):
+        harness.DRIVERS[kind](cfg)
+
+
+@pytest.mark.parametrize("kind, held", [
+    ("run", 2), ("energy-audit", 2), ("converge-time", 2), ("converge-space", 2),
+    ("divergence-audit", 1), ("stability", 1),
+])
+def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
+    # a step holds its input level and, where the driver reads it, the level before
+    cfg = desk_cfg(tmp_path, kind=kind, dt_list=(0.1,), grid_list=(8,))
+    levels, alive = [], []
+    real_stage1, real_stage2 = harness.stage1, harness.stage2
+
+    def stage1(state, grid, med):
+        if not levels:
+            levels.append(weakref.ref(state))
+        alive.append(sum(ref() is not None for ref in levels))
+        return real_stage1(state, grid, med)
+
+    def stage2(state, grid, med):
+        out = real_stage2(state, grid, med)
+        levels.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(harness, "stage1", stage1)
+    monkeypatch.setattr(harness, "stage2", stage2)
+    harness.DRIVERS[kind](cfg)
+    assert len(alive) == cfg.steps and max(alive) == held
 
 
 def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):

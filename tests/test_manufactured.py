@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                    OMEGA, Medium, electric_norm_sq, enforce_pec, error_state, exact_component,
-                    magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
+                    OMEGA, Medium, electric_norm_sq, enforce_pec, error_state, magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
                     sample_semidiscrete, step, zero_state)
 from adimax.manufactured import energy_constants
 
 from conftest import max_component_diff
+from oracles import mode_component
 
 
 def test_analytic_constants():
@@ -28,7 +28,7 @@ def test_magnetic_components_vanish_at_t0():
 
 def test_point_value_example():
     # ex(0, (0, 1/2, 1/2)) = (sqrt(3)/4) cos(pi) sin(pi/2) sin(pi/2) = -sqrt(3)/4
-    val = exact_component("ex", 0.0, 0.0, 0.5, 0.5)
+    val = mode_component("ex", 0.0, 0.0, 0.5, 0.5)
     assert val == pytest.approx(-math.sqrt(3) / 4, rel=1e-15)
 
 

