@@ -11,8 +11,7 @@ from .harness import ConfigError, parse_config
 DESK_DEFAULTS = {
     "run": dict(nx=20, ny=20, nz=20, dt=0.05, T=5.0, cadence=10),
     "energy-audit": dict(nx=16, ny=16, nz=16, dt=0.05, T=5.0, cadence=1),
-    "converge-time": dict(nx=32, ny=32, nz=32, dt=0.05, T=1.0,
-                          dt_list=(0.05, 0.04, 0.025)),
+    "converge-time": dict(nx=32, ny=32, nz=32, T=1.0, dt_list=(0.05, 0.04, 0.025)),
     "converge-space": dict(nx=10, ny=10, nz=10, dt=0.0025, T=1.0,
                            grid_list=(10, 20, 40)),
     "divergence-audit": dict(nx=20, ny=20, nz=20, dt=0.05, T=4.0, cadence=20),
@@ -22,8 +21,7 @@ DESK_DEFAULTS = {
 FULL_SCALE_DEFAULTS = {
     "run": dict(nx=100, ny=100, nz=100, dt=0.01, T=20.0, cadence=100),
     "energy-audit": dict(nx=100, ny=100, nz=100, dt=0.01, T=20.0, cadence=100),
-    "converge-time": dict(nx=100, ny=100, nz=100, dt=0.05, T=1.0,
-                          dt_list=(0.05, 0.04, 0.025, 0.02)),
+    "converge-time": dict(nx=100, ny=100, nz=100, T=1.0, dt_list=(0.05, 0.04, 0.025, 0.02)),
     "converge-space": dict(nx=40, ny=40, nz=40, dt=0.001, T=1.0,
                            grid_list=(40, 50, 100)),
     "divergence-audit": dict(nx=100, ny=100, nz=100, dt=0.01, T=20.0, cadence=100),
@@ -39,55 +37,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in harness.KINDS:
-        p = sub.add_parser(kind, help=f"{kind} experiment")
+        # an absent flag leaves no attribute, so vars(args) holds only what was given;
+        # no abbreviations, or converge-time would read `--dt X` as `--dt-list X`
+        p = sub.add_parser(kind, help=f"{kind} experiment", argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         p.add_argument("--grid", metavar="I,J,K", help="cells per axis, e.g. 32,32,32")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--T", type=float, help="final time")
-        p.add_argument("--eps", type=float, help="permittivity")
-        p.add_argument("--mu", type=float, help="permeability")
-        p.add_argument("--cadence", type=int, help="report every N steps")
-        p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--config", metavar="FILE", help="key = value config file")
-        p.add_argument("--init", choices=harness.INITS, help="initial fields")
         p.add_argument("--paper-scale", action="store_true",
                        help="use the full-scale experiment defaults (slow)")
-        if kind == "run":
-            p.add_argument("--snapshots", action="store_true",
-                           help="dump final field snapshots")
-        if kind == "converge-time":
-            p.add_argument("--dt-list", metavar="DT,DT,...", help="time steps to compare")
-        if kind == "converge-space":
-            p.add_argument("--grid-list", metavar="N,N,...", help="cube grids to compare")
+        for key, f in harness.KEYS.items():
+            if f.metadata["help"] and kind in f.metadata["kinds"]:
+                p.add_argument("--" + key.replace("_", "-"), help=f.metadata["help"],
+                               **f.metadata["flag"])
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-    if args.grid:
+def _overrides(args: dict) -> dict:
+    """The config keys given as flags, as text for parse_config, with --grid split."""
+    over = {key: value for key, value in args.items() if key in harness.KEYS}
+    if "grid" in args:
         try:
-            nx, ny, nz = (int(p) for p in args.grid.split(","))
+            nx, ny, nz = (int(p) for p in args["grid"].split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad value for key `grid` (flag): {args.grid!r}") from exc
+            raise ConfigError(f"bad value for key `grid` (flag): {args['grid']!r}") from exc
         over.update(nx=nx, ny=ny, nz=nz)
-    for key in ("dt", "T", "eps", "mu", "cadence", "out", "init"):
-        value = getattr(args, key, None)
-        if value is not None:
-            over[key] = value
-    if getattr(args, "dt_list", None):
-        over["dt_list"] = args.dt_list
-    if getattr(args, "grid_list", None):
-        over["grid_list"] = args.grid_list
-    if getattr(args, "snapshots", False):
-        over["snapshots"] = True
-    over["kind"] = args.kind
     return over
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    defaults = (FULL_SCALE_DEFAULTS if args.paper_scale else DESK_DEFAULTS)[args.kind]
+    args = vars(build_parser().parse_args(argv))
+    defaults = (FULL_SCALE_DEFAULTS if args.get("paper_scale") else DESK_DEFAULTS)[args["kind"]]
     try:
-        cfg = parse_config(args.config, _overrides(args), defaults=defaults)
+        cfg = parse_config(args.get("config"), _overrides(args), defaults=defaults)
         if cfg.kind == "converge-time":
             print(f"grid {cfg.nx}x{cfg.ny}x{cfg.nz}, T={cfg.T}, "
                   f"dt list {', '.join(str(d) for d in cfg.dt_list)}")

@@ -11,8 +11,15 @@ the step that made it.
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
-fully resolved configuration, reparseable) and `MANIFEST` (the files written).
-Floats are emitted with 17 significant digits so CSVs round-trip exactly.
+resolved values of the keys its kind reads, reparseable) and `MANIFEST` (the
+files written).  Floats are emitted with 17 significant digits so CSVs
+round-trip exactly.
+
+The RunConfig fields are the one schema of the config keys: each carries the
+parser of its text value, the kinds that read it and the help of its flag
+(`_key`).  Config files and flags are parsed with the same per-key parser,
+the CLI offers a key's flag only on the subcommands that read it, and a key
+the kind does not read must hold its default.
 """
 
 from __future__ import annotations
@@ -31,28 +38,54 @@ from .stepper import NonFiniteFieldError, stage1, stage2
 KINDS = ("run", "energy-audit", "converge-time", "converge-space", "divergence-audit",
          "stability")
 INITS = ("exact", "zero")
+_TICKED = ("run", "energy-audit", "divergence-audit", "stability")  # kinds with report ticks
+
+DRIFT_TOL = 1e-10  # stability: largest L2-type energy drift
+GROWTH_FACTOR = 10.0  # stability: largest field over the initial maximum
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending key (and line, if any)."""
 
 
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes", "on"):
+        return True
+    if text.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _list(parse):
+    """Parser of comma-separated `parse` values; None when there are none."""
+    return lambda text: tuple(parse(p) for p in text.split(",") if p.strip()) or None
+
+
+def _key(default, parse, kinds=KINDS, help=None, **flag):
+    """A config key: a RunConfig field whose metadata holds the parser of its
+    text value, the kinds that read it and, with `help`, its `--key` flag."""
+    return field(default=default, metadata=dict(parse=parse, kinds=kinds, help=help, flag=flag))
+
+
 @dataclass
 class RunConfig:
-    nx: int = 20
-    ny: int = 20
-    nz: int = 20
-    dt: float = 0.05
-    T: float = 1.0
-    eps: float = 1.0
-    mu: float = 1.0
-    kind: str = "run"
-    cadence: int = 1
-    out: str | None = None
-    snapshots: bool = False
-    init: str = "exact"
-    dt_list: tuple[float, ...] | None = None
-    grid_list: tuple[int, ...] | None = None
+    nx: int = _key(20, int)
+    ny: int = _key(20, int)
+    nz: int = _key(20, int)
+    dt: float = _key(0.05, float, tuple(k for k in KINDS if k != "converge-time"), "time step")
+    T: float = _key(1.0, float, help="final time")
+    eps: float = _key(1.0, float, help="permittivity")
+    mu: float = _key(1.0, float, help="permeability")
+    kind: str = _key("run", str)
+    cadence: int = _key(1, int, _TICKED, "report every N steps")
+    out: str | None = _key(None, str, help="output directory", metavar="DIR")
+    snapshots: bool = _key(False, _bool, ("run",), "dump final field snapshots",
+                           action="store_const", const="true")
+    init: str = _key("exact", str, _TICKED, f"initial fields: {' or '.join(INITS)}")
+    dt_list: tuple[float, ...] | None = _key(None, _list(float), ("converge-time",),
+                                             "time steps to compare", metavar="DT,DT,...")
+    grid_list: tuple[int, ...] | None = _key(None, _list(int), ("converge-space",),
+                                             "cube grids to compare", metavar="N,N,...")
 
     @property
     def steps(self) -> int:
@@ -72,6 +105,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 3, got {getattr(self, key)}")
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for f in fields(self):  # a key the kind does not read holds its default
+            kinds, value = f.metadata["kinds"], getattr(self, f.name)
+            if self.kind not in kinds and value != f.default:
+                raise ConfigError(f"{f.name} does not apply to {self.kind}, got {value!r}; "
+                                  f"it applies to {', '.join(kinds)}")
         if self.init not in INITS:
             raise ConfigError(f"init must be one of {INITS}, got {self.init!r}")
         for key in ("T", "dt", "eps", "mu"):
@@ -79,20 +117,15 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.cadence < 1:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
-        if self.init == "zero" and self.kind in ("converge-time", "converge-space"):
-            raise ConfigError(f"init = zero does not apply to {self.kind}, "
-                              "whose errors are graded against the sampled mode")
-        if self.snapshots and self.kind != "run":
-            raise ConfigError(f"snapshots = true applies only to run, not to {self.kind}")
-        key = "dt_list" if (self.kind == "converge-time" and self.dt_list) else "dt"
-        for dt in self.dt_list if key == "dt_list" else (self.dt,):
+        if self.kind == "converge-time" and not self.dt_list:
+            raise ConfigError("converge-time needs dt_list")
+        key, dts = ("dt_list", self.dt_list) if self.kind == "converge-time" else ("dt", (self.dt,))
+        for dt in dts:
             if not (math.isfinite(dt) and dt > 0):
                 raise ConfigError(f"{key} entries must be positive and finite, got {dt}")
             n = round(self.T / dt)
             if n < 1 or abs(n * dt - self.T) > 1e-9 * self.T:
                 raise ConfigError(f"dt={dt} does not divide T={self.T} (key `{key}`)")
-        if self.kind == "converge-time" and not self.dt_list:
-            raise ConfigError("converge-time needs dt_list")
         if self.kind == "converge-space":
             if not self.grid_list:
                 raise ConfigError("converge-space needs grid_list")
@@ -101,31 +134,20 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the config keys by name; each field's metadata is its schema (see _key)
+KEYS = {f.name: f for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, text: str, where: str):
-    text = text.strip()
+def _parse_value(key: str, value, where: str):
+    """`value` for `key`: text goes through the key's parser, anything else passes."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown key `{key}` {where}")
+    if not isinstance(value, str):
+        return value
     try:
-        if key in ("nx", "ny", "nz", "cadence"):
-            return int(text)
-        if key in ("dt", "T", "eps", "mu"):
-            return float(text)
-        if key in ("snapshots",):
-            if text.lower() in ("true", "1", "yes", "on"):
-                return True
-            if text.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
-        if key == "dt_list":
-            return tuple(float(p) for p in text.split(",") if p.strip()) or None
-        if key == "grid_list":
-            return tuple(int(p) for p in text.split(",") if p.strip()) or None
-        if key in ("kind", "init", "out"):
-            return text
+        return KEYS[key].metadata["parse"](value.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad value for key `{key}` {where}: {text!r}") from exc
-    raise ConfigError(f"unknown key `{key}` {where}")
+        raise ConfigError(f"bad value for key `{key}` {where}: {value.strip()!r}") from exc
 
 
 def parse_config(path=None, overrides: dict | None = None,
@@ -140,25 +162,18 @@ def parse_config(path=None, overrides: dict | None = None,
             if "=" not in line:
                 raise ConfigError(f"expected `key = value` at line {lineno}: {raw!r}")
             key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown key `{key}` at line {lineno}")
-            setattr(cfg, key, _parse_value(key, text, f"at line {lineno}"))
+            setattr(cfg, key.strip(), _parse_value(key.strip(), text, f"at line {lineno}"))
     for key, value in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown key `{key}` (flag)")
-        if isinstance(value, str):
-            value = _parse_value(key, value, "(flag)")
-        setattr(cfg, key, value)
+        setattr(cfg, key, _parse_value(key, value, "(flag)"))
     return cfg.validate()
 
 
 def emit_config(cfg: RunConfig) -> str:
-    """Render a config as reparseable `key = value` lines."""
+    """Render the keys the config's kind reads as reparseable `key = value` lines."""
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if value is None:
+        if value is None or cfg.kind not in f.metadata["kinds"]:
             continue
         if isinstance(value, tuple):
             value = ",".join(format_value(v) if isinstance(v, float) else str(v) for v in value)
@@ -446,10 +461,10 @@ class StabilityResult:
     files: list[str] = field(default_factory=list)
 
 
-def stability(cfg: RunConfig, drift_tol: float = 1e-10, growth_factor: float = 10.0) -> StabilityResult:
+def stability(cfg: RunConfig) -> StabilityResult:
     """Long run at an arbitrary Courant number; passes when the L2-type energy
-    drift stays within `drift_tol` and no field grows past `growth_factor`
-    times the initial maximum."""
+    drift stays within DRIFT_TOL and no field grows past GROWTH_FACTOR times
+    the initial maximum."""
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     max_drift = max_field = 0.0
@@ -464,7 +479,7 @@ def stability(cfg: RunConfig, drift_tol: float = 1e-10, growth_factor: float = 1
         max_field = max(max_field, m)
         if n in ticks:
             lines.append(f"{n},{format_value(q)},{format_value(drift)},{format_value(m)}")
-    passed = bool(max_drift <= drift_tol and max_field <= growth_factor * max(m0, 1e-300))
+    passed = bool(max_drift <= DRIFT_TOL and max_field <= GROWTH_FACTOR * max(m0, 1e-300))
     out.write_rows("stability.csv", "time_level,Q_l2,drift,max_field", lines)
     return StabilityResult(cfg, grid.courant(med.eps, med.mu), passed, max_drift, max_field,
                            m0, out.finish())

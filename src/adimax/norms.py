@@ -13,8 +13,8 @@ of the two-stage update, for any time step:
 Their time-difference variants (the same forms applied to (next - prev)/dt
 across two consecutive whole levels) are conserved as well.
 
-All of them, and their core forms (``core=True``, without the dt^2 terms),
-are partial sums of one pass over a state, `state_sums`.  It forms the six
+All of them, and their core forms (without the dt^2 terms), are partial
+sums of one pass over a state, `state_sums`.  It forms the six
 curl pieces once, split_curl_pos(E) = (d_y ez, d_z ex, d_x ey) and
 split_curl_neg(H) = (d_z hy, d_x hz, d_y hx), for the L2 perturbation sums,
 the dt^2 partners of the three H1 sums (each piece differenced along the axis)
@@ -127,8 +127,6 @@ def face_norm_sq(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> t
     a = _AXES[axis]
     check_extents(state, grid)
     n0, n1, n2 = _roles(grid.cells, a)
-    if n0 < 3:
-        raise ValueError("wall planes collide for fewer than 3 cells")
     h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
     _, e1, e2 = _roles(state.e_triple(), a)
     m0 = state.h_triple()[a]
@@ -227,34 +225,20 @@ def _h1(state: FieldState, pos, neg, neg_sq, a: int, med: Medium, grid: GridSpec
     return grid.dv * vol + faces, grid.dv * (vol + q * pert) + faces + q * cb * fpert
 
 
-def energy_l2(state: FieldState, med: Medium, grid: GridSpec, core: bool = False) -> float:
-    """L2-type conserved energy; `core` drops the dt^2 perturbation terms."""
-    sums = state_sums(state, med, grid, axes="")
-    return sums.l2_core if core else sums.l2
+def energy_l2(state: FieldState, med: Medium, grid: GridSpec) -> float:
+    """L2-type conserved energy."""
+    return state_sums(state, med, grid, axes="").l2
 
 
-def energy_h1(state: FieldState, axis: str, med: Medium, grid: GridSpec,
-              core: bool = False) -> float:
-    """Directional H1-type conserved energy for one axis; `core` drops the dt^2 terms.
+def energy_h1(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> float:
+    """Directional H1-type conserved energy for one axis.
 
     All three axes share one index table, read through the role map: for axis
     a, role r is array axis (a + r) % 3 and the components (x, y, z) are read
     as (a, a+1, a+2).  This is exact because the scheme and the norms are
     invariant under that cyclic relabeling.
     """
-    return state_sums(state, med, grid, axes=axis).h1[axis][0 if core else 1]
-
-
-def energy_l2_dt(prev: FieldState, curr: FieldState, med: Medium, grid: GridSpec,
-                 core: bool = False) -> float:
-    """L2-type energy of the time difference across two consecutive whole levels."""
-    return energy_l2(_dt_state(prev, curr, grid), med, grid, core=core)
-
-
-def energy_h1_dt(prev: FieldState, curr: FieldState, axis: str, med: Medium, grid: GridSpec,
-                 core: bool = False) -> float:
-    """Directional H1-type energy of the time difference across consecutive levels."""
-    return energy_h1(_dt_state(prev, curr, grid), axis, med, grid, core=core)
+    return state_sums(state, med, grid, axes=axis).h1[axis][1]
 
 
 def _dt_state(prev: FieldState, curr: FieldState, grid: GridSpec) -> FieldState:

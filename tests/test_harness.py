@@ -8,9 +8,9 @@ import pytest
 import adimax.harness as harness
 from adimax import grid as grid_module
 from adimax import manufactured, norms, stepper
-from adimax import (divergence, electric_norm_sq, energy_h1, energy_h1_dt, energy_l2, energy_l2_dt,
-                    enforce_pec, magnetic_norm_sq, metrics, sample_exact, split_curl_neg,
-                    split_curl_pos, step)
+from adimax import (divergence, electric_norm_sq, energy_h1, energy_l2, enforce_pec,
+                    magnetic_norm_sq, metrics, sample_exact, split_curl_neg, split_curl_pos, step,
+                    time_diff)
 from adimax import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                     emit_config, energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
@@ -19,9 +19,16 @@ from conftest import force_split
 
 
 def desk_cfg(tmp_path, **kw):
+    """A small config of kw's kind (run if none); base keys the kind does not read are left out."""
+    kind = kw.get("kind", "run")
     base = dict(nx=8, ny=8, nz=8, dt=0.1, T=1.0, cadence=2, out=str(tmp_path / "out"))
+    base = {key: v for key, v in base.items() if kind in harness.KEYS[key].metadata["kinds"]}
     base.update(kw)
     return RunConfig(**base).validate()
+
+
+# the list key each convergence kind needs, one entry long
+_LISTS = {"converge-time": dict(dt_list=(0.1,)), "converge-space": dict(grid_list=(8,))}
 
 
 # --- config parsing -------------------------------------------------------
@@ -77,35 +84,65 @@ def test_non_divisible_dt_list_names_its_key():
         RunConfig(kind="converge-time", T=1.0, dt_list=(0.1, 0.3)).validate()
 
 
-def test_config_round_trip(tmp_path):
-    cfg = RunConfig(nx=10, ny=12, nz=14, dt=0.025, T=0.5, eps=2.0, mu=0.5,
-                    kind="run", cadence=5, out="somewhere",
-                    dt_list=(0.025, 0.0125), init="zero", snapshots=True).validate()
+# a non-default value of every key but kind
+_VALUES = dict(nx=10, ny=12, nz=14, dt=0.025, T=0.5, eps=2.0, mu=0.5, cadence=5, out="somewhere",
+               snapshots=True, init="zero", dt_list=(0.025, 0.0125), grid_list=(5, 6))
+# config text setting each key that some kind does not read off its default
+_OFF_KIND_TEXT = {"dt": "0.1", "cadence": "7", "snapshots": "true", "init": "zero",
+                  "dt_list": "0.1", "grid_list": "4"}
+# every (kind, `key = value` line) that sets a key the kind does not read
+_OFF_KIND = [(kind, f"{key} = {_OFF_KIND_TEXT[key]}") for key, f in harness.KEYS.items()
+             for kind in harness.KINDS if kind not in f.metadata["kinds"]]
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_config_round_trip(tmp_path, kind):
+    reads = [key for key, f in harness.KEYS.items() if kind in f.metadata["kinds"]]
+    cfg = RunConfig(**{key: _VALUES[key] for key in reads if key != "kind"}, kind=kind).validate()
+    echo = emit_config(cfg)
+    assert [line.split(" = ")[0] for line in echo.splitlines()] == reads
     path = tmp_path / "echo"
-    path.write_text(emit_config(cfg))
-    again = parse_config(path)
-    assert again == cfg
+    path.write_text(echo)
+    assert parse_config(path) == cfg
 
 
-@pytest.mark.parametrize("kind, line", [
-    ("converge-time", "init = zero"), ("converge-space", "init = zero"),
-    *((kind, "snapshots = true") for kind in harness.KINDS if kind != "run"),
-])
+def test_off_kind_pairs():
+    assert {line.split(" =")[0] for _, line in _OFF_KIND} == set(_OFF_KIND_TEXT)
+    assert len(_OFF_KIND) == 20
+
+
+@pytest.mark.parametrize("kind, line", _OFF_KIND)
 def test_keys_a_kind_ignores_are_rejected(tmp_path, capsys, kind, line):
-    key = line.split(" =")[0]
+    key, value = line.split(" = ")
     path = tmp_path / "cfg"
-    path.write_text(f"kind = {kind}\ndt_list = 0.1\ngrid_list = 4\n{line}\n")
+    needed = {"converge-time": "dt_list = 0.1\n", "converge-space": "grid_list = 4\n"}
+    path.write_text(f"kind = {kind}\n{needed.get(kind, '')}{line}\n")
     with pytest.raises(ConfigError, match=rf"^{key} "):
         parse_config(path)
-    rc = cli_main([kind, "--config", str(path), "--grid", "4,4,4", "--dt", "0.1", "--T", "0.2",
-                   "--out", str(tmp_path / "cli")])
+    rc = cli_main([kind, "--config", str(path), "--grid", "4,4,4", "--out", str(tmp_path / "cli")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} ")
     assert not (tmp_path / "cli").exists()
-    if key == "snapshots":  # the flag exists only on the run subcommand
-        with pytest.raises(SystemExit) as info:
-            cli_main([kind, "--snapshots"])
-        assert info.value.code == 2
+    # the flag exists only on the subcommands that read the key
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as info:
+        cli_main([kind, flag] if key == "snapshots" else [kind, flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "fast", "bad value for key `dt` (flag): 'fast'"),
+    ("--cadence", "2.5", "bad value for key `cadence` (flag): '2.5'"),
+    ("--init", "bogus", "init must be one of"),
+    ("--grid", "4,4", "bad value for key `grid` (flag): '4,4'"),
+])
+def test_cli_bad_flag_values_are_config_errors(tmp_path, capsys, flag, value, message):
+    # flags are parsed by the same per-key parsers as config files, not by argparse
+    rc = cli_main(["run", flag, value, "--out", str(tmp_path / "cli")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "cli").exists()
 
 
 def test_flags_override_file(tmp_path):
@@ -182,7 +219,7 @@ def test_run_snapshots_round_trip(tmp_path):
 
 @pytest.mark.parametrize("kind", list(harness.DRIVERS))
 def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind):
-    cfg = desk_cfg(tmp_path, kind=kind, dt_list=(0.1,), grid_list=(8,))
+    cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
 
     def poisoned(t, grid):
         from adimax import zero_state
@@ -201,7 +238,8 @@ def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind)
 ])
 def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
     # a step holds its input level and, where the driver reads it, the level before
-    cfg = desk_cfg(tmp_path, kind=kind, dt_list=(0.1,), grid_list=(8,))
+    cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
+    steps = round(cfg.T / (cfg.dt_list or (cfg.dt,))[0])
     levels, alive = [], []
     real_stage1, real_stage2 = harness.stage1, harness.stage2
 
@@ -219,7 +257,7 @@ def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
     monkeypatch.setattr(harness, "stage1", stage1)
     monkeypatch.setattr(harness, "stage2", stage2)
     harness.DRIVERS[kind](cfg)
-    assert len(alive) == cfg.steps and max(alive) == held
+    assert len(alive) == steps and max(alive) == held
 
 
 def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
@@ -374,8 +412,8 @@ def test_run_tick_reads_each_state_once(tmp_path, monkeypatch, cadence):
         if prev is None:
             want += [None] * 4
         else:
-            want += [*(energy_h1_dt(prev, curr, a, med, grid) for a in "xyz"),
-                     energy_l2_dt(prev, curr, med, grid)]
+            d = time_diff(curr, prev, grid.dt)
+            want += [*(energy_h1(d, a, med, grid) for a in "xyz"), energy_l2(d, med, grid)]
         want += [float(x) for x in divergence(curr, med, grid)[0].csv_row().split(",")[1:]]
         m = metrics(curr, prev, grid, med)
         want += [getattr(m, f) for f in ("eh0", "eh1", "eh2", "err_e", "err_h", "ratio1",
@@ -399,11 +437,11 @@ def test_audit_tick_reads_each_state_once(tmp_path, monkeypatch):
     consts = {"1": k["grad"], "2": k["total"], "1t": k["grad_time"], "2t": k["time"]}
 
     def norms_at(n, core):
-        curr, prev = states[n], states[n - 1]
-        return {"1": energy_h1(curr, "x", med, grid, core=core),
-                "2": energy_l2(curr, med, grid, core=core),
-                "1t": energy_h1_dt(prev, curr, "x", med, grid, core=core) if n else None,
-                "2t": energy_l2_dt(prev, curr, med, grid, core=core) if n else None}
+        sums = [norms.state_sums(s, med, grid, axes="x") for s in
+                (states[n], time_diff(states[n], states[n - 1], grid.dt))]
+        vals = [(s.h1["x"][0], s.l2_core) if core else (s.h1["x"][1], s.l2) for s in sums]
+        return {"1": vals[0][0], "2": vals[0][1],
+                "1t": vals[1][0] if n else None, "2t": vals[1][1] if n else None}
 
     refs = {core: {**norms_at(0, core), **{s: norms_at(1, core)[s] for s in ("1t", "2t")}}
             for core in (False, True)}
@@ -434,7 +472,7 @@ def test_audit_tick_reads_each_state_once(tmp_path, monkeypatch):
 # --- convergence -----------------------------------------------------------
 
 def test_converge_time_rates_reproducible_from_csv(tmp_path):
-    cfg = RunConfig(nx=8, ny=8, nz=8, dt=0.1, T=1.0, kind="converge-time",
+    cfg = RunConfig(nx=8, ny=8, nz=8, T=1.0, kind="converge-time",
                     dt_list=(0.1, 0.05), out=str(tmp_path)).validate()
     result = converge_time(cfg)
     assert len(result.rows) == 2
@@ -451,7 +489,7 @@ def test_converge_time_rates_reproducible_from_csv(tmp_path):
 
 
 def test_converge_time_single_dt(tmp_path):
-    cfg = RunConfig(nx=8, ny=8, nz=8, dt=0.1, T=0.5, kind="converge-time",
+    cfg = RunConfig(nx=8, ny=8, nz=8, T=0.5, kind="converge-time",
                     dt_list=(0.1,), out=str(tmp_path)).validate()
     result = converge_time(cfg)
     assert len(result.rows) == 1 and result.rows[0].rates == {}
@@ -576,3 +614,7 @@ def test_paper_scale_default_tables():
     assert set(DESK_DEFAULTS) == set(FULL_SCALE_DEFAULTS) == set(harness.KINDS)
     assert FULL_SCALE_DEFAULTS["run"]["nx"] == 100
     assert FULL_SCALE_DEFAULTS["converge-time"]["dt_list"] == (0.05, 0.04, 0.025, 0.02)
+    for table in (DESK_DEFAULTS, FULL_SCALE_DEFAULTS):  # only keys the kind reads
+        for kind, defaults in table.items():
+            assert all(kind in harness.KEYS[key].metadata["kinds"] for key in defaults), kind
+            RunConfig(kind=kind, **defaults).validate()

@@ -163,9 +163,9 @@ def test_metrics_zero_for_exact_samples(medium):
     assert m.ratio2 == pytest.approx(1.0, abs=5e-3)
     assert m.ratio1 == pytest.approx(1.0, abs=2e-2)
     # without the perturbation the lattice sums are alias free: exact to round-off
-    from adimax.norms import energy_l2
+    from adimax.norms import state_sums
     from adimax.manufactured import ENERGY_TOTAL_SQ
-    core = energy_l2(sample_exact(0.0, g), medium, g, core=True)
+    core = state_sums(sample_exact(0.0, g), medium, g).l2_core
     assert math.sqrt(core / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from adimax import (DivergenceReport, EnergyReport, Medium, divergence, energy_h1,
-                    energy_h1_dt, energy_l2, energy_l2_dt, energy_report, energy_suite,
-                    face_norm_sq, lincomb, make_grid, sample_exact, step, zero_state)
+from adimax import (DivergenceReport, EnergyReport, Medium, divergence, energy_h1, energy_l2,
+                    energy_report, energy_suite, face_norm_sq, lincomb, make_grid, sample_exact,
+                    step, time_diff, zero_state)
 from adimax.manufactured import ENERGY_TOTAL_SQ, OMEGA
-from adimax.norms import electric_norm_sq, format_value, magnetic_norm_sq
+from adimax.norms import electric_norm_sq, format_value, magnetic_norm_sq, state_sums
 
 from conftest import grid3, grid4, random_state
 from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, face_norm_loop,
@@ -71,10 +71,10 @@ def test_norms_match_loop_oracles(cells, rng, medium):
             face_norm_loop(s, axis, medium, g), rel=1e-13)
         assert energy_h1(s, axis, medium, g) == pytest.approx(
             energy_h1_loop(s, axis, medium, g), rel=1e-13)
-        assert energy_h1(s, axis, medium, g, core=True) == pytest.approx(
+        assert state_sums(s, medium, g, axes=axis).h1[axis][0] == pytest.approx(
             energy_h1_loop(s, axis, medium, g, core=True), rel=1e-13)
     assert energy_l2(s, medium, g) == pytest.approx(energy_l2_loop(s, medium, g), rel=1e-13)
-    assert energy_l2(s, medium, g, core=True) == pytest.approx(
+    assert state_sums(s, medium, g).l2_core == pytest.approx(
         energy_l2_loop(s, medium, g, core=True), rel=1e-13)
     rep, _, _ = divergence(s, medium, g)
     linf_e, l2_e, linf_h, l2_h = divergence_loop(s, medium, g)
@@ -137,14 +137,12 @@ def test_dt_functionals_invariant(rng, medium):
     s1 = step(s0, g, medium)
     s2 = step(s1, g, medium)
     s3 = step(s2, g, medium)
+    d01, d12, d23 = (time_diff(b, a, g.dt) for a, b in ((s0, s1), (s1, s2), (s2, s3)))
     for axis in "xyz":
-        a = energy_h1_dt(s0, s1, axis, medium, g)
-        b = energy_h1_dt(s1, s2, axis, medium, g)
-        c = energy_h1_dt(s2, s3, axis, medium, g)
+        a, b, c = (energy_h1(d, axis, medium, g) for d in (d01, d12, d23))
         assert abs(b - a) <= 1e-12 * a
         assert abs(c - b) <= 1e-12 * b
-    a = energy_l2_dt(s0, s1, medium, g)
-    b = energy_l2_dt(s1, s2, medium, g)
+    a, b = energy_l2(d01, medium, g), energy_l2(d12, medium, g)
     assert abs(b - a) <= 1e-12 * a
 
 
@@ -153,8 +151,9 @@ def test_dt_functionals_zero_for_identical_levels(rng, medium):
     s = random_state(g, rng)
     s2 = s.copy()
     s2.time_level = 1.0
-    assert energy_l2_dt(s, s2, medium, g) == 0.0
-    assert energy_h1_dt(s, s2, "x", medium, g) == 0.0
+    rep = energy_report(s2, s, medium, g)
+    assert rep.l2t == 0.0
+    assert rep.h1t_x == 0.0
 
 
 def test_dt_functionals_reject_non_consecutive_levels(rng, medium):
@@ -162,8 +161,8 @@ def test_dt_functionals_reject_non_consecutive_levels(rng, medium):
     s = random_state(g, rng)
     s2 = s.copy()
     s2.time_level = 0.5
-    with pytest.raises(ValueError):
-        energy_l2_dt(s, s2, medium, g)
+    with pytest.raises(ValueError, match="consecutive"):
+        energy_report(s2, s, medium, g)
 
 
 def test_divergence_of_sampled_mode_cancels(medium):
@@ -223,7 +222,7 @@ def test_energy_suite_keys(rng, medium):
 
 
 def test_face_norm_requires_three_cells():
-    # make_grid already rejects fewer than 3 cells, so the guard inside
-    # face_norm_sq is exercised through the public constructor
+    # make_grid rejects fewer than 3 cells, so the two wall planes of
+    # face_norm_sq never collide
     with pytest.raises(ValueError):
         make_grid(2, 4, 4, 0.1)
