@@ -3,9 +3,9 @@ Maxwell equations on staggered Yee grids with conducting walls, plus the
 verification machinery: exactly conserved discrete energy functionals,
 manufactured-solution error metrics, and divergence diagnostics."""
 
-from .grid import (COMPONENTS, FieldState, GridSpec, Medium, enforce_pec, extent, lincomb,
-                   make_grid, read_component_blob, rotate_state, write_component_blob,
-                   write_snapshot, zero_state)
+from .grid import (COMPONENTS, FieldState, GridSpec, Medium, enforce_pec, extent, make_grid,
+                   read_component_blob, rotate_state, write_component_blob, write_snapshot,
+                   zero_state)
 from .harness import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                       emit_config, energy_audit, parse_config, run, stability)
 from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,

@@ -163,15 +163,6 @@ def check_extents(state: FieldState, grid: GridSpec) -> None:
             )
 
 
-def lincomb(a: float, s: FieldState, b: float, t: FieldState,
-            time_level: float | None = None) -> FieldState:
-    """Componentwise a*s + b*t."""
-    arrays = [a * getattr(s, c) + b * getattr(t, c) for c in COMPONENTS]
-    if time_level is None:
-        time_level = s.time_level
-    return FieldState(*arrays, time_level=time_level)
-
-
 def enforce_pec(state: FieldState) -> FieldState:
     """Zero the tangential E entries on the six walls; all other entries untouched.
 

@@ -39,7 +39,7 @@ import numpy as np
 from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, check_extents, extent
 # energy_h1 and energy_l2 are unused here; perfbench traces these names to count functionals
 from .norms import (EnergyReport, energy_h1, energy_l2, energy_report, format_value,  # noqa: F401
-                    state_sums, _dt_state)
+                    state_sums, _check_consecutive)
 
 OMEGA = math.sqrt(3.0) * math.pi
 
@@ -205,10 +205,17 @@ def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medi
     now = state_sums(err, med, grid, axes="x")
     kwargs = {}
     if prev is not None:
-        d_err = _dt_state(error_state(prev, prev.time_level * grid.dt, grid, reference, med),
-                          err, grid)
-        del err  # one error state at a time in the passes
-        d = state_sums(d_err, med, grid, axes="x")
+        _check_consecutive(prev, curr)
+        back = error_state(prev, prev.time_level * grid.dt, grid, reference, med)
+        # (err - back) / dt, bit for bit time_diff's, formed in err's arrays so that
+        # no third error-sized state is alive
+        s = 1.0 / grid.dt
+        for (_, e), (_, b) in zip(err.components(), back.components()):
+            e *= s
+            e -= np.multiply(b, s, out=b)
+        del back
+        err.time_level = 0.5 * (prev.time_level + curr.time_level)
+        d = state_sums(err, med, grid, axes="x")
         kwargs = {
             "eht1": math.sqrt(d.h1["x"][1]) / math.sqrt(k["grad_time"]),
             "eht2": math.sqrt(d.l2) / math.sqrt(k["time"]),

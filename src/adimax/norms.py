@@ -241,11 +241,15 @@ def energy_h1(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> floa
     return state_sums(state, med, grid, axes=axis).h1[axis][1]
 
 
-def _dt_state(prev: FieldState, curr: FieldState, grid: GridSpec) -> FieldState:
+def _check_consecutive(prev: FieldState, curr: FieldState) -> None:
     if abs(curr.time_level - prev.time_level - 1.0) > 1e-9:
         raise ValueError(
             f"expected consecutive whole levels, got {prev.time_level} -> {curr.time_level}"
         )
+
+
+def _dt_state(prev: FieldState, curr: FieldState, grid: GridSpec) -> FieldState:
+    _check_consecutive(prev, curr)
     return time_diff(curr, prev, grid.dt)
 
 

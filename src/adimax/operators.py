@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FieldState, GridSpec, lincomb
+from .grid import FieldState, GridSpec
 
 
 def diff(u: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
@@ -27,8 +27,13 @@ def diff(u: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
 def time_diff(u_next: FieldState, u_prev: FieldState, span: float) -> FieldState:
     """Componentwise (u_next - u_prev) / span, labeled at the midpoint level."""
     _check_same_shapes(u_next, u_prev)
-    mid = 0.5 * (u_next.time_level + u_prev.time_level)
-    return lincomb(1.0 / span, u_next, -1.0 / span, u_prev, time_level=mid)
+    s = 1.0 / span
+    arrays = []
+    for (_, a), (_, b) in zip(u_next.components(), u_prev.components()):
+        d = a * s
+        d -= b * s
+        arrays.append(d)
+    return FieldState(*arrays, time_level=0.5 * (u_next.time_level + u_prev.time_level))
 
 
 def _check_same_shapes(a: FieldState, b: FieldState) -> None:

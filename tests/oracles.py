@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from adimax import FieldState, GridSpec
+from adimax import COMPONENTS, FieldState, GridSpec
 
 
 def dense_tridiag_solve(lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -67,6 +67,13 @@ def norm_h_loop(v, weight, grid):
     vx, vy, vz = v
     s = float(sum((arr ** 2).sum() for arr in (vx, vy, vz)))
     return weight * grid.dv * s
+
+
+def lincomb(a: float, s: FieldState, b: float, t: FieldState,
+            time_level: float | None = None) -> FieldState:
+    """Componentwise a*s + b*t, labeled at `time_level` (default: s's level)."""
+    arrays = [a * getattr(s, c) + b * getattr(t, c) for c in COMPONENTS]
+    return FieldState(*arrays, time_level=s.time_level if time_level is None else time_level)
 
 
 def rotate_grid(grid: GridSpec) -> GridSpec:

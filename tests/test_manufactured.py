@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                    OMEGA, Medium, electric_norm_sq, enforce_pec, error_state, magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
+                    OMEGA, Medium, electric_norm_sq, energy_report, energy_suite, enforce_pec,
+                    error_state, magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
                     sample_semidiscrete, step, zero_state)
+from adimax import manufactured
 from adimax.manufactured import energy_constants
+from adimax.norms import state_sums
 
 from conftest import max_component_diff
-from oracles import mode_component
+from oracles import lincomb, mode_component
 
 
 def test_analytic_constants():
@@ -163,13 +167,11 @@ def test_metrics_zero_for_exact_samples(medium):
     assert m.ratio2 == pytest.approx(1.0, abs=5e-3)
     assert m.ratio1 == pytest.approx(1.0, abs=2e-2)
     # without the perturbation the lattice sums are alias free: exact to round-off
-    from adimax.norms import state_sums
-    from adimax.manufactured import ENERGY_TOTAL_SQ
     core = state_sums(sample_exact(0.0, g), medium, g).l2_core
     assert math.sqrt(core / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_metrics_with_consecutive_levels(medium):
+def test_metrics_with_consecutive_levels(medium, monkeypatch):
     g = make_grid(8, 8, 8, 0.05)
     s0 = enforce_pec(sample_exact(0.0, g))
     s1 = step(s0, g, medium)
@@ -178,6 +180,40 @@ def test_metrics_with_consecutive_levels(medium):
         assert 0 < value < 0.1
     assert m.ratiot1 == pytest.approx(1.0, abs=0.05)
     assert m.ratiot2 == pytest.approx(1.0, abs=0.05)
+    # the error's time difference, formed in place, has the bits of the linear
+    # combination (levels 1 -> 2: the error of level 0 is zero)
+    s2 = step(s1, g, medium)
+    passes = []
+    monkeypatch.setattr(manufactured, "state_sums",
+                        lambda state, *a, **k: passes.append(state.copy()) or state_sums(state, *a, **k))
+    metrics(s2, s1, g, medium)
+    ref = lincomb(1.0 / g.dt, error_state(s2, 2 * g.dt, g), -1.0 / g.dt, error_state(s1, g.dt, g))
+    assert passes[-1].time_level == 1.5
+    assert all(np.array_equal(getattr(passes[-1], c), x) for c, x in ref.components())
+
+
+@pytest.mark.parametrize("functional, bound", [
+    (lambda curr, prev, g, med, rep: metrics(curr, prev, g, med, report=rep), 3.0),
+    (lambda curr, prev, g, med, rep: energy_report(curr, prev, med, g), 2.5),
+    (lambda curr, prev, g, med, rep: energy_suite(curr, prev, med, g), 2.5),
+], ids=["metrics", "energy_report", "energy_suite"])
+def test_tick_scratch_stays_under_bound(functional, bound):
+    """Scratch peak of a tick functional on two levels, in field states: a tick
+    holds its two levels plus this much."""
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(2.5, 0.4)
+    prev = enforce_pec(sample_exact(0.0, g, med))
+    curr = step(prev, g, med)
+    rep = energy_report(curr, prev, med, g)
+    state_bytes = sum(a.nbytes for _, a in curr.components())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        functional(curr, prev, g, med, rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / state_bytes < bound
 
 
 def test_observed_rate_examples():

@@ -3,13 +3,13 @@ import math
 import pytest
 
 from adimax import (DivergenceReport, EnergyReport, Medium, divergence, energy_h1, energy_l2,
-                    energy_report, energy_suite, face_norm_sq, lincomb, make_grid, sample_exact,
+                    energy_report, energy_suite, face_norm_sq, make_grid, metrics, sample_exact,
                     step, time_diff, zero_state)
 from adimax.manufactured import ENERGY_TOTAL_SQ, OMEGA
 from adimax.norms import electric_norm_sq, format_value, magnetic_norm_sq, state_sums
 
 from conftest import grid3, grid4, random_state
-from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, face_norm_loop,
+from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, face_norm_loop, lincomb,
                      norm_e_loop, norm_h_loop)
 
 
@@ -161,8 +161,12 @@ def test_dt_functionals_reject_non_consecutive_levels(rng, medium):
     s = random_state(g, rng)
     s2 = s.copy()
     s2.time_level = 0.5
-    with pytest.raises(ValueError, match="consecutive"):
-        energy_report(s2, s, medium, g)
+    rep = energy_report(s2, None, medium, g)
+    for functional in (lambda: energy_report(s2, s, medium, g),
+                       lambda: energy_suite(s2, s, medium, g),
+                       lambda: metrics(s2, s, g, medium, report=rep)):
+        with pytest.raises(ValueError, match="consecutive"):
+            functional()
 
 
 def test_divergence_of_sampled_mode_cancels(medium):

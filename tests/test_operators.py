@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from adimax import (diff, make_grid, split_curl_neg, split_curl_pos, time_diff, sample_exact,
-                    zero_state, lincomb)
+                    zero_state)
 
 from conftest import grid4, random_state
-from oracles import mode_component
+from oracles import lincomb, mode_component
 
 
 def test_diff_of_constant_is_zero():
@@ -73,6 +73,9 @@ def test_time_diff(rng):
     twice = lincomb(2.0, a, 0.0, a, time_level=1.0)
     assert np.allclose(time_diff(twice, a, 1.0).ex, a.ex, rtol=0, atol=1e-15)
     assert time_diff(b, a, g.dt).time_level == pytest.approx(0.5)
+    # same bits as the two-term linear combination
+    d, ref = time_diff(b, a, g.dt), lincomb(1.0 / g.dt, b, -1.0 / g.dt, a)
+    assert all(np.array_equal(x, getattr(ref, c)) for c, x in d.components())
 
 
 def test_time_diff_derivative_accuracy():

@@ -7,15 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from adimax import (FieldState, Medium, NonFiniteFieldError, enforce_pec, lincomb,
-                    make_grid, sample_exact, stage1, stage1_residual,
-                    stage2, stage2_residual, step, step_residual, zero_state)
+from adimax import (FieldState, Medium, NonFiniteFieldError, enforce_pec, make_grid,
+                    sample_exact, stage1, stage1_residual, stage2, stage2_residual, step,
+                    step_residual, zero_state)
 from adimax import stepper
 from adimax.norms import energy_l2
 from adimax.operators import diff
 
 from conftest import force_split, grid3, grid4, max_component_diff, random_state
-from oracles import adi_step_loop, dense_tridiag_solve
+from oracles import adi_step_loop, dense_tridiag_solve, lincomb
 
 
 def test_tridiagonal_identity_when_lambda_zero():
