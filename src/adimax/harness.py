@@ -12,8 +12,8 @@ the step that made it.
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
 resolved values of the keys its kind reads, reparseable) and `MANIFEST` (the
-files written).  Floats are emitted with 17 significant digits so CSVs
-round-trip exactly.
+files written).  Every CSV goes through `_OutDir.write_csv`, and every cell
+through `format_value`: 17 significant digits, so CSVs round-trip exactly.
 
 The RunConfig fields are the one schema of the config keys: each carries the
 parser of its text value, the kinds that read it and the help of its flag
@@ -25,14 +25,14 @@ the kind does not read must hold its default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from .grid import GridSpec, Medium, enforce_pec, make_grid, write_snapshot, zero_state
 from .manufactured import (ErrorMetrics, energy_constants, metrics, observed_rate, sample_exact,
                            sample_semidiscrete)
 from .norms import (DivergenceReport, EnergyReport, divergence, energy_l2, energy_report,
-                    energy_suite, format_value)
+                    energy_suite)
 from .stepper import NonFiniteFieldError, stage1, stage2
 
 KINDS = ("run", "energy-audit", "converge-time", "converge-space", "divergence-audit",
@@ -81,7 +81,9 @@ class RunConfig:
     out: str | None = _key(None, str, help="output directory", metavar="DIR")
     snapshots: bool = _key(False, _bool, ("run",), "dump final field snapshots",
                            action="store_const", const="true")
-    init: str = _key("exact", str, _TICKED, f"initial fields: {' or '.join(INITS)}")
+    # an energy audit of the zero state would measure drift against zero energy
+    init: str = _key("exact", str, ("run", "divergence-audit", "stability"),
+                     f"initial fields: {' or '.join(INITS)}")
     dt_list: tuple[float, ...] | None = _key(None, _list(float), ("converge-time",),
                                              "time steps to compare", metavar="DT,DT,...")
     grid_list: tuple[int, ...] | None = _key(None, _list(int), ("converge-space",),
@@ -168,6 +170,13 @@ def parse_config(path=None, overrides: dict | None = None,
     return cfg.validate()
 
 
+def format_value(x) -> str:
+    """CSV cell: 17 significant digits, '.' decimal separator; empty for None."""
+    if x is None:
+        return ""
+    return f"{float(x):.17g}"
+
+
 def emit_config(cfg: RunConfig) -> str:
     """Render the keys the config's kind reads as reparseable `key = value` lines."""
     lines = []
@@ -200,8 +209,10 @@ class _OutDir:
         (self.path / name).write_text(text)
         self.names.append(name)
 
-    def write_rows(self, name: str, header: str, rows) -> None:
-        self.write_text(name, "\n".join([header, *rows]) + "\n")
+    def write_csv(self, name: str, columns, rows) -> None:
+        """A CSV with the header `columns` and one line per sequence of values in `rows`."""
+        lines = (",".join(map(format_value, row)) for row in rows)
+        self.write_text(name, "\n".join([",".join(columns), *lines]) + "\n")
 
     def add(self, names) -> None:
         self.names.extend(names)
@@ -255,45 +266,57 @@ class RunResult:
     files: list[str] = field(default_factory=list)
 
 
-_RUN_HEADER = (EnergyReport.CSV_HEADER
-               + "," + DivergenceReport.CSV_HEADER.split(",", 1)[1]
-               + "," + ErrorMetrics.CSV_HEADER.split(",", 1)[1])
+_DIV_COLUMNS = ("time_level", "DivE_Linf", "DivE_L2", "DivH_Linf", "DivH_L2")
+# the EnergyReport fields, then the DivergenceReport and ErrorMetrics fields but
+# time_level, with the level's own norms against the mode constants (_ratio) after
+# ErrH and after ERRt2_n
+_RUN_COLUMNS = ("time_level", "Q_h1x", "Q_h1y", "Q_h1z", "Q_l2", "E_sq", "H_sq", "CurlPosE_sq",
+                "CurlNegH_sq", "Q_h1tx", "Q_h1ty", "Q_h1tz", "Q_l2t", *_DIV_COLUMNS[1:],
+                "ERR0_n", "ERR1_n", "ERR2_n", "ErrE", "ErrH", "EH1_n", "EH2_n",
+                "ERRt1_n", "ERRt2_n", "EHt1_n", "EHt2_n")
+
+
+def _ratio(value_sq, const):
+    """sqrt(value_sq / const): a squared norm against its mode constant; None stays None."""
+    return None if value_sq is None else math.sqrt(value_sq / const)
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
+    k = energy_constants(med)
     energy, diverg, errors, rows = [], [], [], []
     for n, prev, state in _trajectory(cfg, grid):
         if n not in ticks:
             continue
-        erpt = energy_report(state, prev, med, grid)
-        drpt = divergence(state, med, grid)[0]  # its lattices would live through the next step
-        empt = metrics(state, prev, grid, med, report=erpt)
-        energy.append(erpt)
-        diverg.append(drpt)
-        errors.append(empt)
-        rows.append(erpt.csv_row()
-                    + "," + drpt.csv_row().split(",", 1)[1]
-                    + "," + empt.csv_row().split(",", 1)[1])
-    out.write_rows("run.csv", _RUN_HEADER, rows)
+        e = energy_report(state, prev, med, grid)
+        d = divergence(state, med, grid)
+        m = metrics(state, prev, grid, med)
+        energy.append(e)
+        diverg.append(d)
+        errors.append(m)
+        rows.append([*astuple(e), *astuple(d)[1:], m.eh0, m.eh1, m.eh2, m.err_e, m.err_h,
+                     _ratio(e.h1_x, k["grad"]), _ratio(e.l2, k["total"]), m.eht1, m.eht2,
+                     _ratio(e.h1t_x, k["grad_time"]), _ratio(e.l2t, k["time"])])
+    out.write_csv("run.csv", _RUN_COLUMNS, rows)
     if cfg.snapshots and out.path is not None:
         out.add(write_snapshot(state, grid, out.path))
     files = out.finish()
     return RunResult(cfg, grid.courant(med.eps, med.mu), energy, diverg, errors, files)
 
 
-# functional stem -> column label; the core (starred) columns add "s" to the label
-_AUDIT_STEMS = {"norm1": "EH1", "norm1t": "EHt1", "norm2": "EH2", "norm2t": "EHt2"}
+# functional stem -> (column label, energy_constants key); the core (starred)
+# columns add "s" to the label
+_AUDIT_STEMS = {"norm1": ("EH1", "grad"), "norm1t": ("EHt1", "grad_time"),
+                "norm2": ("EH2", "total"), "norm2t": ("EHt2", "time")}
 # (column, value key) after time_level: full-norm drift, ratio and squared ratio
 # per stem, then core-norm drift and ratio per stem
 _AUDIT_COLUMNS = (
-    [(f"{label}{suffix}", f"{stem}_{kind}") for stem, label in _AUDIT_STEMS.items()
+    [(f"{label}{suffix}", f"{stem}_{kind}") for stem, (label, _) in _AUDIT_STEMS.items()
      for suffix, kind in (("_n0", "drift"), ("_n", "ratio"), ("_nsq", "ratio_sq"))]
-    + [(f"{label}s{suffix}", f"{stem}_core_{kind}") for stem, label in _AUDIT_STEMS.items()
+    + [(f"{label}s{suffix}", f"{stem}_core_{kind}") for stem, (label, _) in _AUDIT_STEMS.items()
        for suffix, kind in (("_n0", "drift"), ("_n", "ratio"))])
-_AUDIT_HEADER = ",".join(["time_level", *(column for column, _ in _AUDIT_COLUMNS)])
 
 
 def _drift(value_sq, ref_sq):
@@ -321,12 +344,8 @@ def energy_audit(cfg: RunConfig) -> AuditResult:
     out, grid, med = _start(cfg)
     ref = ref_t = None
     ticks = _ticks(cfg.steps, cfg.cadence)
-    rows, lines = [], []
-
     k = energy_constants(med)
-    consts = {"norm1": k["grad"], "norm2": k["total"], "norm1t": k["grad_time"],
-              "norm2t": k["time"]}
-
+    rows = []
     for n, prev, state in _trajectory(cfg, grid):
         if n not in ticks:
             if ref_t is None:
@@ -338,19 +357,18 @@ def energy_audit(cfg: RunConfig) -> AuditResult:
         if ref_t is None and suite["norm1t_sq"] is not None:
             ref_t = suite
         vals = {}
-        for stem in _AUDIT_STEMS:
+        for stem, (_, const) in _AUDIT_STEMS.items():
             full = suite[f"{stem}_sq"]
             core = suite[f"{stem}_core_sq"]
             refs = (ref if stem in ("norm1", "norm2") else ref_t) or {}
             vals[f"{stem}_drift"] = _drift(full, refs.get(f"{stem}_sq"))
-            vals[f"{stem}_ratio"] = None if full is None else math.sqrt(full / consts[stem])
-            vals[f"{stem}_ratio_sq"] = None if full is None else full / consts[stem]
+            vals[f"{stem}_ratio"] = _ratio(full, k[const])
+            vals[f"{stem}_ratio_sq"] = None if full is None else full / k[const]
             vals[f"{stem}_core_drift"] = _drift(core, refs.get(f"{stem}_core_sq"))
-            vals[f"{stem}_core_ratio"] = None if core is None else math.sqrt(core / consts[stem])
+            vals[f"{stem}_core_ratio"] = _ratio(core, k[const])
         rows.append(AuditRow(state.time_level, vals))
-        lines.append(",".join(format_value(v) for v in
-                              [state.time_level, *(vals[key] for _, key in _AUDIT_COLUMNS)]))
-    out.write_rows("energy_audit.csv", _AUDIT_HEADER, lines)
+    out.write_csv("energy_audit.csv", ["time_level", *(column for column, _ in _AUDIT_COLUMNS)],
+                  ([r.time_level, *(r.values[key] for _, key in _AUDIT_COLUMNS)] for r in rows))
     return AuditResult(cfg, rows, out.finish())
 
 
@@ -405,15 +423,10 @@ def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> Converge
                     rates[key] = observed_rate((getattr(last, key), value), (last.resolution, res))
         rows.append(ConvergenceRow(resolution=res, rates=rates, **values))
     columns = _CONV_COLUMNS + _SEMI_COLUMNS if semi else _CONV_COLUMNS
-    header = ",".join(["resolution", *(col for _, err, rate in columns for col in (err, rate))])
-    lines = []
-    for row in rows:
-        cells = [format_value(row.resolution)]
-        for key, _, _ in columns:
-            cells.append(format_value(getattr(row, key)))
-            cells.append(format_value(row.rates.get(key)))
-        lines.append(",".join(cells))
-    out.write_rows(name, header, lines)
+    out.write_csv(name, ["resolution", *(col for _, err, rate in columns for col in (err, rate))],
+                  ([row.resolution, *(v for key, _, _ in columns
+                                      for v in (getattr(row, key), row.rates.get(key)))]
+                   for row in rows))
     return ConvergenceResult(cfg, rows, out.finish())
 
 
@@ -444,9 +457,8 @@ def divergence_audit(cfg: RunConfig) -> DivergenceResult:
     for n, prev, state in _trajectory(cfg, grid):
         del prev  # unused; without it only one level lives through the next step
         if n in ticks:
-            reports.append(divergence(state, med, grid)[0])
-    out.write_rows("divergence_audit.csv", DivergenceReport.CSV_HEADER,
-                   [r.csv_row() for r in reports])
+            reports.append(divergence(state, med, grid))
+    out.write_csv("divergence_audit.csv", _DIV_COLUMNS, map(astuple, reports))
     return DivergenceResult(cfg, reports, out.finish())
 
 
@@ -468,7 +480,7 @@ def stability(cfg: RunConfig) -> StabilityResult:
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     max_drift = max_field = 0.0
-    lines = []
+    rows = []
     for n, prev, state in _trajectory(cfg, grid):
         del prev  # unused; without it only one level lives through the next step
         q, m = energy_l2(state, med, grid), state.max_abs()
@@ -478,9 +490,9 @@ def stability(cfg: RunConfig) -> StabilityResult:
         max_drift = max(max_drift, drift)
         max_field = max(max_field, m)
         if n in ticks:
-            lines.append(f"{n},{format_value(q)},{format_value(drift)},{format_value(m)}")
+            rows.append((n, q, drift, m))
     passed = bool(max_drift <= DRIFT_TOL and max_field <= GROWTH_FACTOR * max(m0, 1e-300))
-    out.write_rows("stability.csv", "time_level,Q_l2,drift,max_field", lines)
+    out.write_csv("stability.csv", ("time_level", "Q_l2", "drift", "max_field"), rows)
     return StabilityResult(cfg, grid.courant(med.eps, med.mu), passed, max_drift, max_field,
                            m0, out.finish())
 

@@ -32,14 +32,13 @@ round-off rather than to O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, check_extents, extent
 # energy_h1 and energy_l2 are unused here; perfbench traces these names to count functionals
-from .norms import (EnergyReport, energy_h1, energy_l2, energy_report, format_value,  # noqa: F401
-                    state_sums, _check_consecutive)
+from .norms import energy_h1, energy_l2, state_sums, _check_consecutive  # noqa: F401
 
 OMEGA = math.sqrt(3.0) * math.pi
 
@@ -164,13 +163,12 @@ def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None,
 
 @dataclass(frozen=True)
 class ErrorMetrics:
-    """Relative solution errors and energy-ratio diagnostics at one level.
+    """Relative solution errors at one level.
 
     eh* are errors of the numeric solution against a reference (the sampled
     mode unless metrics is given another), scaled by the matching analytic
-    energy constant; ratio* compare the numeric solution's own energy norms
-    with the analytic constants and sit near 1.
-    The t-variants need two consecutive levels and are None on the first.
+    energy constant.  The t-variants need two consecutive levels and are None
+    on the first.
     """
 
     time_level: float
@@ -179,27 +177,14 @@ class ErrorMetrics:
     eh2: float
     err_e: float
     err_h: float
-    ratio1: float
-    ratio2: float
     eht1: float | None = None
     eht2: float | None = None
-    ratiot1: float | None = None
-    ratiot2: float | None = None
-
-    CSV_HEADER = ("time_level,ERR0_n,ERR1_n,ERR2_n,ErrE,ErrH,EH1_n,EH2_n,"
-                  "ERRt1_n,ERRt2_n,EHt1_n,EHt2_n")
-
-    def csv_row(self) -> str:
-        return ",".join(format_value(getattr(self, f.name)) for f in fields(self))
 
 
 def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medium,
-            reference=None, report: EnergyReport | None = None) -> ErrorMetrics:
+            reference=None) -> ErrorMetrics:
     """Error metrics of `curr` (and of the time difference when `prev` is given)
-    against `reference`, which error_state takes as it does.  The ratio columns
-    read `report`, the EnergyReport of the same (curr, prev) pair, made here
-    if not given."""
-    report = report or energy_report(curr, prev, med, grid)
+    against `reference`, which error_state takes as it does."""
     k = energy_constants(med)
     err = error_state(curr, curr.time_level * grid.dt, grid, reference, med)
     now = state_sums(err, med, grid, axes="x")
@@ -219,8 +204,6 @@ def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medi
         kwargs = {
             "eht1": math.sqrt(d.h1["x"][1]) / math.sqrt(k["grad_time"]),
             "eht2": math.sqrt(d.l2) / math.sqrt(k["time"]),
-            "ratiot1": math.sqrt(report.h1t_x / k["grad_time"]),
-            "ratiot2": math.sqrt(report.l2t / k["time"]),
         }
     return ErrorMetrics(
         time_level=curr.time_level,
@@ -229,8 +212,6 @@ def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medi
         eh2=math.sqrt(now.l2) / math.sqrt(k["total"]),
         err_e=math.sqrt(now.e_sq),
         err_h=math.sqrt(now.h_sq),
-        ratio1=math.sqrt(report.h1_x / k["grad"]),
-        ratio2=math.sqrt(report.l2 / k["total"]),
         **kwargs,
     )
 

@@ -38,7 +38,7 @@ thread-count variation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,6 @@ from .grid import FieldState, GridSpec, Medium, check_extents, rotate_state  # n
 from .operators import diff, split_curl_neg, split_curl_pos, time_diff
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-
-
-def format_value(x) -> str:
-    """CSV cell: 17 significant digits, '.' decimal separator; empty for None."""
-    if x is None:
-        return ""
-    return f"{float(x):.17g}"
 
 
 def _ssq(a: np.ndarray, buf: np.ndarray | None = None) -> float:
@@ -259,7 +252,11 @@ def _dt_state(prev: FieldState, curr: FieldState, grid: GridSpec) -> FieldState:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Discrete divergence magnitudes of eps*E (interior nodes) and mu*H (cell centers)."""
+    """Discrete divergence of E (interior nodes) and of H (cell centers).
+
+    Both fields are weighted by eps, H as well: each max norm is eps max|div|
+    and each L2 norm sqrt(eps dv sum div^2).
+    """
 
     time_level: float
     div_e_linf: float
@@ -267,18 +264,9 @@ class DivergenceReport:
     div_h_linf: float
     div_h_l2: float
 
-    CSV_HEADER = "time_level,DivE_Linf,DivE_L2,DivH_Linf,DivH_L2"
 
-    def csv_row(self) -> str:
-        return ",".join(format_value(getattr(self, f.name)) for f in fields(self))
-
-
-def divergence(state: FieldState, med: Medium, grid: GridSpec):
-    """Divergence report plus the raw node lattices (E at interior nodes, H at centers).
-
-    The quadratic form carries an eps weight for both fields, and the max norm
-    scales the raw divergence by eps as well.
-    """
+def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceReport:
+    """Divergence report of `state`: E at interior nodes, H at cell centers."""
     check_extents(state, grid)
     nx, ny, nz = grid.cells
     div_e = diff(state.ex[:, 1:ny, 1:nz], 0, grid)
@@ -287,14 +275,13 @@ def divergence(state: FieldState, med: Medium, grid: GridSpec):
     div_h = diff(state.hx, 0, grid)
     div_h += diff(state.hy, 1, grid)
     div_h += diff(state.hz, 2, grid)
-    report = DivergenceReport(
+    return DivergenceReport(
         time_level=state.time_level,
         div_e_linf=med.eps * (float(np.max(np.abs(div_e))) if div_e.size else 0.0),
         div_e_l2=float(np.sqrt(med.eps * grid.dv * _ssq(div_e))),
         div_h_linf=med.eps * float(np.max(np.abs(div_h))),
         div_h_l2=float(np.sqrt(med.eps * grid.dv * _ssq(div_h))),
     )
-    return report, div_e, div_h
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +310,6 @@ class EnergyReport:
     h1t_y: float | None = None
     h1t_z: float | None = None
     l2t: float | None = None
-
-    CSV_HEADER = ("time_level,Q_h1x,Q_h1y,Q_h1z,Q_l2,E_sq,H_sq,CurlPosE_sq,CurlNegH_sq,"
-                  "Q_h1tx,Q_h1ty,Q_h1tz,Q_l2t")
-
-    def csv_row(self) -> str:
-        return ",".join(format_value(getattr(self, f.name)) for f in fields(self))
 
 
 def energy_report(curr: FieldState, prev: FieldState | None, med: Medium,

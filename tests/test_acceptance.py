@@ -198,7 +198,7 @@ def test_criterion_7_oracle_equivalence(rng):
             want = face_norm_loop(s, axis, MEDIUM, g)
             worst = max(worst, _rel(got[0], want[0]), _rel(got[1], want[1]))
         worst = max(worst, _rel(energy_l2(s, MEDIUM, g), energy_l2_loop(s, MEDIUM, g)))
-        rep, _, _ = divergence(s, MEDIUM, g)
+        rep = divergence(s, MEDIUM, g)
         linf_e, l2_e, linf_h, l2_h = divergence_loop(s, MEDIUM, g)
         for got_v, want_v in ((rep.div_e_linf, linf_e), (rep.div_e_l2, l2_e),
                               (rep.div_h_linf, linf_h), (rep.div_h_l2, l2_h)):

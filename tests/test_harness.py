@@ -108,7 +108,7 @@ def test_config_round_trip(tmp_path, kind):
 
 def test_off_kind_pairs():
     assert {line.split(" =")[0] for _, line in _OFF_KIND} == set(_OFF_KIND_TEXT)
-    assert len(_OFF_KIND) == 20
+    assert len(_OFF_KIND) == 21
 
 
 @pytest.mark.parametrize("kind, line", _OFF_KIND)
@@ -394,6 +394,7 @@ def test_run_tick_reads_each_state_once(tmp_path, monkeypatch, cadence):
     assert all(counts[n] == 0 for n in range(cfg.steps + 1) if n not in ticks)
 
     grid, med, states = _trajectory(cfg)
+    k = manufactured.energy_constants(med)
     rows = _rows(tmp_path / "out" / "run.csv")
     header = rows[0]
     assert [float(r[0]) for r in rows[1:]] == ticks
@@ -414,10 +415,15 @@ def test_run_tick_reads_each_state_once(tmp_path, monkeypatch, cadence):
         else:
             d = time_diff(curr, prev, grid.dt)
             want += [*(energy_h1(d, a, med, grid) for a in "xyz"), energy_l2(d, med, grid)]
-        want += [float(x) for x in divergence(curr, med, grid)[0].csv_row().split(",")[1:]]
+        div = divergence(curr, med, grid)
+        want += [div.div_e_linf, div.div_e_l2, div.div_h_linf, div.div_h_l2]
         m = metrics(curr, prev, grid, med)
-        want += [getattr(m, f) for f in ("eh0", "eh1", "eh2", "err_e", "err_h", "ratio1",
-                                          "ratio2", "eht1", "eht2", "ratiot1", "ratiot2")]
+        # a norm's ratio to its mode constant, from the functional in column `col` above
+        q = dict(zip(header, want))
+        ratio = lambda col, c: None if q[col] is None else math.sqrt(q[col] / k[c])
+        want += [m.eh0, m.eh1, m.eh2, m.err_e, m.err_h, ratio("Q_h1x", "grad"),
+                 ratio("Q_l2", "total"), m.eht1, m.eht2, ratio("Q_h1tx", "grad_time"),
+                 ratio("Q_l2t", "time")]
         assert len(want) == len(header)
         for label, got, value in zip(header, row, want):
             _assert_close(got, value, (n, label))
@@ -467,6 +473,18 @@ def test_audit_tick_reads_each_state_once(tmp_path, monkeypatch):
                 assert float(got) == 0.0, (n, label)
             else:
                 _assert_close(got, value, (n, label))
+
+
+@pytest.mark.parametrize("kind, lists", [("converge-time", dict(dt_list=(0.1, 0.05))),
+                                         ("converge-space", dict(grid_list=(4, 6)))],
+                         ids=["converge-time", "converge-space"])
+def test_convergence_grades_each_state_once(tmp_path, monkeypatch, kind, lists):
+    # per resolution, one pass over the error at T and one over its time difference,
+    # for each reference (converge-time also grades against sample_semidiscrete)
+    counts = _count_passes(monkeypatch)
+    harness.DRIVERS[kind](desk_cfg(tmp_path, kind=kind, T=0.2, **lists))
+    per_resolution = 4 if kind == "converge-time" else 2
+    assert sum(counts) == per_resolution * len(*lists.values())
 
 
 # --- convergence -----------------------------------------------------------
@@ -520,13 +538,14 @@ def test_nonunit_medium_errors_and_ratios(tmp_path):
             assert 1.6 <= row.rates[key] <= 2.2  # the window of criterion 3
     assert max(row.eh1 for row in rows) < 0.1
     result = run(desk_cfg(tmp_path, dt=0.05, eps=2.0, mu=0.5, cadence=5))
-    for m in result.errors:
-        assert m.ratio1 == pytest.approx(1.0, abs=2e-2)
-        assert m.ratio2 == pytest.approx(1.0, abs=5e-3)
     run_csv = _rows(tmp_path / "out" / "run.csv")
     cols = [run_csv[0].index(c) for c in ("EH1_n", "EH2_n")]
-    assert [float(run_csv[-1][c]) for c in cols] == [result.errors[-1].ratio1,
-                                                      result.errors[-1].ratio2]
+    for row in run_csv[1:]:
+        assert float(row[cols[0]]) == pytest.approx(1.0, abs=2e-2)
+        assert float(row[cols[1]]) == pytest.approx(1.0, abs=5e-3)
+    k, last = manufactured.energy_constants(result.config.to_medium()), result.energy[-1]
+    assert [float(run_csv[-1][c]) for c in cols] == [math.sqrt(last.h1_x / k["grad"]),
+                                                      math.sqrt(last.l2 / k["total"])]
 
 
 # --- divergence audit ------------------------------------------------------
@@ -618,3 +637,30 @@ def test_paper_scale_default_tables():
         for kind, defaults in table.items():
             assert all(kind in harness.KEYS[key].metadata["kinds"] for key in defaults), kind
             RunConfig(kind=kind, **defaults).validate()
+
+
+# --- output tables ---------------------------------------------------------
+
+# perfbench, the test oracles and users read these columns by name
+_CSV_HEADERS = {
+    "run": ("run.csv", "time_level,Q_h1x,Q_h1y,Q_h1z,Q_l2,E_sq,H_sq,CurlPosE_sq,CurlNegH_sq,"
+            "Q_h1tx,Q_h1ty,Q_h1tz,Q_l2t,DivE_Linf,DivE_L2,DivH_Linf,DivH_L2,ERR0_n,ERR1_n,"
+            "ERR2_n,ErrE,ErrH,EH1_n,EH2_n,ERRt1_n,ERRt2_n,EHt1_n,EHt2_n"),
+    "energy-audit": ("energy_audit.csv", "time_level,EH1_n0,EH1_n,EH1_nsq,EHt1_n0,EHt1_n,"
+                     "EHt1_nsq,EH2_n0,EH2_n,EH2_nsq,EHt2_n0,EHt2_n,EHt2_nsq,EH1s_n0,EH1s_n,"
+                     "EHt1s_n0,EHt1s_n,EH2s_n0,EH2s_n,EHt2s_n0,EHt2s_n"),
+    "converge-time": ("converge_time.csv", "resolution,ERR1,rate1,ERR2,rate2,ERRt1,ratet1,"
+                      "ERRt2,ratet2,ErrE,rateE,ErrH,rateH,ERR1_semi,rate1_semi,ERR2_semi,"
+                      "rate2_semi"),
+    "converge-space": ("converge_space.csv", "resolution,ERR1,rate1,ERR2,rate2,ERRt1,ratet1,"
+                       "ERRt2,ratet2,ErrE,rateE,ErrH,rateH"),
+    "divergence-audit": ("divergence_audit.csv", "time_level,DivE_Linf,DivE_L2,DivH_Linf,DivH_L2"),
+    "stability": ("stability.csv", "time_level,Q_l2,drift,max_field"),
+}
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_csv_headers(tmp_path, kind):
+    name, header = _CSV_HEADERS[kind]
+    harness.DRIVERS[kind](desk_cfg(tmp_path, kind=kind, T=0.2, **_LISTS.get(kind, {})))
+    assert (tmp_path / "out" / name).read_text().splitlines()[0] == header

@@ -164,8 +164,9 @@ def test_metrics_zero_for_exact_samples(medium):
     assert m.eh2 <= 1e-13
     assert m.eht1 is None
     # full-norm ratios carry the dt^2 perturbation and O(h^2) quadrature terms
-    assert m.ratio2 == pytest.approx(1.0, abs=5e-3)
-    assert m.ratio1 == pytest.approx(1.0, abs=2e-2)
+    rep = energy_report(sample_exact(0.0, g), None, medium, g)
+    assert math.sqrt(rep.l2 / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=5e-3)
+    assert math.sqrt(rep.h1_x / ENERGY_GRAD_SQ) == pytest.approx(1.0, abs=2e-2)
     # without the perturbation the lattice sums are alias free: exact to round-off
     core = state_sums(sample_exact(0.0, g), medium, g).l2_core
     assert math.sqrt(core / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=1e-12)
@@ -178,8 +179,9 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
     m = metrics(s1, s0, g, medium)
     for value in (m.eh0, m.eh1, m.eh2, m.eht1, m.eht2):
         assert 0 < value < 0.1
-    assert m.ratiot1 == pytest.approx(1.0, abs=0.05)
-    assert m.ratiot2 == pytest.approx(1.0, abs=0.05)
+    rep = energy_report(s1, s0, medium, g)
+    assert math.sqrt(rep.h1t_x / ENERGY_GRAD_TIME_SQ) == pytest.approx(1.0, abs=0.05)
+    assert math.sqrt(rep.l2t / ENERGY_TIME_SQ) == pytest.approx(1.0, abs=0.05)
     # the error's time difference, formed in place, has the bits of the linear
     # combination (levels 1 -> 2: the error of level 0 is zero)
     s2 = step(s1, g, medium)
@@ -193,9 +195,9 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
 
 
 @pytest.mark.parametrize("functional, bound", [
-    (lambda curr, prev, g, med, rep: metrics(curr, prev, g, med, report=rep), 3.0),
-    (lambda curr, prev, g, med, rep: energy_report(curr, prev, med, g), 2.5),
-    (lambda curr, prev, g, med, rep: energy_suite(curr, prev, med, g), 2.5),
+    (lambda curr, prev, g, med: metrics(curr, prev, g, med), 3.0),
+    (lambda curr, prev, g, med: energy_report(curr, prev, med, g), 2.5),
+    (lambda curr, prev, g, med: energy_suite(curr, prev, med, g), 2.5),
 ], ids=["metrics", "energy_report", "energy_suite"])
 def test_tick_scratch_stays_under_bound(functional, bound):
     """Scratch peak of a tick functional on two levels, in field states: a tick
@@ -204,12 +206,11 @@ def test_tick_scratch_stays_under_bound(functional, bound):
     med = Medium(2.5, 0.4)
     prev = enforce_pec(sample_exact(0.0, g, med))
     curr = step(prev, g, med)
-    rep = energy_report(curr, prev, med, g)
     state_bytes = sum(a.nbytes for _, a in curr.components())
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        functional(curr, prev, g, med, rep)
+        functional(curr, prev, g, med)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

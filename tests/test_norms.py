@@ -1,12 +1,14 @@
 import math
+from dataclasses import astuple, fields
 
 import pytest
 
 from adimax import (DivergenceReport, EnergyReport, Medium, divergence, energy_h1, energy_l2,
                     energy_report, energy_suite, face_norm_sq, make_grid, metrics, sample_exact,
                     step, time_diff, zero_state)
+from adimax.harness import _OutDir, format_value
 from adimax.manufactured import ENERGY_TOTAL_SQ, OMEGA
-from adimax.norms import electric_norm_sq, format_value, magnetic_norm_sq, state_sums
+from adimax.norms import electric_norm_sq, magnetic_norm_sq, state_sums
 
 from conftest import grid3, grid4, random_state
 from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, face_norm_loop, lincomb,
@@ -76,7 +78,7 @@ def test_norms_match_loop_oracles(cells, rng, medium):
     assert energy_l2(s, medium, g) == pytest.approx(energy_l2_loop(s, medium, g), rel=1e-13)
     assert state_sums(s, medium, g).l2_core == pytest.approx(
         energy_l2_loop(s, medium, g, core=True), rel=1e-13)
-    rep, _, _ = divergence(s, medium, g)
+    rep = divergence(s, medium, g)
     linf_e, l2_e, linf_h, l2_h = divergence_loop(s, medium, g)
     assert rep.div_e_linf == pytest.approx(linf_e, rel=1e-13)
     assert rep.div_e_l2 == pytest.approx(l2_e, rel=1e-13)
@@ -161,10 +163,9 @@ def test_dt_functionals_reject_non_consecutive_levels(rng, medium):
     s = random_state(g, rng)
     s2 = s.copy()
     s2.time_level = 0.5
-    rep = energy_report(s2, None, medium, g)
     for functional in (lambda: energy_report(s2, s, medium, g),
                        lambda: energy_suite(s2, s, medium, g),
-                       lambda: metrics(s2, s, g, medium, report=rep)):
+                       lambda: metrics(s2, s, g, medium)):
         with pytest.raises(ValueError, match="consecutive"):
             functional()
 
@@ -172,24 +173,22 @@ def test_dt_functionals_reject_non_consecutive_levels(rng, medium):
 def test_divergence_of_sampled_mode_cancels(medium):
     g = make_grid(10, 10, 10, 0.05)
     for t in (0.0, 0.41):
-        rep, div_e, div_h = divergence(sample_exact(t, g), medium, g)
+        rep = divergence(sample_exact(t, g), medium, g)
         assert rep.div_e_linf <= 1e-13
         assert rep.div_h_linf <= 1e-13
-        assert div_e.shape == (9, 9, 9)
-        assert div_h.shape == (10, 10, 10)
     # unequal mesh sizes break the cancellation
     g2 = make_grid(10, 12, 14, 0.05)
-    rep2, _, _ = divergence(sample_exact(0.0, g2), medium, g2)
+    rep2 = divergence(sample_exact(0.0, g2), medium, g2)
     assert rep2.div_e_linf > 1e-3
 
 
 def test_divergence_zero_state(medium):
     g = grid3()
-    rep, _, _ = divergence(zero_state(g), medium, g)
+    rep = divergence(zero_state(g), medium, g)
     assert rep == DivergenceReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_energy_report_and_csv(rng, medium):
+def test_energy_report_and_csv(tmp_path, rng, medium):
     g = grid3(0.4)
     s0 = random_state(g, rng)
     s1 = step(s0, g, medium)
@@ -197,13 +196,14 @@ def test_energy_report_and_csv(rng, medium):
     assert rep0.h1t_x is None and rep0.l2t is None
     rep1 = energy_report(s1, s0, medium, g)
     assert rep1.l2t is not None and rep1.l2t > 0
-    header_cols = EnergyReport.CSV_HEADER.split(",")
-    row_cols = rep1.csv_row().split(",")
-    assert len(header_cols) == len(row_cols)
+    _OutDir(tmp_path).write_csv("energy.csv", [f.name for f in fields(EnergyReport)],
+                                [astuple(rep0), astuple(rep1)])
+    header, row0, row1 = (line.split(",") for line in
+                          (tmp_path / "energy.csv").read_text().splitlines())
+    assert len(header) == len(row0) == len(row1)
     # 17-significant-digit cells round-trip exactly
-    assert float(row_cols[1]) == rep1.h1_x
-    empty_cells = rep0.csv_row().split(",")
-    assert empty_cells[-1] == ""
+    assert float(row1[1]) == rep1.h1_x
+    assert row0[-1] == ""
 
 
 def test_format_value():
