@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,8 @@ def _assert_same_bytes(got, want):
     pytest.param((12, 20, 9), 0.7, Medium(eps=2.5, mu=0.4), id="12x20x9"),
     pytest.param((3, 3, 3), 0.45, Medium(), id="3x3x3"),
     pytest.param((3, 4, 5), 1.7, Medium(), id="3x4x5"),
+    pytest.param((20, 20, 20), 0.4, Medium(), id="20^3"),
+    pytest.param((6, 6, 4), 0.7, Medium(), id="6x6x4"),
 ])
 def test_split_half_updates_are_bytewise_the_unsplit_ones(cells, dt, med, rng, monkeypatch):
     g = make_grid(*cells, dt)
@@ -312,6 +315,66 @@ def test_forked_child_steps_with_the_split(rng, monkeypatch):
         proc.join()
         pytest.fail("the forked child did not finish stepping within 60 s")
     assert proc.exitcode == 0
+
+
+# --- packed E solves --------------------------------------------------------
+
+@pytest.mark.parametrize("cells, solves", [
+    pytest.param((8, 8, 8), 1, id="8^3"),
+    pytest.param((6, 6, 4), 2, id="6x6x4"),
+    pytest.param((12, 20, 9), 3, id="12x20x9"),
+])
+def test_unsplit_stage_sweeps_once_per_solve_length(cells, solves, rng, monkeypatch):
+    # solves share a sweep when their axes have equal lengths: all three on a cube,
+    # two of three on 6x6x4 and none on 12x20x9 (the split path solves per component)
+    g = make_grid(*cells, 0.7)
+    solve, axes = stepper._solve_lines, []
+
+    def counting(lam, rhs, axis):
+        axes.append(axis)
+        return solve(lam, rhs, axis)
+
+    monkeypatch.setattr(stepper, "_solve_lines", counting)
+    half = stage1(random_state(g, rng), g, Medium())
+    assert len(axes) == solves
+    stage2(half, g, Medium())
+    assert len(axes) == 2 * solves
+
+
+@pytest.mark.parametrize("stage, bound", [(1, 8.83), (2, 9.07)], ids=["1", "2"])
+def test_stage_scratch_stays_under_bound(stage, bound):
+    """Scratch peak of one packed half-update on 40^3, in component lattices: the
+    per-component update's peak, measured on the same grid, bounds it."""
+    g = make_grid(40, 40, 40, 0.125)
+    med = Medium()
+    s = enforce_pec(sample_exact(0.0, g, med))
+    if stage == 2:
+        s = stage1(s, g, med)
+    update = (stage1, stage2)[stage - 1]
+    update(s, g, med)  # the Thomas coefficients are cached outside the measurement
+    component_bytes = sum(a.nbytes for _, a in s.components()) / 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        update(s, g, med)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / component_bytes < bound
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["packed", "split"])
+@pytest.mark.parametrize("cells", [(8, 8, 8), (6, 6, 4)], ids=["8^3", "6x6x4"])
+def test_stage_outputs_are_contiguous_with_zero_walls(cells, split, rng, monkeypatch):
+    # snapshots and state_sums read whole lattices: no packed block may reach a state
+    if split:
+        force_split(monkeypatch)
+    g = make_grid(*cells, 0.6)
+    half = stage1(random_state(g, rng), g, Medium())
+    for out in (half, stage2(half, g, Medium())):
+        _assert_walls_zero(out)
+        for name, a in out.components():
+            assert a.flags.c_contiguous and a.flags.owndata and a.dtype == np.float64, name
 
 
 def test_half_level_energy_balance(rng, medium):
