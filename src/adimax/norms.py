@@ -14,14 +14,28 @@ Their time-difference variants (the same forms applied to (next - prev)/dt
 across two consecutive whole levels) are conserved as well.
 
 All of them, and their core forms (without the dt^2 terms), are partial
-sums of one pass over a state, `state_sums`.  It forms the six
-curl pieces once, split_curl_pos(E) = (d_y ez, d_z ex, d_x ey) and
-split_curl_neg(H) = (d_z hy, d_x hz, d_y hx), for the L2 perturbation sums,
-the dt^2 partners of the three H1 sums (each piece differenced along the axis)
-and the wall-plane partners.  The H1 index table is written once, for x, in
-roles: for axis a, role r is array axis (a + r) % 3 and the components
-(x, y, z) are read as (a, a+1, a+2), exact because the scheme and the norms
-are invariant under that cyclic relabeling.
+sums of one pass over a state, `state_sums`, in two independent halves: the E
+half takes every lattice sum of E and of the curl pieces (d_y ez, d_z ex,
+d_x ey), the H half those of H and of (d_z hy, d_x hz, d_y hx), trimmed to the
+E sets.  Each half forms one piece at a time and takes its sums for every axis
+of the pass, by the piece's role (see `energy_h1`), before the next piece reuses
+the array.  The parts, and the wall-plane sums, are then added in a fixed
+order, so the sums are bit for bit the same on one thread or two.
+
+From _THREAD_MIN cells on, with two usable cores, the H half runs on the
+stepper's worker and calls no name a tracer wraps; below it both halves run
+here on one piece and one buffer.  The caller allocates all scratch, since the
+worker's glibc arena keeps what the worker allocates (a worker half that made
+its own raised 64^3 tick peak RSS by 4.6 %).  Pass time threaded against one
+thread in %, medians of 31 interleaved calls (15 in 100^3's first run), two runs:
+
+    axes   20^3    28^3    32^3    36^3    40^3    48^3    64^3    100^3
+    xyz    +46/+50 +16/+14  -9/+8  -27/-10 -29/-31 -42/-40 -34/-40 -41/-44
+    x      +93/+52 +38/+42  -4/+6  -15/+8  -28/-28 -38/-39 -35/-35 -44/-44
+    ""     +73/+71 +28/+22 -17/-20  -9/+6  -18/-11 -32/-23 -32/-32 -48/-45
+
+40^3 to 47^3 stay on one thread: they see one grading per grid of a convergence
+study, where threading saves ~2 ms and costs ~0.5 MiB for starting the worker.
 
 The index ranges of each squared sum are not arbitrary: they are exactly the
 sets on which the corresponding half-update equation holds, which is what
@@ -38,15 +52,18 @@ thread-count variation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # rotate_state is unused here; perfbench traces this name to count rotation copies
 from .grid import FieldState, GridSpec, Medium, check_extents, rotate_state  # noqa: F401
-from .operators import diff, split_curl_neg, split_curl_pos, time_diff
+from .operators import diff, time_diff
+from .stepper import on_two_threads, two_threads
 
 _AXES = {"x": 0, "y": 1, "z": 2}
+_THREAD_MIN = 48 ** 3  # grid cells from which state_sums runs its H half on the worker
 
 
 def _ssq(a: np.ndarray, buf: np.ndarray | None = None) -> float:
@@ -57,14 +74,15 @@ def _ssq(a: np.ndarray, buf: np.ndarray | None = None) -> float:
     return float(np.add.reduce(np.square(a, out=out), axis=None))  # np.sum, less overhead
 
 
-def _dssq(u: np.ndarray, axis: int, h: float, idx: tuple, buf: np.ndarray) -> float:
-    """_ssq of diff(u, axis) restricted to the index tuple `idx`, formed in `buf`
-    (the 1/h^2 is applied to the sum, not to every entry)."""
-    start, stop, _ = idx[axis].indices(u.shape[axis] - 1)
+def _dssq(u: np.ndarray, a: int, grid: GridSpec, buf: np.ndarray, *roles) -> float:
+    """_ssq of diff(u, a) on `_ix(a, *roles)`, formed in `buf`; 1/h^2 scales the sum only."""
+    idx = _ix(a, *roles)
+    start, stop, _ = idx[a].indices(u.shape[a] - 1)
     hi, lo = list(idx), list(idx)
-    hi[axis], lo[axis] = slice(start + 1, stop + 1), slice(start, stop)
+    hi[a], lo[a] = slice(start + 1, stop + 1), slice(start, stop)
     upper, lower = u[tuple(hi)], u[tuple(lo)]
-    return _ssq(np.subtract(upper, lower, out=buf[:upper.size].reshape(upper.shape)), buf) / h**2
+    out = np.subtract(upper, lower, out=buf[:upper.size].reshape(upper.shape))
+    return _ssq(out, buf) / grid.spacing(a)**2
 
 
 def _ix(a: int, *roles) -> tuple:
@@ -149,73 +167,83 @@ def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz"
     """Every quadratic functional of `state` in one pass: the L2-type energy and
     its parts, and the directional H1-type energies along `axes`."""
     check_extents(state, grid)
-    nx, ny, nz = grid.cells
-    eps, mu, dv = med.eps, med.mu, grid.dv
-    buf = np.empty((nx + 1) * (ny + 1) * (nz + 1))
-    hx, hy, hz = state.h_triple()
-    pos = split_curl_pos(state.e_triple(), grid)
-    # curl_neg H is only ever read on the E sets: drop the H planes that miss them
-    neg = split_curl_neg((hx[1:nx], hy[:, 1:ny], hz[:, :, 1:nz]), grid)
-    neg_sq = [_ssq(c, buf) for c in neg]
-    h1 = {axis: _h1(state, pos, neg, neg_sq, _AXES[axis], med, grid, buf) for axis in axes}
-    e_sq = electric_norm_sq(state.e_triple(), eps, grid, buf)
-    h_sq = magnetic_norm_sq(state.h_triple(), mu, grid, buf)
-    curl_neg_h = mu * dv * sum(neg_sq)
-    # the last read of the cyclic pieces, so they are squared in place
-    curl_pos_e = eps * dv * sum(_ssq(p, p.reshape(-1)) for p in pos)
-    q = grid.dt ** 2 / (4.0 * eps * mu)
+    idx = [_AXES[axis] for axis in axes]
+    size = max(m.size for m in state.h_triple())  # every piece and square fits in it
+    threaded = two_threads(math.prod(grid.cells), _THREAD_MIN)
+    e_scratch = (np.empty(size), np.empty(size))  # (piece, buffer), the worker's made here too
+    h_scratch = (np.empty(size), np.empty(size)) if threaded else e_scratch
+    e_half = lambda: _e_half(state, med, grid, idx, *e_scratch)
+    h_half = lambda: _h_half(state, med, grid, idx, *h_scratch)
+    (e_sq, curl_pos_e, e_h1), (h_sq, curl_neg_h, h_h1) = (
+        on_two_threads(e_half, h_half) if threaded else (e_half(), h_half()))
+    q, by_axis = grid.dt ** 2 / (4.0 * med.eps * med.mu), {}
+    for axis, a in zip(axes, idx):
+        (vol_e, pert_e, (fe1, fe2)), (vol_h, pert_h, (fh1, fh2)) = e_h1[a], h_h1[a]
+        vol, pert, fpert = vol_e + vol_h, pert_h + pert_e, fh1 + fe1 + fh2 + fe2  # i' = 1, nx-1
+        faces = sum(face_norm_sq(state, axis, med, grid))  # planes, not lattices: on this thread
+        h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
+        by_axis[axis] = (grid.dv * vol + faces,
+                         grid.dv * (vol + q * pert) + faces + q * (h1 * h2 / h0) * fpert)
     l2_core = e_sq + h_sq
     return StateSums(e_sq, h_sq, curl_pos_e, curl_neg_h, l2_core,
-                     l2_core + q * (curl_neg_h + curl_pos_e), h1)
+                     l2_core + q * (curl_neg_h + curl_pos_e), by_axis)
 
 
-def _h1(state: FieldState, pos, neg, neg_sq, a: int, med: Medium, grid: GridSpec,
-        buf: np.ndarray) -> tuple[float, float]:
-    """(core, full) H1-type energy along axis a from the curl pieces; neg_sq[k] = ssq(neg[k]).
+def _by_piece(pieces, roles, axes, grid: GridSpec, piece: np.ndarray, buf: np.ndarray):
+    """Each piece k = diff(*pieces[k]), formed in `piece` in turn: its sum of squares and, per
+    axis a, its d_a sum and plain sums over the index roles roles(n0, n1, n2)[(k - a) % 3]."""
+    sq, by_role = [], {a: [()] * 3 for a in axes}
+    for k, (u, axis) in enumerate(pieces):
+        shape = tuple(m - (d == axis) for d, m in enumerate(u.shape))
+        p = diff(u, axis, grid, out=piece[:math.prod(shape)].reshape(shape))
+        for a in axes:
+            r = (k - a) % 3
+            diffed, *plain = roles(*_roles(grid.cells, a))[r]
+            by_role[a][r] = (_dssq(p, a, grid, buf, *diffed),
+                             *(_ssq(p[_ix(a, *s)], buf) for s in plain))
+        sq.append(_ssq(p, piece))  # the piece's last read, so it is squared in place
+    return sq, by_role
 
-    Written for a = 0 (x) with roles: `_ix(a, s0, s1, s2)` puts s_r on array
-    axis (a + r) % 3, and e0, e1, e2 are (ex, ey, ez) for a = 0.
-    """
-    n0, n1, n2 = _roles(grid.cells, a)
-    h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
-    e0, _, e2 = _roles(state.e_triple(), a)
-    m0, m1, _ = _roles(state.h_triple(), a)
-    p0, p1, p2 = _roles(pos, a)      # (d_y e2, d_z e0, d_x e1) in roles
-    c0, c1, c2 = _roles(neg, a)      # (d_z m1, d_x m2, d_y m0), trimmed on roles 1, 2, 0
-    eps, mu = med.eps, med.mu
-    q = grid.dt ** 2 / (4.0 * eps * mu)
-    every, inner = slice(None), slice(1, n0 - 1)
-    ix = lambda *roles: _ix(a, *roles)
-    d0 = lambda u, *roles: _dssq(u, a, h0, ix(*roles), buf)
 
-    # x-differenced component energies.  Each sum runs over the set where the
-    # x-differenced update equation for that component holds: E components on
-    # their interior sets, H components with wall-adjacent x entries dropped
-    # (those pencils are accounted for by the wall-plane terms below).
-    vol = eps * (d0(e0, every, slice(1, n1), slice(1, n2))      # integer x in [1, nx-1]
-                 + _ssq(p2[ix(inner, every, slice(1, n2))], buf)  # half x in [3/2, nx-3/2]
-                 + d0(e2, inner, slice(1, n1)))
-    vol += mu * (d0(m0, inner)
-                 + d0(m1, every, slice(1, n1))
-                 + _roles(neg_sq, a)[1])                    # d_x m2 is the piece c1
+def _e_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) -> tuple:
+    """e_sq, curl_pos_e and, per axis, the E parts (vol, pert, fpert) of the H1 sums."""
+    e, eps, every = state.e_triple(), med.eps, slice(None)
+    # roles of (d_y e2, d_z e0, d_x e1): d_x sums; H planes i' = 1, nx-1; d_x e1's vol term
+    roles = lambda n0, n1, n2: (
+        ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((every, slice(1, n1)),),
+        ((every, every, slice(1, n2)), (slice(1, n0 - 1), every, slice(1, n2))))
+    sq, by_role = _by_piece([(e[2], 1), (e[0], 2), (e[1], 0)], roles, axes, grid, piece, buf)
+    parts = {}
+    for a in axes:
+        (t0, f1, f2), (t1,), (t2, v) = by_role[a]
+        n0, n1, n2 = _roles(grid.cells, a)
+        e0, _, e2 = _roles(e, a)
+        # x-differenced energies on the sets where their update equations hold:
+        # integer x in [1, nx-1], half x in [3/2, nx-3/2] (d_x ey), then ez
+        vol = eps * (_dssq(e0, a, grid, buf, every, slice(1, n1), slice(1, n2)) + v
+                     + _dssq(e2, a, grid, buf, slice(1, n0 - 1), slice(1, n1)))
+        parts[a] = (vol, eps * (t0 + t1 + t2), (eps * f1, eps * f2))
+    return electric_norm_sq(e, eps, grid, buf), eps * grid.dv * sum(sq), parts
 
-    faces = sum(face_norm_sq(state, "xyz"[a], med, grid))
 
-    # dt^2 partners: x-differenced anticyclic curl of H on the E sets and
-    # cyclic curl of E on the H sets, paired term by term with the sums above.
-    pert = mu * (d0(c0) + d0(c1) + d0(c2))
-    pert += eps * (d0(p0, inner)
-                   + d0(p1, every, slice(1, n1))
-                   + d0(p2, every, every, slice(1, n2)))
-
-    # wall-plane partners: anticyclic-curl slots (d_x hz, d_y hx) on the E
-    # planes, cyclic-curl slot d_y ez on the H planes
-    cb = h1 * h2 / h0
-    fpert = 0.0
-    for ip in (1, n0 - 1):
-        fpert += mu * (_ssq(c1[ix(ip - 1)], buf) + _ssq(c2[ix(ip - 1)], buf))
-        fpert += eps * _ssq(p0[ix(ip)], buf)
-    return grid.dv * vol + faces, grid.dv * (vol + q * pert) + faces + q * cb * fpert
+def _h_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) -> tuple:
+    """h_sq, curl_neg_h and, per axis, the H parts (vol, pert, fpert) of the H1 sums."""
+    m, mu, every = state.h_triple(), med.mu, slice(None)
+    # roles of (d_z m1, d_x m2, d_y m0), trimmed to the E sets (the only ones read): d_x
+    # sums; the planes i' - 1 next to the E planes
+    roles = lambda n0, n1, n2: (((),), ((), (0,), (n0 - 2,)), ((), (0,), (n0 - 2,)))
+    sq, by_role = _by_piece([(m[1][:, 1:-1], 2), (m[2][:, :, 1:-1], 0), (m[0][1:-1], 1)], roles,
+                            axes, grid, piece, buf)
+    parts = {}
+    for a in axes:
+        (t0,), (t1, g1, g2), (t2, k1, k2) = by_role[a]
+        n0, n1, _ = _roles(grid.cells, a)
+        m0, m1, _ = _roles(m, a)
+        # wall-adjacent x entries dropped: the wall-plane terms hold those pencils
+        vol = mu * (_dssq(m0, a, grid, buf, slice(1, n0 - 1))
+                    + _dssq(m1, a, grid, buf, every, slice(1, n1)) + sq[(a + 1) % 3])
+        parts[a] = (vol, mu * (t0 + t1 + t2), (mu * (g1 + k1), mu * (g2 + k2)))
+    return magnetic_norm_sq(m, mu, grid, buf), mu * grid.dv * sum(sq), parts
 
 
 def energy_l2(state: FieldState, med: Medium, grid: GridSpec) -> float:

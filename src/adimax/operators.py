@@ -14,12 +14,12 @@ import numpy as np
 from .grid import FieldState, GridSpec
 
 
-def diff(u: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
+def diff(u: np.ndarray, axis: int, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     if u.shape[axis] < 2:
         raise ValueError(f"extent {u.shape[axis]} along axis {axis} too small to difference")
     hi = (slice(None),) * axis + (slice(1, None),)
     lo = (slice(None),) * axis + (slice(None, -1),)
-    out = np.subtract(u[hi], u[lo])
+    out = np.subtract(u[hi], u[lo], out=out)
     out /= grid.spacing(axis)
     return out
 

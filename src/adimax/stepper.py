@@ -193,6 +193,23 @@ def _worker():
 os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
+def two_threads(cells: int, min_cells: int) -> bool:
+    """Whether work on `cells` grid cells runs on two threads: from min_cells on, on two cores."""
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return cells >= min_cells and len(cores) >= 2
+
+
+def on_two_threads(here, there) -> tuple:
+    """(here(), there()) with there() on the worker thread, which is joined before this
+    returns or raises; `there` calls no name a tracer wraps (see `_sweep`)."""
+    later = _worker().submit(there)
+    try:
+        first = here()
+    finally:
+        later.exception()  # waits for the worker's half, also when this half raised
+    return first, later.result()
+
+
 def _half_update(state: FieldState, grid: GridSpec, med: Medium, stage: int) -> FieldState:
     """One half-update per the stage table in the module docstring.
 
@@ -201,22 +218,17 @@ def _half_update(state: FieldState, grid: GridSpec, med: Medium, stage: int) -> 
     """
     check_extents(state, grid)
     args = (state, grid, med, stage)
-    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if math.prod(grid.cells) < _SPLIT_MIN or len(cores) < 2:
+    if not two_threads(math.prod(grid.cells), _SPLIT_MIN):
         e_new, h_new = [None] * 3, [None] * 3
         _update([(c, 0, n) for c, n in enumerate(grid.cells)], *args, e_new, h_new, _solve_lines,
                 pack=True)
     else:
         e_new = [np.zeros(e.shape) for e in state.e_triple()]
         h_new = [np.empty(x.shape) for x in state.h_triple()]
-        later = _worker().submit(_update, [(c, n // 2, n) for c, n in enumerate(grid.cells)],
-                                 *args, e_new, h_new, _sweep)
-        try:
-            _update([(c, 0, n // 2) for c, n in enumerate(grid.cells)], *args, e_new, h_new,
-                    _solve_lines)
-        finally:
-            later.exception()  # waits for the worker's half, also when this half raised
-        later.result()
+        first = [(c, 0, n // 2) for c, n in enumerate(grid.cells)]
+        second = [(c, n // 2, n) for c, n in enumerate(grid.cells)]
+        on_two_threads(lambda: _update(first, *args, e_new, h_new, _solve_lines),
+                       lambda: _update(second, *args, e_new, h_new, _sweep))
     out = FieldState(*e_new, *h_new, time_level=state.time_level + 0.5)
     # Checking the output attributes a NaN or infinity to the stage that made
     # it, and still catches one in the input: every input entry feeds some

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from adimax import FieldState, Medium, enforce_pec, extent, make_grid, stepper
+from adimax import FieldState, Medium, enforce_pec, extent, make_grid, norms, stepper
 
 
 @pytest.fixture
@@ -39,11 +39,13 @@ def max_component_diff(a: FieldState, b: FieldState) -> float:
 
 
 def force_split(monkeypatch) -> list[int]:
-    """Run every half-update as two slabs, whatever the grid size and core count.
+    """Run every half-update as two slabs and every `state_sums` as two halves on
+    two threads, whatever the grid size and core count.
 
     Returns a list that collects the thread id of every sweep the worker runs.
     """
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(norms, "_THREAD_MIN", 0)
     monkeypatch.setattr(stepper.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sweep, threads = stepper._sweep, []
 

@@ -1,16 +1,22 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+import tracemalloc
 from dataclasses import astuple, fields
 
 import pytest
 
 from adimax import (DivergenceReport, EnergyReport, Medium, divergence, energy_h1, energy_l2,
-                    energy_report, energy_suite, face_norm_sq, make_grid, metrics, sample_exact,
-                    step, time_diff, zero_state)
+                    energy_report, energy_suite, enforce_pec, face_norm_sq, make_grid, metrics,
+                    norms, sample_exact, step, time_diff, zero_state)
 from adimax.harness import _OutDir, format_value
 from adimax.manufactured import ENERGY_TOTAL_SQ, OMEGA
 from adimax.norms import electric_norm_sq, magnetic_norm_sq, state_sums
 
-from conftest import grid3, grid4, random_state
+from conftest import force_split, grid3, grid4, random_state
 from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, face_norm_loop, lincomb,
                      norm_e_loop, norm_h_loop)
 
@@ -230,3 +236,171 @@ def test_face_norm_requires_three_cells():
     # face_norm_sq never collide
     with pytest.raises(ValueError):
         make_grid(2, 4, 4, 0.1)
+
+
+# --- state_sums on two threads ----------------------------------------------
+
+_SUM_GRIDS = [
+    pytest.param((12, 20, 9), 0.7, Medium(eps=2.5, mu=0.4), id="12x20x9"),
+    pytest.param((3, 4, 5), 1.7, Medium(), id="3x4x5"),
+    pytest.param((20, 20, 20), 0.4, Medium(), id="20^3"),
+]
+
+
+def _worker_halves(monkeypatch) -> list[int]:
+    """Record the thread id of every H half of `state_sums`."""
+    h_half, threads = norms._h_half, []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return h_half(*args)
+
+    monkeypatch.setattr(norms, "_h_half", recording)
+    return threads
+
+
+@pytest.mark.parametrize("axes", ["", "x", "xyz"], ids=["none", "x", "xyz"])
+@pytest.mark.parametrize("cells, dt, med", _SUM_GRIDS)
+def test_threaded_sums_are_the_single_thread_sums(cells, dt, med, axes, rng, monkeypatch):
+    g = make_grid(*cells, dt)
+    s = random_state(g, rng)
+    halves = _worker_halves(monkeypatch)
+    force_split(monkeypatch)
+    monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+    alone = state_sums(s, med, g, axes)
+    assert halves == [threading.get_ident()]
+    monkeypatch.setattr(norms, "_THREAD_MIN", 0)
+    assert state_sums(s, med, g, axes) == alone  # every field, each float with ==
+    assert len(halves) == 2 and halves[1] != threading.get_ident()
+
+
+def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    prev = enforce_pec(sample_exact(0.0, g, med))
+    curr = step(prev, g, med)
+
+    def tick():
+        return (energy_report(curr, prev, med, g), energy_suite(curr, prev, med, g),
+                metrics(curr, prev, g, med))
+
+    force_split(monkeypatch)
+    monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+    alone = tick()
+    monkeypatch.setattr(norms, "_THREAD_MIN", 0)
+    assert tick() == alone
+
+
+@pytest.mark.parametrize("threaded, bound", [(False, 0.38), (True, 0.75)],
+                         ids=["single", "threaded"])
+def test_state_sums_scratch_stays_under_bound(threaded, bound, monkeypatch):
+    """Scratch peak of one pass on 40^3, in field states: a piece and a buffer, each
+    the size of an H lattice, per half, shared by the halves on one thread."""
+    g = make_grid(40, 40, 40, 0.125)
+    med = Medium()
+    s = step(enforce_pec(sample_exact(0.0, g, med)), g, med)
+    force_split(monkeypatch)
+    monkeypatch.setattr(norms, "_THREAD_MIN", 0 if threaded else 10 ** 9)
+    state_sums(s, med, g)  # the worker is started outside the measurement
+    state_bytes = sum(a.nbytes for _, a in s.components())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state_sums(s, med, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / state_bytes < bound
+
+
+@pytest.mark.parametrize("failing", ["_e_half", "_h_half"], ids=["caller", "worker"])
+def test_threaded_sums_join_the_worker_before_raising(failing, rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    s = random_state(g, rng)
+    want = state_sums(s, med, g)
+    force_split(monkeypatch)
+    other = "_h_half" if failing == "_e_half" else "_e_half"
+    half, finished = getattr(norms, other), []
+
+    def slow(*args):
+        time.sleep(0.05)
+        out = half(*args)
+        finished.append(other)
+        return out
+
+    def boom(*args):
+        raise ArithmeticError("half failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, other, slow)
+        patch.setattr(norms, failing, boom)
+        with pytest.raises(ArithmeticError, match="half failed"):
+            state_sums(s, med, g)
+        assert finished == [other]
+    assert state_sums(s, med, g) == want  # the worker is idle again
+
+
+def test_threaded_sums_from_more_callers_than_cores(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    states = [random_state(g, rng) for _ in range(4)]
+    want = [state_sums(s, med, g) for s in states]
+    halves = _worker_halves(monkeypatch)
+    force_split(monkeypatch)
+    got = [None] * len(states)
+
+    def caller(i):
+        got[i] = [state_sums(states[i], med, g) for _ in range(5)]
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(halves) == 5 * len(states)
+    assert got == [[w] * 5 for w in want]
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with a live thread
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_computes_threaded_sums(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    s = random_state(g, rng)
+    want = state_sums(s, med, g)
+    halves = _worker_halves(monkeypatch)
+    force_split(monkeypatch)
+    assert state_sums(s, med, g) == want  # the parent's worker is running now
+    assert halves and threading.get_ident() not in halves
+
+    def child():
+        halves.clear()
+        assert state_sums(s, med, g) == want
+        assert halves and threading.get_ident() not in halves
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child did not finish its sums within 60 s")
+    assert proc.exitcode == 0
+
+
+def test_split_step_and_threaded_tick_share_one_worker(rng, monkeypatch):
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    workers = force_split(monkeypatch)
+    halves = _worker_halves(monkeypatch)
+    s = step(random_state(g, rng), g, med)
+    energy_report(step(s, g, med), s, med, g)
+    assert set(workers) == set(halves) and threading.get_ident() not in workers
+    assert sum(t.name.startswith("adimax-slab") for t in threading.enumerate()) == 1
