@@ -12,8 +12,10 @@ the step that made it.
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
 resolved values of the keys its kind reads, reparseable) and `MANIFEST` (the
-files written).  Every CSV goes through `_OutDir.write_csv`, and every cell
-through `format_value`: 17 significant digits, so CSVs round-trip exactly.
+files written).  Every CSV goes through `_OutDir.write_csv` as rows that map
+column labels to values, each value read beside its label from the records the
+tick functionals return, and every cell through `format_value`: 17 significant
+digits, so CSVs round-trip exactly.
 
 The RunConfig fields are the one schema of the config keys: each carries the
 parser of its text value, the kinds that read it and the help of its flag
@@ -25,14 +27,13 @@ the kind does not read must hold its default.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .grid import GridSpec, Medium, enforce_pec, make_grid, write_snapshot, zero_state
-from .manufactured import (ErrorMetrics, energy_constants, metrics, observed_rate, sample_exact,
+from .manufactured import (energy_constants, metrics, observed_rate, sample_exact,
                            sample_semidiscrete)
-from .norms import (DivergenceReport, EnergyReport, divergence, energy_l2, energy_report,
-                    energy_suite)
+from .norms import DivergenceReport, StateSums, divergence, energy_l2, energy_report, energy_suite
 from .stepper import NonFiniteFieldError, stage1, stage2
 
 KINDS = ("run", "energy-audit", "converge-time", "converge-space", "divergence-audit",
@@ -209,10 +210,11 @@ class _OutDir:
         (self.path / name).write_text(text)
         self.names.append(name)
 
-    def write_csv(self, name: str, columns, rows) -> None:
-        """A CSV with the header `columns` and one line per sequence of values in `rows`."""
-        lines = (",".join(map(format_value, row)) for row in rows)
-        self.write_text(name, "\n".join([",".join(columns), *lines]) + "\n")
+    def write_csv(self, name: str, rows: list[dict]) -> None:
+        """A CSV of `rows`, each a dict from column label to value: a header of the
+        first row's labels, then one line of values per row."""
+        lines = (",".join(map(format_value, row.values())) for row in rows)
+        self.write_text(name, "\n".join([",".join(rows[0]), *lines]) + "\n")
 
     def add(self, names) -> None:
         self.names.extend(names)
@@ -260,20 +262,8 @@ def _ticks(n_steps: int, cadence: int):
 class RunResult:
     config: RunConfig
     courant: float
-    energy: list[EnergyReport]
-    diverg: list[DivergenceReport]
-    errors: list[ErrorMetrics]
+    rows: list[dict]  # the run.csv rows, keyed by column label
     files: list[str] = field(default_factory=list)
-
-
-_DIV_COLUMNS = ("time_level", "DivE_Linf", "DivE_L2", "DivH_Linf", "DivH_L2")
-# the EnergyReport fields, then the DivergenceReport and ErrorMetrics fields but
-# time_level, with the level's own norms against the mode constants (_ratio) after
-# ErrH and after ERRt2_n
-_RUN_COLUMNS = ("time_level", "Q_h1x", "Q_h1y", "Q_h1z", "Q_l2", "E_sq", "H_sq", "CurlPosE_sq",
-                "CurlNegH_sq", "Q_h1tx", "Q_h1ty", "Q_h1tz", "Q_l2t", *_DIV_COLUMNS[1:],
-                "ERR0_n", "ERR1_n", "ERR2_n", "ErrE", "ErrH", "EH1_n", "EH2_n",
-                "ERRt1_n", "ERRt2_n", "EHt1_n", "EHt2_n")
 
 
 def _ratio(value_sq, const):
@@ -281,42 +271,40 @@ def _ratio(value_sq, const):
     return None if value_sq is None else math.sqrt(value_sq / const)
 
 
+def _div_cells(d: DivergenceReport) -> dict:
+    """The divergence columns of a report, by label."""
+    return {"DivE_Linf": d.div_e_linf, "DivE_L2": d.div_e_l2, "DivH_Linf": d.div_h_linf,
+            "DivH_L2": d.div_h_l2}
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     k = energy_constants(med)
-    energy, diverg, errors, rows = [], [], [], []
+    rows = []
     for n, prev, state in _trajectory(cfg, grid):
         if n not in ticks:
             continue
-        e = energy_report(state, prev, med, grid)
-        d = divergence(state, med, grid)
+        s, d = energy_report(state, prev, med, grid)  # d: the sums of (state - prev)/dt
+        div = divergence(state, med, grid)
         m = metrics(state, prev, grid, med)
-        energy.append(e)
-        diverg.append(d)
-        errors.append(m)
-        rows.append([*astuple(e), *astuple(d)[1:], m.eh0, m.eh1, m.eh2, m.err_e, m.err_h,
-                     _ratio(e.h1_x, k["grad"]), _ratio(e.l2, k["total"]), m.eht1, m.eht2,
-                     _ratio(e.h1t_x, k["grad_time"]), _ratio(e.l2t, k["time"])])
-    out.write_csv("run.csv", _RUN_COLUMNS, rows)
+        h1t = {a: None if d is None else d.h1[a][1] for a in "xyz"}
+        l2t = None if d is None else d.l2
+        rows.append({
+            "time_level": state.time_level, "Q_h1x": s.h1["x"][1], "Q_h1y": s.h1["y"][1],
+            "Q_h1z": s.h1["z"][1], "Q_l2": s.l2, "E_sq": s.e_sq, "H_sq": s.h_sq,
+            "CurlPosE_sq": s.curl_pos_e, "CurlNegH_sq": s.curl_neg_h, "Q_h1tx": h1t["x"],
+            "Q_h1ty": h1t["y"], "Q_h1tz": h1t["z"], "Q_l2t": l2t, **_div_cells(div),
+            "ERR0_n": m.eh0, "ERR1_n": m.eh1, "ERR2_n": m.eh2, "ErrE": m.err_e, "ErrH": m.err_h,
+            "EH1_n": _ratio(s.h1["x"][1], k["grad"]), "EH2_n": _ratio(s.l2, k["total"]),
+            "ERRt1_n": m.eht1, "ERRt2_n": m.eht2, "EHt1_n": _ratio(h1t["x"], k["grad_time"]),
+            "EHt2_n": _ratio(l2t, k["time"])})
+    out.write_csv("run.csv", rows)
     if cfg.snapshots and out.path is not None:
         out.add(write_snapshot(state, grid, out.path))
     files = out.finish()
-    return RunResult(cfg, grid.courant(med.eps, med.mu), energy, diverg, errors, files)
-
-
-# functional stem -> (column label, energy_constants key); the core (starred)
-# columns add "s" to the label
-_AUDIT_STEMS = {"norm1": ("EH1", "grad"), "norm1t": ("EHt1", "grad_time"),
-                "norm2": ("EH2", "total"), "norm2t": ("EHt2", "time")}
-# (column, value key) after time_level: full-norm drift, ratio and squared ratio
-# per stem, then core-norm drift and ratio per stem
-_AUDIT_COLUMNS = (
-    [(f"{label}{suffix}", f"{stem}_{kind}") for stem, (label, _) in _AUDIT_STEMS.items()
-     for suffix, kind in (("_n0", "drift"), ("_n", "ratio"), ("_nsq", "ratio_sq"))]
-    + [(f"{label}s{suffix}", f"{stem}_core_{kind}") for stem, (label, _) in _AUDIT_STEMS.items()
-       for suffix, kind in (("_n0", "drift"), ("_n", "ratio"))])
+    return RunResult(cfg, grid.courant(med.eps, med.mu), rows, files)
 
 
 def _drift(value_sq, ref_sq):
@@ -325,50 +313,50 @@ def _drift(value_sq, ref_sq):
     return (math.sqrt(value_sq) - math.sqrt(ref_sq)) / math.sqrt(ref_sq)
 
 
-@dataclass
-class AuditRow:
-    time_level: float
-    values: dict
+def _core_full(sums: StateSums | None, form: str) -> tuple:
+    """(core, full) of the H1-type energy along x ("h1") or of the L2-type one; Nones
+    without sums."""
+    if sums is None:
+        return None, None
+    return sums.h1["x"] if form == "h1" else (sums.l2_core, sums.l2)
 
 
 @dataclass
 class AuditResult:
     config: RunConfig
-    rows: list[AuditRow]
+    rows: list[dict]  # the energy_audit.csv rows, keyed by column label
     files: list[str] = field(default_factory=list)
 
 
 def energy_audit(cfg: RunConfig) -> AuditResult:
-    """Track the experiment energy norms: drifts against the initial level and
-    ratios against the analytic mode constants, full and core (starred) forms."""
+    """Track the experiment energy norms: drifts against level 0 (the time-difference
+    norms: against the (0, 1) pair) and ratios against the analytic mode constants,
+    full and core (starred) forms."""
     out, grid, med = _start(cfg)
-    ref = ref_t = None
     ticks = _ticks(cfg.steps, cfg.cadence)
     k = energy_constants(med)
     rows = []
     for n, prev, state in _trajectory(cfg, grid):
-        if n not in ticks:
-            if ref_t is None:
-                # the drift reference for the time-difference norms is the (0, 1) pair
-                ref_t = energy_suite(state, prev, med, grid)
+        if n > 1 and n not in ticks:
             continue
-        suite = energy_suite(state, prev, med, grid)
-        ref = ref or suite  # the initial level is the drift reference
-        if ref_t is None and suite["norm1t_sq"] is not None:
-            ref_t = suite
-        vals = {}
-        for stem, (_, const) in _AUDIT_STEMS.items():
-            full = suite[f"{stem}_sq"]
-            core = suite[f"{stem}_core_sq"]
-            refs = (ref if stem in ("norm1", "norm2") else ref_t) or {}
-            vals[f"{stem}_drift"] = _drift(full, refs.get(f"{stem}_sq"))
-            vals[f"{stem}_ratio"] = _ratio(full, k[const])
-            vals[f"{stem}_ratio_sq"] = None if full is None else full / k[const]
-            vals[f"{stem}_core_drift"] = _drift(core, refs.get(f"{stem}_core_sq"))
-            vals[f"{stem}_core_ratio"] = _ratio(core, k[const])
-        rows.append(AuditRow(state.time_level, vals))
-    out.write_csv("energy_audit.csv", ["time_level", *(column for column, _ in _AUDIT_COLUMNS)],
-                  ([r.time_level, *(r.values[key] for _, key in _AUDIT_COLUMNS)] for r in rows))
+        s, d = energy_suite(state, prev, med, grid)  # d: the sums of (state - prev)/dt
+        if n <= 1:  # the drift references, on a tick or not: level 0, then the (0, 1) pair
+            level0, pair01 = (s, None) if n == 0 else (level0, d)
+        if n not in ticks:
+            continue
+        # per norm: (label, its (core, full), the reference's (core, full), mode constant)
+        audited = [(label, _core_full(now, form), _core_full(ref, form), k[const])
+                   for label, now, ref, form, const in (
+                       ("EH1", s, level0, "h1", "grad"), ("EHt1", d, pair01, "h1", "grad_time"),
+                       ("EH2", s, level0, "l2", "total"), ("EHt2", d, pair01, "l2", "time"))]
+        row = {"time_level": state.time_level}
+        for label, (_, full), (_, ref), const in audited:
+            row |= {f"{label}_n0": _drift(full, ref), f"{label}_n": _ratio(full, const),
+                    f"{label}_nsq": None if full is None else full / const}
+        for label, (core, _), (ref, _), const in audited:  # the core norms: starred, "s"
+            row |= {f"{label}s_n0": _drift(core, ref), f"{label}s_n": _ratio(core, const)}
+        rows.append(row)
+    out.write_csv("energy_audit.csv", rows)
     return AuditResult(cfg, rows, out.finish())
 
 
@@ -423,10 +411,10 @@ def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> Converge
                     rates[key] = observed_rate((getattr(last, key), value), (last.resolution, res))
         rows.append(ConvergenceRow(resolution=res, rates=rates, **values))
     columns = _CONV_COLUMNS + _SEMI_COLUMNS if semi else _CONV_COLUMNS
-    out.write_csv(name, ["resolution", *(col for _, err, rate in columns for col in (err, rate))],
-                  ([row.resolution, *(v for key, _, _ in columns
-                                      for v in (getattr(row, key), row.rates.get(key)))]
-                   for row in rows))
+    out.write_csv(name, [{"resolution": row.resolution,
+                          **{col: v for key, err, rate in columns
+                             for col, v in ((err, getattr(row, key)), (rate, row.rates.get(key)))}}
+                         for row in rows])
     return ConvergenceResult(cfg, rows, out.finish())
 
 
@@ -458,7 +446,8 @@ def divergence_audit(cfg: RunConfig) -> DivergenceResult:
         del prev  # unused; without it only one level lives through the next step
         if n in ticks:
             reports.append(divergence(state, med, grid))
-    out.write_csv("divergence_audit.csv", _DIV_COLUMNS, map(astuple, reports))
+    out.write_csv("divergence_audit.csv",
+                  [{"time_level": r.time_level, **_div_cells(r)} for r in reports])
     return DivergenceResult(cfg, reports, out.finish())
 
 
@@ -490,9 +479,9 @@ def stability(cfg: RunConfig) -> StabilityResult:
         max_drift = max(max_drift, drift)
         max_field = max(max_field, m)
         if n in ticks:
-            rows.append((n, q, drift, m))
+            rows.append({"time_level": n, "Q_l2": q, "drift": drift, "max_field": m})
     passed = bool(max_drift <= DRIFT_TOL and max_field <= GROWTH_FACTOR * max(m0, 1e-300))
-    out.write_csv("stability.csv", ("time_level", "Q_l2", "drift", "max_field"), rows)
+    out.write_csv("stability.csv", rows)
     return StabilityResult(cfg, grid.courant(med.eps, med.mu), passed, max_drift, max_field,
                            m0, out.finish())
 

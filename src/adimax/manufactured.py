@@ -67,21 +67,12 @@ _AMPLITUDE = {
     "hz": 0.25,
 }
 
-# Spatial profile per axis: True -> cos(pi(1-u)), False -> sin(pi(1-u)).
-_PROFILE = {
-    "ex": (True, False, False),
-    "ey": (False, True, False),
-    "ez": (False, False, True),
-    "hx": (False, True, True),
-    "hy": (True, False, True),
-    "hz": (True, True, False),
-}
-
 
 def _profile(comp: str, amplitude, x, y, z):
-    """`amplitude` times the spatial profile of one component (broadcasting)."""
+    """`amplitude` times the spatial profile of one component (broadcasting):
+    cos(pi(1-u)) along the component's half-offset axes, sin(pi(1-u)) along the others."""
     out = amplitude
-    for coord, is_cos in zip((x, y, z), _PROFILE[comp]):
+    for coord, is_cos in zip((x, y, z), HALF_OFFSET[comp]):
         phase = math.pi * (1.0 - np.asarray(coord, dtype=float))
         out = out * (np.cos(phase) if is_cos else np.sin(phase))
     return out

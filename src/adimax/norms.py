@@ -20,7 +20,10 @@ d_x ey), the H half those of H and of (d_z hy, d_x hz, d_y hx), trimmed to the
 E sets.  Each half forms one piece at a time and takes its sums for every axis
 of the pass, by the piece's role (see `energy_h1`), before the next piece reuses
 the array.  The parts, and the wall-plane sums, are then added in a fixed
-order, so the sums are bit for bit the same on one thread or two.
+order, so the sums are bit for bit the same on one thread or two.  A report
+tick takes its functionals as two such records, `energy_report`: the sums of
+a level and of its time difference (`energy_suite`: along x alone).  Which
+sum fills which CSV column is for `harness` alone to say.
 
 From _THREAD_MIN cells on, with two usable cores, the H half runs on the
 stepper's worker and calls no name a tracer wraps; below it both halves run
@@ -316,50 +319,15 @@ def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceRepo
 # Per-level energy reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Conserved functionals and their building blocks at one time level.
-
-    The dt-variants need the previous whole level; they are None on the first
-    report of a run.  Values are squared energies; take square roots only at
-    the presentation layer.
-    """
-
-    time_level: float
-    h1_x: float
-    h1_y: float
-    h1_z: float
-    l2: float
-    e_sq: float
-    h_sq: float
-    curl_pos_e: float
-    curl_neg_h: float
-    h1t_x: float | None = None
-    h1t_y: float | None = None
-    h1t_z: float | None = None
-    l2t: float | None = None
+def energy_report(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,
+                  axes: str = "xyz") -> tuple[StateSums, StateSums | None]:
+    """The sums of `curr` and, when `prev` is given, of (curr - prev)/dt (else None);
+    one pass per state."""
+    now = state_sums(curr, med, grid, axes)
+    return now, None if prev is None else state_sums(_dt_state(prev, curr, grid), med, grid, axes)
 
 
-def energy_report(curr: FieldState, prev: FieldState | None, med: Medium,
-                  grid: GridSpec) -> EnergyReport:
-    """One pass over `curr` and, when `prev` is given, one over (curr - prev)/dt."""
-    s = state_sums(curr, med, grid)
-    dt_part = ()
-    if prev is not None:
-        d = state_sums(_dt_state(prev, curr, grid), med, grid)
-        dt_part = (*(d.h1[a][1] for a in "xyz"), d.l2)
-    return EnergyReport(curr.time_level, *(s.h1[a][1] for a in "xyz"), s.l2, s.e_sq, s.h_sq,
-                        s.curl_pos_e, s.curl_neg_h, *dt_part)
-
-
-def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec) -> dict:
-    """The squared experiment norms: H1-type (x axis) and L2-type, full and core,
-    plus the dt-variants when a previous level is supplied; one pass per state."""
-    s = state_sums(curr, med, grid, axes="x")
-    d = None if prev is None else state_sums(_dt_state(prev, curr, grid), med, grid, axes="x")
-    out = {}
-    for t, sums in (("", s), ("t", d)):
-        keys = (f"norm1{t}_sq", f"norm2{t}_sq", f"norm1{t}_core_sq", f"norm2{t}_core_sq")
-        out.update(dict.fromkeys(keys) if sums is None else
-                   zip(keys, (sums.h1["x"][1], sums.l2, sums.h1["x"][0], sums.l2_core)))
-    return out
+def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium,
+                 grid: GridSpec) -> tuple[StateSums, StateSums | None]:
+    """`energy_report` along the x axis alone: the sums an energy audit reads."""
+    return energy_report(curr, prev, med, grid, axes="x")

@@ -41,20 +41,3 @@ def _check_same_shapes(a: FieldState, b: FieldState) -> None:
         if x.shape != y.shape:
             raise ValueError(f"component {name!r} shapes differ: {x.shape} vs {y.shape}")
 
-
-def split_curl_pos(u: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cyclic half of the discrete curl: (d_y u_z, d_z u_x, d_x u_y).
-
-    Applied to an E-located triple the result lands on H locations and vice
-    versa.  The full curl is split_curl_pos(u) - split_curl_neg(u).
-    """
-    ux, uy, uz = u
-    return (diff(uz, 1, grid), diff(ux, 2, grid), diff(uy, 0, grid))
-
-
-def split_curl_neg(u: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anticyclic half of the discrete curl: (d_z u_y, d_x u_z, d_y u_x)."""
-    ux, uy, uz = u
-    return (diff(uy, 2, grid), diff(uz, 0, grid), diff(ux, 1, grid))

@@ -76,6 +76,24 @@ def lincomb(a: float, s: FieldState, b: float, t: FieldState,
     return FieldState(*arrays, time_level=s.time_level if time_level is None else time_level)
 
 
+def split_curl_pos(u, grid):
+    """Cyclic half of the discrete curl, (d_y u_z, d_z u_x, d_x u_y), by np.diff.
+
+    Applied to an E-located triple the result lands on H locations and vice
+    versa.  The full curl is split_curl_pos(u) - split_curl_neg(u).
+    """
+    ux, uy, uz = u
+    return (np.diff(uz, axis=1) / grid.dy, np.diff(ux, axis=2) / grid.dz,
+            np.diff(uy, axis=0) / grid.dx)
+
+
+def split_curl_neg(u, grid):
+    """Anticyclic half of the discrete curl, (d_z u_y, d_x u_z, d_y u_x), by np.diff."""
+    ux, uy, uz = u
+    return (np.diff(uy, axis=2) / grid.dz, np.diff(uz, axis=0) / grid.dx,
+            np.diff(ux, axis=1) / grid.dy)
+
+
 def rotate_grid(grid: GridSpec) -> GridSpec:
     """Grid under the cyclic axis map (x, y, z) -> (y, z, x)."""
     return replace(grid, nx=grid.ny, ny=grid.nz, nz=grid.nx)

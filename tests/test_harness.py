@@ -9,13 +9,13 @@ import adimax.harness as harness
 from adimax import grid as grid_module
 from adimax import manufactured, norms, stepper
 from adimax import (divergence, electric_norm_sq, energy_h1, energy_l2, enforce_pec,
-                    magnetic_norm_sq, metrics, sample_exact, split_curl_neg, split_curl_pos, step,
-                    time_diff)
+                    magnetic_norm_sq, metrics, sample_exact, step, time_diff)
 from adimax import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                     emit_config, energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
 
 from conftest import force_split
+from oracles import split_curl_neg, split_curl_pos
 
 
 def desk_cfg(tmp_path, **kw):
@@ -171,7 +171,7 @@ def test_run_writes_expected_files(tmp_path):
     echoed = parse_config(out / "config.echo")
     assert echoed == cfg
     # rows at levels 0, 2, 4, 6, 8, 10
-    assert len(result.energy) == 6
+    assert len(result.rows) == 6
     assert result.courant == pytest.approx(cfg.to_grid().courant(), rel=1e-12)
 
 
@@ -187,21 +187,17 @@ def test_run_is_deterministic(tmp_path):
 
 def test_run_energy_drift_small(tmp_path):
     result = run(desk_cfg(tmp_path, dt=0.05, T=1.0, cadence=5))
-    q0 = result.energy[0].l2
-    for rep in result.energy[1:]:
-        assert abs(rep.l2 - q0) / q0 <= 1e-11
-        for axis_val, ref in (("h1_x", result.energy[0].h1_x),
-                              ("h1_y", result.energy[0].h1_y),
-                              ("h1_z", result.energy[0].h1_z)):
-            assert abs(getattr(rep, axis_val) - ref) / ref <= 1e-11
+    first = result.rows[0]
+    for row in result.rows[1:]:
+        for col in ("Q_l2", "Q_h1x", "Q_h1y", "Q_h1z"):
+            assert abs(row[col] - first[col]) / first[col] <= 1e-11
 
 
 def test_run_zero_init_gives_zero_reports(tmp_path):
     result = run(desk_cfg(tmp_path, init="zero"))
-    for rep in result.energy:
-        assert rep.l2 == 0.0 and rep.h1_x == 0.0
-    for rep in result.diverg:
-        assert rep.div_e_linf == 0.0 and rep.div_h_l2 == 0.0
+    for row in result.rows:
+        assert row["Q_l2"] == 0.0 and row["Q_h1x"] == 0.0
+        assert row["DivE_Linf"] == 0.0 and row["DivH_L2"] == 0.0
 
 
 def test_run_snapshots_round_trip(tmp_path):
@@ -315,11 +311,10 @@ def test_run_reports_nonfinite_made_in_the_workers_half(tmp_path, monkeypatch):
 def test_energy_audit_drift_columns(tmp_path):
     cfg = desk_cfg(tmp_path, kind="energy-audit", dt=0.05, T=1.0, cadence=4)
     result = energy_audit(cfg)
-    assert result.rows[0].values["norm1_drift"] == 0.0
+    assert result.rows[0]["EH1_n0"] == 0.0
     for row in result.rows[1:]:
-        for key in ("norm1_drift", "norm2_drift", "norm1t_drift", "norm2t_drift",
-                    "norm1_core_drift", "norm2_core_drift"):
-            assert abs(row.values[key]) <= 1e-11
+        for key in ("EH1_n0", "EH2_n0", "EHt1_n0", "EHt2_n0", "EH1s_n0", "EH2s_n0"):
+            assert abs(row[key]) <= 1e-11
     header = (tmp_path / "out" / "energy_audit.csv").read_text().splitlines()[0]
     assert header.split(",")[:4] == ["time_level", "EH1_n0", "EH1_n", "EH1_nsq"]
 
@@ -329,9 +324,8 @@ def test_energy_audit_ratios_near_one(tmp_path):
     cfg = desk_cfg(tmp_path, kind="energy-audit", nx=32, ny=32, nz=32, dt=0.05, T=0.5,
                    cadence=10)
     result = energy_audit(cfg)
-    last = result.rows[-1].values
-    for key in ("norm1_core_ratio", "norm2_core_ratio", "norm1_ratio", "norm2_ratio",
-                "norm1t_core_ratio", "norm2t_core_ratio", "norm1t_ratio", "norm2t_ratio"):
+    last = result.rows[-1]
+    for key in ("EH1s_n", "EH2s_n", "EH1_n", "EH2_n", "EHt1s_n", "EHt2s_n", "EHt1_n", "EHt2_n"):
         assert last[key] == pytest.approx(1.0, abs=1e-2)
 
 
@@ -476,6 +470,73 @@ def test_audit_tick_reads_each_state_once(tmp_path, monkeypatch):
                 _assert_close(got, value, (n, label))
 
 
+# --- every column of a tick, exactly from its source --------------------------
+
+_TICK_GRID = dict(nx=6, ny=7, nz=8, dt=0.1, T=0.5, eps=2.5, mu=0.4)
+
+
+def _last_row(path) -> dict:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))[-1]
+
+
+def _assert_cells(row: dict, want: dict):
+    """Every cell of `row` is its value in `want`, bit for bit through the 17-digit text."""
+    assert list(row) == list(want)
+    for label, value in want.items():
+        assert float(row[label]) == value, (label, row[label], value)
+
+
+def test_run_csv_columns_are_their_sources(tmp_path):
+    cfg = desk_cfg(tmp_path, **_TICK_GRID, cadence=1)
+    run(cfg)
+    grid, med, states = _trajectory(cfg)
+    prev, curr = states[-2:]
+    s = norms.state_sums(curr, med, grid)
+    d = norms.state_sums(time_diff(curr, prev, grid.dt), med, grid)
+    div = divergence(curr, med, grid)
+    m = metrics(curr, prev, grid, med)
+    k = manufactured.energy_constants(med)
+    _assert_cells(_last_row(tmp_path / "out" / "run.csv"), {
+        "time_level": cfg.steps, "Q_h1x": s.h1["x"][1], "Q_h1y": s.h1["y"][1],
+        "Q_h1z": s.h1["z"][1], "Q_l2": s.l2, "E_sq": s.e_sq, "H_sq": s.h_sq,
+        "CurlPosE_sq": s.curl_pos_e, "CurlNegH_sq": s.curl_neg_h, "Q_h1tx": d.h1["x"][1],
+        "Q_h1ty": d.h1["y"][1], "Q_h1tz": d.h1["z"][1], "Q_l2t": d.l2,
+        "DivE_Linf": div.div_e_linf, "DivE_L2": div.div_e_l2, "DivH_Linf": div.div_h_linf,
+        "DivH_L2": div.div_h_l2, "ERR0_n": m.eh0, "ERR1_n": m.eh1, "ERR2_n": m.eh2,
+        "ErrE": m.err_e, "ErrH": m.err_h, "EH1_n": math.sqrt(s.h1["x"][1] / k["grad"]),
+        "EH2_n": math.sqrt(s.l2 / k["total"]), "ERRt1_n": m.eht1, "ERRt2_n": m.eht2,
+        "EHt1_n": math.sqrt(d.h1["x"][1] / k["grad_time"]), "EHt2_n": math.sqrt(d.l2 / k["time"])})
+
+
+@pytest.mark.parametrize("cadence", [1, 3], ids=["step-1-ticks", "step-1-between-ticks"])
+def test_audit_csv_columns_are_their_sources(tmp_path, cadence):
+    cfg = desk_cfg(tmp_path, kind="energy-audit", **_TICK_GRID, cadence=cadence)
+    energy_audit(cfg)
+    grid, med, states = _trajectory(cfg)
+    sums = lambda n: norms.state_sums(states[n], med, grid, axes="x")
+    dsums = lambda n: norms.state_sums(time_diff(states[n], states[n - 1], grid.dt), med, grid,
+                                       axes="x")
+    # the last level and its time difference; the references level 0 and the (0, 1) pair
+    s, d, s0, d01 = sums(-1), dsums(-1), sums(0), dsums(1)
+    k = manufactured.energy_constants(med)
+    drift = lambda v, r: (math.sqrt(v) - math.sqrt(r)) / math.sqrt(r)
+    want = {"time_level": cfg.steps}
+    for label, (core, full), (ref_core, ref_full), const in (
+            ("EH1", s.h1["x"], s0.h1["x"], k["grad"]),
+            ("EHt1", d.h1["x"], d01.h1["x"], k["grad_time"]),
+            ("EH2", (s.l2_core, s.l2), (s0.l2_core, s0.l2), k["total"]),
+            ("EHt2", (d.l2_core, d.l2), (d01.l2_core, d01.l2), k["time"])):
+        want |= {f"{label}_n0": drift(full, ref_full), f"{label}_n": math.sqrt(full / const),
+                 f"{label}_nsq": full / const,
+                 f"{label}s_n0": drift(core, ref_core), f"{label}s_n": math.sqrt(core / const)}
+    columns = ["time_level", *(f"{label}{suffix}" for label in ("EH1", "EHt1", "EH2", "EHt2")
+                               for suffix in ("_n0", "_n", "_nsq")),
+               *(f"{label}s{suffix}" for label in ("EH1", "EHt1", "EH2", "EHt2")
+                 for suffix in ("_n0", "_n"))]
+    _assert_cells(_last_row(tmp_path / "out" / "energy_audit.csv"), {c: want[c] for c in columns})
+
+
 @pytest.mark.parametrize("kind, lists", [("converge-time", dict(dt_list=(0.1, 0.05))),
                                          ("converge-space", dict(grid_list=(4, 6)))],
                          ids=["converge-time", "converge-space"])
@@ -544,9 +605,9 @@ def test_nonunit_medium_errors_and_ratios(tmp_path):
     for row in run_csv[1:]:
         assert float(row[cols[0]]) == pytest.approx(1.0, abs=2e-2)
         assert float(row[cols[1]]) == pytest.approx(1.0, abs=5e-3)
-    k, last = manufactured.energy_constants(result.config.to_medium()), result.energy[-1]
-    assert [float(run_csv[-1][c]) for c in cols] == [math.sqrt(last.h1_x / k["grad"]),
-                                                      math.sqrt(last.l2 / k["total"])]
+    k, last = manufactured.energy_constants(result.config.to_medium()), result.rows[-1]
+    assert [float(run_csv[-1][c]) for c in cols] == [math.sqrt(last["Q_h1x"] / k["grad"]),
+                                                      math.sqrt(last["Q_l2"] / k["total"])]
 
 
 # --- divergence audit ------------------------------------------------------

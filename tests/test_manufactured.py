@@ -164,9 +164,9 @@ def test_metrics_zero_for_exact_samples(medium):
     assert m.eh2 <= 1e-13
     assert m.eht1 is None
     # full-norm ratios carry the dt^2 perturbation and O(h^2) quadrature terms
-    rep = energy_report(sample_exact(0.0, g), None, medium, g)
-    assert math.sqrt(rep.l2 / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=5e-3)
-    assert math.sqrt(rep.h1_x / ENERGY_GRAD_SQ) == pytest.approx(1.0, abs=2e-2)
+    now, _ = energy_report(sample_exact(0.0, g), None, medium, g)
+    assert math.sqrt(now.l2 / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=5e-3)
+    assert math.sqrt(now.h1["x"][1] / ENERGY_GRAD_SQ) == pytest.approx(1.0, abs=2e-2)
     # without the perturbation the lattice sums are alias free: exact to round-off
     core = state_sums(sample_exact(0.0, g), medium, g).l2_core
     assert math.sqrt(core / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=1e-12)
@@ -179,9 +179,9 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
     m = metrics(s1, s0, g, medium)
     for value in (m.eh0, m.eh1, m.eh2, m.eht1, m.eht2):
         assert 0 < value < 0.1
-    rep = energy_report(s1, s0, medium, g)
-    assert math.sqrt(rep.h1t_x / ENERGY_GRAD_TIME_SQ) == pytest.approx(1.0, abs=0.05)
-    assert math.sqrt(rep.l2t / ENERGY_TIME_SQ) == pytest.approx(1.0, abs=0.05)
+    _, d = energy_report(s1, s0, medium, g)
+    assert math.sqrt(d.h1["x"][1] / ENERGY_GRAD_TIME_SQ) == pytest.approx(1.0, abs=0.05)
+    assert math.sqrt(d.l2 / ENERGY_TIME_SQ) == pytest.approx(1.0, abs=0.05)
     # the error's time difference, formed in place, has the bits of the linear
     # combination (levels 1 -> 2: the error of level 0 is zero)
     s2 = step(s1, g, medium)

@@ -5,11 +5,10 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import astuple, fields
 
 import pytest
 
-from adimax import (DivergenceReport, EnergyReport, Medium, divergence, energy_h1, energy_l2,
+from adimax import (DivergenceReport, Medium, divergence, energy_h1, energy_l2,
                     energy_report, energy_suite, enforce_pec, face_norm_sq, make_grid, metrics,
                     norms, sample_exact, step, time_diff, zero_state)
 from adimax.harness import _OutDir, format_value
@@ -159,9 +158,9 @@ def test_dt_functionals_zero_for_identical_levels(rng, medium):
     s = random_state(g, rng)
     s2 = s.copy()
     s2.time_level = 1.0
-    rep = energy_report(s2, s, medium, g)
-    assert rep.l2t == 0.0
-    assert rep.h1t_x == 0.0
+    _, d = energy_report(s2, s, medium, g)
+    assert d.l2 == 0.0
+    assert d.h1["x"][1] == 0.0
 
 
 def test_dt_functionals_reject_non_consecutive_levels(rng, medium):
@@ -198,17 +197,18 @@ def test_energy_report_and_csv(tmp_path, rng, medium):
     g = grid3(0.4)
     s0 = random_state(g, rng)
     s1 = step(s0, g, medium)
-    rep0 = energy_report(s0, None, medium, g)
-    assert rep0.h1t_x is None and rep0.l2t is None
-    rep1 = energy_report(s1, s0, medium, g)
-    assert rep1.l2t is not None and rep1.l2t > 0
-    _OutDir(tmp_path).write_csv("energy.csv", [f.name for f in fields(EnergyReport)],
-                                [astuple(rep0), astuple(rep1)])
+    now0, d0 = energy_report(s0, None, medium, g)
+    assert d0 is None and now0 == state_sums(s0, medium, g)
+    now1, d1 = energy_report(s1, s0, medium, g)
+    assert d1 == state_sums(time_diff(s1, s0, g.dt), medium, g) and d1.l2 > 0
+    _OutDir(tmp_path).write_csv("energy.csv", [
+        {"Q_h1x": now.h1["x"][1], "Q_l2t": None if d is None else d.l2}
+        for now, d in ((now0, d0), (now1, d1))])
     header, row0, row1 = (line.split(",") for line in
                           (tmp_path / "energy.csv").read_text().splitlines())
-    assert len(header) == len(row0) == len(row1)
+    assert header == ["Q_h1x", "Q_l2t"] and len(row0) == len(row1) == 2
     # 17-significant-digit cells round-trip exactly
-    assert float(row1[1]) == rep1.h1_x
+    assert float(row1[0]) == now1.h1["x"][1]
     assert row0[-1] == ""
 
 
@@ -222,13 +222,13 @@ def test_energy_suite_keys(rng, medium):
     g = grid3(0.4)
     s0 = random_state(g, rng)
     s1 = step(s0, g, medium)
-    suite = energy_suite(s1, s0, medium, g)
-    assert suite["norm1_sq"] == pytest.approx(energy_h1(s1, "x", medium, g), rel=1e-15)
-    assert suite["norm2_sq"] == pytest.approx(energy_l2(s1, medium, g), rel=1e-15)
-    assert suite["norm1_core_sq"] <= suite["norm1_sq"]
-    assert suite["norm2t_sq"] is not None
-    no_prev = energy_suite(s0, None, medium, g)
-    assert no_prev["norm1t_sq"] is None
+    now, d = energy_suite(s1, s0, medium, g)
+    assert list(now.h1) == list(d.h1) == ["x"]  # the audit's norms: along x alone
+    assert now.h1["x"][1] == pytest.approx(energy_h1(s1, "x", medium, g), rel=1e-15)
+    assert now.l2 == pytest.approx(energy_l2(s1, medium, g), rel=1e-15)
+    assert now.h1["x"][0] <= now.h1["x"][1]
+    assert (now, d) == energy_report(s1, s0, medium, g, axes="x")
+    assert energy_suite(s0, None, medium, g)[1] is None
 
 
 def test_face_norm_requires_three_cells():

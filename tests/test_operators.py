@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from adimax import (diff, make_grid, split_curl_neg, split_curl_pos, time_diff, sample_exact,
-                    zero_state)
+from adimax import diff, make_grid, time_diff, sample_exact, zero_state
 
 from conftest import grid4, random_state
-from oracles import lincomb, mode_component
+from oracles import lincomb, mode_component, split_curl_neg, split_curl_pos
 
 
 def test_diff_of_constant_is_zero():
