@@ -88,15 +88,16 @@ def main(argv=None) -> int:
         return 1
     if cfg.out:
         print(f"wrote {', '.join(result.files)} to {cfg.out}")
-    if isinstance(result, harness.StabilityResult):
+    if cfg.kind == "stability":
         verdict = "PASS" if result.passed else "FAIL"
         print(f"stability {verdict}: max drift {result.max_drift:.3e}, "
               f"max |field| {result.max_field:.3e} (initial {result.initial_max:.3e})")
-    elif isinstance(result, harness.ConvergenceResult):
+    elif cfg.kind in ("converge-time", "converge-space"):
         for row in result.rows:
-            rates = ", ".join(f"{k}={v:.3f}" for k, v in row.rates.items()) or "n/a"
-            print(f"resolution {row.resolution:g}: ERR1={row.eh1:.4e} ERR2={row.eh2:.4e} "
-                  f"rates: {rates}")
+            rates = ", ".join(f"{label}={v:.3f}" for label, v in row.items()
+                              if label.startswith("rate") and v is not None) or "n/a"
+            print(f"resolution {row['resolution']:g}: ERR1={row['ERR1']:.4e} "
+                  f"ERR2={row['ERR2']:.4e} rates: {rates}")
     return 0
 
 

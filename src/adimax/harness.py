@@ -259,10 +259,11 @@ def _ticks(n_steps: int, cadence: int):
 
 
 @dataclass
-class RunResult:
+class Result:
+    """What a driver did: its config, the rows of its CSV (each a dict from column
+    label to value) and the files it wrote."""
     config: RunConfig
-    courant: float
-    rows: list[dict]  # the run.csv rows, keyed by column label
+    rows: list[dict]
     files: list[str] = field(default_factory=list)
 
 
@@ -277,7 +278,7 @@ def _div_cells(d: DivergenceReport) -> dict:
             "DivH_L2": d.div_h_l2}
 
 
-def run(cfg: RunConfig) -> RunResult:
+def run(cfg: RunConfig) -> Result:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
@@ -288,7 +289,7 @@ def run(cfg: RunConfig) -> RunResult:
             continue
         s, d = energy_report(state, prev, med, grid)  # d: the sums of (state - prev)/dt
         div = divergence(state, med, grid)
-        m = metrics(state, prev, grid, med)
+        e, de = metrics(state, prev, grid, med)  # de: the sums of the error's time difference
         h1t = {a: None if d is None else d.h1[a][1] for a in "xyz"}
         l2t = None if d is None else d.l2
         rows.append({
@@ -296,15 +297,17 @@ def run(cfg: RunConfig) -> RunResult:
             "Q_h1z": s.h1["z"][1], "Q_l2": s.l2, "E_sq": s.e_sq, "H_sq": s.h_sq,
             "CurlPosE_sq": s.curl_pos_e, "CurlNegH_sq": s.curl_neg_h, "Q_h1tx": h1t["x"],
             "Q_h1ty": h1t["y"], "Q_h1tz": h1t["z"], "Q_l2t": l2t, **_div_cells(div),
-            "ERR0_n": m.eh0, "ERR1_n": m.eh1, "ERR2_n": m.eh2, "ErrE": m.err_e, "ErrH": m.err_h,
-            "EH1_n": _ratio(s.h1["x"][1], k["grad"]), "EH2_n": _ratio(s.l2, k["total"]),
-            "ERRt1_n": m.eht1, "ERRt2_n": m.eht2, "EHt1_n": _ratio(h1t["x"], k["grad_time"]),
-            "EHt2_n": _ratio(l2t, k["time"])})
+            "ERR0_n": _ratio(e.l2_core, k["total"]), "ERR1_n": _ratio(e.h1["x"][1], k["grad"]),
+            "ERR2_n": _ratio(e.l2, k["total"]), "ErrE": math.sqrt(e.e_sq),
+            "ErrH": math.sqrt(e.h_sq), "EH1_n": _ratio(s.h1["x"][1], k["grad"]),
+            "EH2_n": _ratio(s.l2, k["total"]),
+            "ERRt1_n": _ratio(None if de is None else de.h1["x"][1], k["grad_time"]),
+            "ERRt2_n": _ratio(None if de is None else de.l2, k["time"]),
+            "EHt1_n": _ratio(h1t["x"], k["grad_time"]), "EHt2_n": _ratio(l2t, k["time"])})
     out.write_csv("run.csv", rows)
     if cfg.snapshots and out.path is not None:
         out.add(write_snapshot(state, grid, out.path))
-    files = out.finish()
-    return RunResult(cfg, grid.courant(med.eps, med.mu), rows, files)
+    return Result(cfg, rows, out.finish())
 
 
 def _drift(value_sq, ref_sq):
@@ -321,14 +324,7 @@ def _core_full(sums: StateSums | None, form: str) -> tuple:
     return sums.h1["x"] if form == "h1" else (sums.l2_core, sums.l2)
 
 
-@dataclass
-class AuditResult:
-    config: RunConfig
-    rows: list[dict]  # the energy_audit.csv rows, keyed by column label
-    files: list[str] = field(default_factory=list)
-
-
-def energy_audit(cfg: RunConfig) -> AuditResult:
+def energy_audit(cfg: RunConfig) -> Result:
     """Track the experiment energy norms: drifts against level 0 (the time-difference
     norms: against the (0, 1) pair) and ratios against the analytic mode constants,
     full and core (starred) forms."""
@@ -357,98 +353,64 @@ def energy_audit(cfg: RunConfig) -> AuditResult:
             row |= {f"{label}s_n0": _drift(core, ref), f"{label}s_n": _ratio(core, const)}
         rows.append(row)
     out.write_csv("energy_audit.csv", rows)
-    return AuditResult(cfg, rows, out.finish())
+    return Result(cfg, rows, out.finish())
 
 
-@dataclass
-class ConvergenceRow:
-    resolution: float
-    eh1: float
-    eh2: float
-    eht1: float
-    eht2: float
-    err_e: float
-    err_h: float
-    rates: dict
-    eh1_semi: float | None = None
-    eh2_semi: float | None = None
-
-
-@dataclass
-class ConvergenceResult:
-    config: RunConfig
-    rows: list[ConvergenceRow]
-    files: list[str] = field(default_factory=list)
-
-
-# (ConvergenceRow field, error column, rate column); the fields are named as in ErrorMetrics
-_CONV_COLUMNS = (("eh1", "ERR1", "rate1"), ("eh2", "ERR2", "rate2"), ("eht1", "ERRt1", "ratet1"),
-                 ("eht2", "ERRt2", "ratet2"), ("err_e", "ErrE", "rateE"), ("err_h", "ErrH", "rateH"))
-# graded against the same grid's time-exact solution (sample_semidiscrete)
-_SEMI_COLUMNS = (("eh1_semi", "ERR1_semi", "rate1_semi"), ("eh2_semi", "ERR2_semi", "rate2_semi"))
-
-
-def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> ConvergenceResult:
-    """Error at T for each (resolution, grid) of `points(cfg)`, with rates against the
-    previous row.  With `semi` the rows also carry the errors against sample_semidiscrete."""
+def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> Result:
+    """Errors at T for each (resolution, grid) of `points(cfg)`, each followed by its rate
+    against the previous row.  With `semi` the rows also carry the errors at T against
+    sample_semidiscrete."""
     out, _, med = _start(cfg)
-    rows: list[ConvergenceRow] = []
+    k = energy_constants(med)
+    rows: list[dict] = []
     for res, grid in points(cfg):
         for _, prev, state in _trajectory(cfg, grid):
             pass  # only the last pair of levels is graded
-        m = metrics(state, prev, grid, med)
-        values = {key: getattr(m, key) for key, _, _ in _CONV_COLUMNS}
+        e, de = metrics(state, prev, grid, med)  # T >= dt, so prev is a level
+        errors = {"ERR1": _ratio(e.h1["x"][1], k["grad"]), "ERR2": _ratio(e.l2, k["total"]),
+                  "ERRt1": _ratio(de.h1["x"][1], k["grad_time"]), "ERRt2": _ratio(de.l2, k["time"]),
+                  "ErrE": math.sqrt(e.e_sq), "ErrH": math.sqrt(e.h_sq)}
         if semi:
-            m = metrics(state, prev, grid, med, reference=sample_semidiscrete)
-            values.update(eh1_semi=m.eh1, eh2_semi=m.eh2)
-        rates = {}
-        if rows:
-            last = rows[-1]
-            for key, value in values.items():
-                if res == last.resolution:
-                    rates[key] = 0.0
-                else:
-                    rates[key] = observed_rate((getattr(last, key), value), (last.resolution, res))
-        rows.append(ConvergenceRow(resolution=res, rates=rates, **values))
-    columns = _CONV_COLUMNS + _SEMI_COLUMNS if semi else _CONV_COLUMNS
-    out.write_csv(name, [{"resolution": row.resolution,
-                          **{col: v for key, err, rate in columns
-                             for col, v in ((err, getattr(row, key)), (rate, row.rates.get(key)))}}
-                         for row in rows])
-    return ConvergenceResult(cfg, rows, out.finish())
+            e, _ = metrics(state, None, grid, med, reference=sample_semidiscrete)
+            errors |= {"ERR1_semi": _ratio(e.h1["x"][1], k["grad"]),
+                       "ERR2_semi": _ratio(e.l2, k["total"])}
+        row = {"resolution": res}
+        for label, value in errors.items():
+            rate = None
+            if rows:
+                last = rows[-1]
+                rate = 0.0 if res == last["resolution"] else observed_rate(
+                    (last[label], value), (last["resolution"], res))
+            row |= {label: value, "rate" + label[3:]: rate}  # ERR1 -> rate1, ErrE -> rateE
+        rows.append(row)
+    out.write_csv(name, rows)
+    return Result(cfg, rows, out.finish())
 
 
-def converge_time(cfg: RunConfig) -> ConvergenceResult:
+def converge_time(cfg: RunConfig) -> Result:
     """Error at T for each dt in dt_list on the fixed grid, with observed rates,
     against the continuous mode and against the grid's time-exact solution."""
     return _converge(cfg, "converge_time.csv",
                      lambda c: [(dt, c.to_grid(dt=dt)) for dt in c.dt_list], semi=True)
 
 
-def converge_space(cfg: RunConfig) -> ConvergenceResult:
+def converge_space(cfg: RunConfig) -> Result:
     """Error at T for each cube grid in grid_list at the fixed small dt."""
     return _converge(cfg, "converge_space.csv",
                      lambda c: [(1.0 / n, c.to_grid(n=n)) for n in c.grid_list])
 
 
-@dataclass
-class DivergenceResult:
-    config: RunConfig
-    reports: list[DivergenceReport]
-    files: list[str] = field(default_factory=list)
-
-
-def divergence_audit(cfg: RunConfig) -> DivergenceResult:
+def divergence_audit(cfg: RunConfig) -> Result:
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
-    reports = []
+    rows = []
     for n, prev, state in _trajectory(cfg, grid):
         del prev  # unused; without it only one level lives through the next step
         if n in ticks:
-            reports.append(divergence(state, med, grid))
-    out.write_csv("divergence_audit.csv",
-                  [{"time_level": r.time_level, **_div_cells(r)} for r in reports])
-    return DivergenceResult(cfg, reports, out.finish())
+            rows.append({"time_level": state.time_level,
+                         **_div_cells(divergence(state, med, grid))})
+    out.write_csv("divergence_audit.csv", rows)
+    return Result(cfg, rows, out.finish())
 
 
 @dataclass

@@ -32,13 +32,12 @@ round-off rather than to O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, check_extents, extent
 # energy_h1 and energy_l2 are unused here; perfbench traces these names to count functionals
-from .norms import energy_h1, energy_l2, state_sums, _check_consecutive  # noqa: F401
+from .norms import StateSums, energy_h1, energy_l2, state_sums, _check_consecutive  # noqa: F401
 
 OMEGA = math.sqrt(3.0) * math.pi
 
@@ -152,59 +151,26 @@ def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None,
     return err
 
 
-@dataclass(frozen=True)
-class ErrorMetrics:
-    """Relative solution errors at one level.
-
-    eh* are errors of the numeric solution against a reference (the sampled
-    mode unless metrics is given another), scaled by the matching analytic
-    energy constant.  The t-variants need two consecutive levels and are None
-    on the first.
-    """
-
-    time_level: float
-    eh0: float
-    eh1: float
-    eh2: float
-    err_e: float
-    err_h: float
-    eht1: float | None = None
-    eht2: float | None = None
-
-
 def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medium,
-            reference=None) -> ErrorMetrics:
-    """Error metrics of `curr` (and of the time difference when `prev` is given)
-    against `reference`, which error_state takes as it does."""
-    k = energy_constants(med)
+            reference=None) -> tuple[StateSums, StateSums | None]:
+    """The sums, along x, of the error of `curr` against `reference` (which error_state
+    takes as it does) and, when `prev` is given, of the error's time difference (else
+    None); one pass per state."""
     err = error_state(curr, curr.time_level * grid.dt, grid, reference, med)
     now = state_sums(err, med, grid, axes="x")
-    kwargs = {}
-    if prev is not None:
-        _check_consecutive(prev, curr)
-        back = error_state(prev, prev.time_level * grid.dt, grid, reference, med)
-        # (err - back) / dt, bit for bit time_diff's, formed in err's arrays so that
-        # no third error-sized state is alive
-        s = 1.0 / grid.dt
-        for (_, e), (_, b) in zip(err.components(), back.components()):
-            e *= s
-            e -= np.multiply(b, s, out=b)
-        del back
-        err.time_level = 0.5 * (prev.time_level + curr.time_level)
-        d = state_sums(err, med, grid, axes="x")
-        kwargs = {
-            "eht1": math.sqrt(d.h1["x"][1]) / math.sqrt(k["grad_time"]),
-            "eht2": math.sqrt(d.l2) / math.sqrt(k["time"]),
-        }
-    return ErrorMetrics(
-        time_level=curr.time_level,
-        eh0=math.sqrt(now.l2_core / k["total"]),
-        eh1=math.sqrt(now.h1["x"][1]) / math.sqrt(k["grad"]),
-        eh2=math.sqrt(now.l2) / math.sqrt(k["total"]),
-        err_e=math.sqrt(now.e_sq),
-        err_h=math.sqrt(now.h_sq),
-        **kwargs,
-    )
+    if prev is None:
+        return now, None
+    _check_consecutive(prev, curr)
+    back = error_state(prev, prev.time_level * grid.dt, grid, reference, med)
+    # (err - back) / dt, bit for bit time_diff's, formed in err's arrays so that
+    # no third error-sized state is alive
+    s = 1.0 / grid.dt
+    for (_, e), (_, b) in zip(err.components(), back.components()):
+        e *= s
+        e -= np.multiply(b, s, out=b)
+    del back
+    err.time_level = 0.5 * (prev.time_level + curr.time_level)
+    return now, state_sums(err, med, grid, axes="x")
 
 
 def observed_rate(errors, resolutions) -> float:

@@ -289,7 +289,6 @@ class DivergenceReport:
     and each L2 norm sqrt(eps dv sum div^2).
     """
 
-    time_level: float
     div_e_linf: float
     div_e_l2: float
     div_h_linf: float
@@ -307,7 +306,6 @@ def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceRepo
     div_h += diff(state.hy, 1, grid)
     div_h += diff(state.hz, 2, grid)
     return DivergenceReport(
-        time_level=state.time_level,
         div_e_linf=med.eps * (float(np.max(np.abs(div_e))) if div_e.size else 0.0),
         div_e_l2=float(np.sqrt(med.eps * grid.dv * _ssq(div_e))),
         div_h_linf=med.eps * float(np.max(np.abs(div_h))),

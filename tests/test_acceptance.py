@@ -92,7 +92,7 @@ def test_criterion_3_temporal_convergence(temporal_rows):
     """
     rates = []
     for row in temporal_rows[1:]:
-        rates.extend([row.rates["eh1_semi"], row.rates["eh2_semi"]])
+        rates.extend([row["rate1_semi"], row["rate2_semi"]])
     ok = all(1.6 <= r <= 2.2 for r in rates)
     detail = ", ".join(f"{r:.3f}" for r in rates)
     _verdict(3, "temporal convergence order 2", ok, f"rates [{detail}] (window [1.6, 2.2])")
@@ -105,18 +105,18 @@ def test_temporal_errors_and_rates_regression(temporal_rows):
     solver and cross-checked against the loop oracles), independent of the
     window verdict above.  The first set is graded against the continuous
     mode, the second against the grid's time-exact solution."""
-    errs = [row.eh1 for row in temporal_rows]
+    errs = [row["ERR1"] for row in temporal_rows]
     assert errs[0] == pytest.approx(1.9387e-2, rel=2e-3)
     assert errs[1] == pytest.approx(1.3172e-2, rel=2e-3)
     assert errs[2] == pytest.approx(6.4535e-3, rel=2e-3)
-    assert temporal_rows[1].rates["eh1"] == pytest.approx(1.732, abs=5e-3)
-    assert temporal_rows[2].rates["eh1"] == pytest.approx(1.518, abs=5e-3)
-    errs_semi = [row.eh1_semi for row in temporal_rows]
+    assert temporal_rows[1]["rate1"] == pytest.approx(1.732, abs=5e-3)
+    assert temporal_rows[2]["rate1"] == pytest.approx(1.518, abs=5e-3)
+    errs_semi = [row["ERR1_semi"] for row in temporal_rows]
     assert errs_semi[0] == pytest.approx(1.7251e-2, rel=2e-3)
     assert errs_semi[1] == pytest.approx(1.1034e-2, rel=2e-3)
     assert errs_semi[2] == pytest.approx(4.3076e-3, rel=2e-3)
-    assert temporal_rows[1].rates["eh1_semi"] == pytest.approx(2.0026, abs=5e-3)
-    assert temporal_rows[2].rates["eh1_semi"] == pytest.approx(2.0013, abs=5e-3)
+    assert temporal_rows[1]["rate1_semi"] == pytest.approx(2.0026, abs=5e-3)
+    assert temporal_rows[2]["rate1_semi"] == pytest.approx(2.0013, abs=5e-3)
 
 
 def test_criterion_4_spatial_convergence(tmp_path):
@@ -127,7 +127,7 @@ def test_criterion_4_spatial_convergence(tmp_path):
     rows = converge_space(cfg).rows
     rates = []
     for row in rows[1:]:
-        rates.extend([row.rates["eh1"], row.rates["eh2"]])
+        rates.extend([row["rate1"], row["rate2"]])
     ok = all(1.7 <= r <= 2.2 for r in rates)
     detail = ", ".join(f"{r:.3f}" for r in rates)
     ok = _verdict(4, "spatial convergence order 2", ok, f"rates [{detail}] (window [1.7, 2.2])")
@@ -139,13 +139,13 @@ def test_criterion_5_divergence_preservation(tmp_path):
     report times, and <= 1e-13 for the sampled initial field."""
     cfg = RunConfig(nx=20, ny=20, nz=20, dt=0.05, T=4.0, kind="divergence-audit",
                     cadence=10, out=str(tmp_path / "div")).validate()
-    reports = divergence_audit(cfg).reports
-    init_ok = reports[0].div_e_linf <= 1e-13 and reports[0].div_e_l2 <= 1e-13
-    worst_linf = max(r.div_e_linf for r in reports)
-    worst_l2 = max(r.div_e_l2 for r in reports)
+    rows = divergence_audit(cfg).rows
+    init_ok = rows[0]["DivE_Linf"] <= 1e-13 and rows[0]["DivE_L2"] <= 1e-13
+    worst_linf = max(r["DivE_Linf"] for r in rows)
+    worst_l2 = max(r["DivE_L2"] for r in rows)
     ok = init_ok and worst_linf <= 1e-10 and worst_l2 <= 1e-10
     ok = _verdict(5, "divergence preservation", ok,
-                  f"initial Linf {reports[0].div_e_linf:.3e} (tol 1e-13), "
+                  f"initial Linf {rows[0]['DivE_Linf']:.3e} (tol 1e-13), "
                   f"worst Linf {worst_linf:.3e}, worst L2 {worst_l2:.3e} (tol 1e-10)")
     assert ok
 

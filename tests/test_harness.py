@@ -9,7 +9,8 @@ import adimax.harness as harness
 from adimax import grid as grid_module
 from adimax import manufactured, norms, stepper
 from adimax import (divergence, electric_norm_sq, energy_h1, energy_l2, enforce_pec,
-                    magnetic_norm_sq, metrics, sample_exact, step, time_diff)
+                    magnetic_norm_sq, metrics, sample_exact, sample_semidiscrete, step,
+                    time_diff)
 from adimax import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
                     emit_config, energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
@@ -172,7 +173,8 @@ def test_run_writes_expected_files(tmp_path):
     assert echoed == cfg
     # rows at levels 0, 2, 4, 6, 8, 10
     assert len(result.rows) == 6
-    assert result.courant == pytest.approx(cfg.to_grid().courant(), rel=1e-12)
+    assert cfg.to_grid().courant(cfg.eps, cfg.mu) == pytest.approx(cfg.to_grid().courant(),
+                                                                   rel=1e-12)
 
 
 def test_run_is_deterministic(tmp_path):
@@ -356,10 +358,11 @@ def _count_passes(monkeypatch):
     return counts
 
 
-def _trajectory(cfg):
-    grid, med = cfg.to_grid(), cfg.to_medium()
+def _trajectory(cfg, grid=None):
+    """Levels 0 ... round(T / dt) on `grid` (the config's if None)."""
+    grid, med = grid or cfg.to_grid(), cfg.to_medium()
     states = [enforce_pec(sample_exact(0.0, grid))]
-    for _ in range(cfg.steps):
+    for _ in range(round(cfg.T / grid.dt)):
         states.append(step(states[-1], grid, med))
     return grid, med, states
 
@@ -412,13 +415,15 @@ def test_run_tick_reads_each_state_once(tmp_path, monkeypatch, cadence):
             want += [*(energy_h1(d, a, med, grid) for a in "xyz"), energy_l2(d, med, grid)]
         div = divergence(curr, med, grid)
         want += [div.div_e_linf, div.div_e_l2, div.div_h_linf, div.div_h_l2]
-        m = metrics(curr, prev, grid, med)
-        # a norm's ratio to its mode constant, from the functional in column `col` above
+        e, de = metrics(curr, prev, grid, med)
+        et1, et2 = (None, None) if de is None else (de.h1["x"][1], de.l2)
+        # a squared norm's ratio to its mode constant; q: the functionals of the columns above
         q = dict(zip(header, want))
-        ratio = lambda col, c: None if q[col] is None else math.sqrt(q[col] / k[c])
-        want += [m.eh0, m.eh1, m.eh2, m.err_e, m.err_h, ratio("Q_h1x", "grad"),
-                 ratio("Q_l2", "total"), m.eht1, m.eht2, ratio("Q_h1tx", "grad_time"),
-                 ratio("Q_l2t", "time")]
+        ratio = lambda v, c: None if v is None else math.sqrt(v / k[c])
+        want += [ratio(e.l2_core, "total"), ratio(e.h1["x"][1], "grad"), ratio(e.l2, "total"),
+                 math.sqrt(e.e_sq), math.sqrt(e.h_sq), ratio(q["Q_h1x"], "grad"),
+                 ratio(q["Q_l2"], "total"), ratio(et1, "grad_time"), ratio(et2, "time"),
+                 ratio(q["Q_h1tx"], "grad_time"), ratio(q["Q_l2t"], "time")]
         assert len(want) == len(header)
         for label, got, value in zip(header, row, want):
             _assert_close(got, value, (n, label))
@@ -495,7 +500,7 @@ def test_run_csv_columns_are_their_sources(tmp_path):
     s = norms.state_sums(curr, med, grid)
     d = norms.state_sums(time_diff(curr, prev, grid.dt), med, grid)
     div = divergence(curr, med, grid)
-    m = metrics(curr, prev, grid, med)
+    e, de = metrics(curr, prev, grid, med)
     k = manufactured.energy_constants(med)
     _assert_cells(_last_row(tmp_path / "out" / "run.csv"), {
         "time_level": cfg.steps, "Q_h1x": s.h1["x"][1], "Q_h1y": s.h1["y"][1],
@@ -503,9 +508,12 @@ def test_run_csv_columns_are_their_sources(tmp_path):
         "CurlPosE_sq": s.curl_pos_e, "CurlNegH_sq": s.curl_neg_h, "Q_h1tx": d.h1["x"][1],
         "Q_h1ty": d.h1["y"][1], "Q_h1tz": d.h1["z"][1], "Q_l2t": d.l2,
         "DivE_Linf": div.div_e_linf, "DivE_L2": div.div_e_l2, "DivH_Linf": div.div_h_linf,
-        "DivH_L2": div.div_h_l2, "ERR0_n": m.eh0, "ERR1_n": m.eh1, "ERR2_n": m.eh2,
-        "ErrE": m.err_e, "ErrH": m.err_h, "EH1_n": math.sqrt(s.h1["x"][1] / k["grad"]),
-        "EH2_n": math.sqrt(s.l2 / k["total"]), "ERRt1_n": m.eht1, "ERRt2_n": m.eht2,
+        "DivH_L2": div.div_h_l2, "ERR0_n": math.sqrt(e.l2_core / k["total"]),
+        "ERR1_n": math.sqrt(e.h1["x"][1] / k["grad"]), "ERR2_n": math.sqrt(e.l2 / k["total"]),
+        "ErrE": math.sqrt(e.e_sq), "ErrH": math.sqrt(e.h_sq),
+        "EH1_n": math.sqrt(s.h1["x"][1] / k["grad"]), "EH2_n": math.sqrt(s.l2 / k["total"]),
+        "ERRt1_n": math.sqrt(de.h1["x"][1] / k["grad_time"]),
+        "ERRt2_n": math.sqrt(de.l2 / k["time"]),
         "EHt1_n": math.sqrt(d.h1["x"][1] / k["grad_time"]), "EHt2_n": math.sqrt(d.l2 / k["time"])})
 
 
@@ -537,15 +545,71 @@ def test_audit_csv_columns_are_their_sources(tmp_path, cadence):
     _assert_cells(_last_row(tmp_path / "out" / "energy_audit.csv"), {c: want[c] for c in columns})
 
 
-@pytest.mark.parametrize("kind, lists", [("converge-time", dict(dt_list=(0.1, 0.05))),
-                                         ("converge-space", dict(grid_list=(4, 6)))],
-                         ids=["converge-time", "converge-space"])
+_CONVERGENCE = pytest.mark.parametrize(
+    "kind, lists", [("converge-time", dict(dt_list=(0.1, 0.05))),
+                    ("converge-space", dict(grid_list=(4, 6)))],
+    ids=["converge-time", "converge-space"])
+
+
+@_CONVERGENCE
+def test_convergence_csv_columns_are_their_sources(tmp_path, kind, lists):
+    keys = {key: v for key, v in _TICK_GRID.items() if kind in harness.KEYS[key].metadata["kinds"]}
+    cfg = desk_cfg(tmp_path, kind=kind, **keys, **lists)
+    harness.DRIVERS[kind](cfg)
+    med = cfg.to_medium()
+    k = manufactured.energy_constants(med)
+    if kind == "converge-time":
+        points = [(dt, cfg.to_grid(dt=dt)) for dt in cfg.dt_list]
+    else:
+        points = [(1.0 / n, cfg.to_grid(n=n)) for n in cfg.grid_list]
+    errors = []
+    for _, grid in points:
+        prev, curr = _trajectory(cfg, grid)[2][-2:]
+        e, de = metrics(curr, prev, grid, med)
+        errs = {"ERR1": math.sqrt(e.h1["x"][1] / k["grad"]), "ERR2": math.sqrt(e.l2 / k["total"]),
+                "ERRt1": math.sqrt(de.h1["x"][1] / k["grad_time"]),
+                "ERRt2": math.sqrt(de.l2 / k["time"]), "ErrE": math.sqrt(e.e_sq),
+                "ErrH": math.sqrt(e.h_sq)}
+        if kind == "converge-time":
+            semi, _ = metrics(curr, None, grid, med, reference=sample_semidiscrete)
+            errs |= {"ERR1_semi": math.sqrt(semi.h1["x"][1] / k["grad"]),
+                     "ERR2_semi": math.sqrt(semi.l2 / k["total"])}
+        errors.append(errs)
+    (h0, _), (h1, _) = points
+    rate_labels = ["rate1", "rate2", "ratet1", "ratet2", "rateE", "rateH"]
+    if kind == "converge-time":
+        rate_labels += ["rate1_semi", "rate2_semi"]
+    want = {"resolution": h1}
+    for (label, value), rate in zip(errors[1].items(), rate_labels, strict=True):
+        want |= {label: value, rate: observed_rate((errors[0][label], value), (h0, h1))}
+    name = kind.replace("-", "_") + ".csv"
+    _assert_cells(_last_row(tmp_path / "out" / name), want)
+
+
+def test_divergence_audit_rows_are_divergence(tmp_path):
+    cfg = desk_cfg(tmp_path, kind="divergence-audit", **_TICK_GRID, cadence=2)
+    result = divergence_audit(cfg)
+    grid, med, states = _trajectory(cfg)
+    want = []
+    for n in sorted(harness._ticks(cfg.steps, cfg.cadence)):
+        div = divergence(states[n], med, grid)
+        want.append({"time_level": n, "DivE_Linf": div.div_e_linf, "DivE_L2": div.div_e_l2,
+                     "DivH_Linf": div.div_h_linf, "DivH_L2": div.div_h_l2})
+    assert result.rows == want
+    with open(tmp_path / "out" / "divergence_audit.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert len(written) == len(want)
+    for row, values in zip(written, want):
+        _assert_cells(row, values)
+
+
+@_CONVERGENCE
 def test_convergence_grades_each_state_once(tmp_path, monkeypatch, kind, lists):
-    # per resolution, one pass over the error at T and one over its time difference,
-    # for each reference (converge-time also grades against sample_semidiscrete)
+    # per resolution, one pass over the error at T and one over its time difference;
+    # converge-time adds one over the error at T against sample_semidiscrete
     counts = _count_passes(monkeypatch)
     harness.DRIVERS[kind](desk_cfg(tmp_path, kind=kind, T=0.2, **lists))
-    per_resolution = 4 if kind == "converge-time" else 2
+    per_resolution = 3 if kind == "converge-time" else 2
     assert sum(counts) == per_resolution * len(*lists.values())
 
 
@@ -556,7 +620,7 @@ def test_converge_time_rates_reproducible_from_csv(tmp_path):
                     dt_list=(0.1, 0.05), out=str(tmp_path)).validate()
     result = converge_time(cfg)
     assert len(result.rows) == 2
-    assert result.rows[0].rates == {}
+    assert all(v is None for label, v in result.rows[0].items() if label.startswith("rate"))
     lines = (tmp_path / "converge_time.csv").read_text().splitlines()
     header = lines[0].split(",")
     first = dict(zip(header, lines[1].split(",")))
@@ -572,21 +636,22 @@ def test_converge_time_single_dt(tmp_path):
     cfg = RunConfig(nx=8, ny=8, nz=8, T=0.5, kind="converge-time",
                     dt_list=(0.1,), out=str(tmp_path)).validate()
     result = converge_time(cfg)
-    assert len(result.rows) == 1 and result.rows[0].rates == {}
+    assert len(result.rows) == 1
+    assert all(v is None for label, v in result.rows[0].items() if label.startswith("rate"))
 
 
 def test_converge_space_identical_grids_rate_zero(tmp_path):
     cfg = RunConfig(nx=6, ny=6, nz=6, dt=0.1, T=0.2, kind="converge-space",
                     grid_list=(6, 6), out=str(tmp_path)).validate()
     result = converge_space(cfg)
-    assert result.rows[1].rates["eh2"] == 0.0
+    assert result.rows[1]["rate2"] == 0.0
 
 
 def test_converge_space_second_order_small(tmp_path):
     cfg = RunConfig(nx=6, ny=6, nz=6, dt=0.01, T=0.2, kind="converge-space",
                     grid_list=(6, 12), out=str(tmp_path)).validate()
     result = converge_space(cfg)
-    assert result.rows[1].rates["eh2"] == pytest.approx(2.0, abs=0.35)
+    assert result.rows[1]["rate2"] == pytest.approx(2.0, abs=0.35)
 
 
 def test_nonunit_medium_errors_and_ratios(tmp_path):
@@ -596,9 +661,9 @@ def test_nonunit_medium_errors_and_ratios(tmp_path):
                     dt_list=(0.05, 0.04, 0.025), out=str(tmp_path / "ct")).validate()
     rows = converge_time(cfg).rows
     for row in rows[1:]:
-        for key in ("eh1_semi", "eh2_semi"):
-            assert 1.6 <= row.rates[key] <= 2.2  # the window of criterion 3
-    assert max(row.eh1 for row in rows) < 0.1
+        for key in ("rate1_semi", "rate2_semi"):
+            assert 1.6 <= row[key] <= 2.2  # the window of criterion 3
+    assert max(row["ERR1"] for row in rows) < 0.1
     result = run(desk_cfg(tmp_path, dt=0.05, eps=2.0, mu=0.5, cadence=5))
     run_csv = _rows(tmp_path / "out" / "run.csv")
     cols = [run_csv[0].index(c) for c in ("EH1_n", "EH2_n")]
@@ -615,16 +680,16 @@ def test_nonunit_medium_errors_and_ratios(tmp_path):
 def test_divergence_audit_small_throughout(tmp_path):
     cfg = desk_cfg(tmp_path, kind="divergence-audit", dt=0.1, T=1.0, cadence=5)
     result = divergence_audit(cfg)
-    assert result.reports[0].div_e_linf <= 1e-13
-    for rep in result.reports:
-        assert rep.div_e_linf <= 1e-10
-        assert rep.div_e_l2 <= 1e-10
+    assert result.rows[0]["DivE_Linf"] <= 1e-13
+    for row in result.rows:
+        assert row["DivE_Linf"] <= 1e-10
+        assert row["DivE_L2"] <= 1e-10
 
 
 def test_divergence_audit_zero_init(tmp_path):
     result = divergence_audit(desk_cfg(tmp_path, kind="divergence-audit", init="zero"))
-    for rep in result.reports:
-        assert rep.div_e_linf == 0.0 and rep.div_e_l2 == 0.0
+    for row in result.rows:
+        assert row["DivE_Linf"] == 0.0 and row["DivE_L2"] == 0.0
 
 
 # --- stability -------------------------------------------------------------

@@ -158,11 +158,11 @@ def test_error_small_after_one_step(medium):
 
 def test_metrics_zero_for_exact_samples(medium):
     g = make_grid(8, 8, 8, 0.05)
-    m = metrics(sample_exact(0.0, g), None, g, medium)
-    assert m.eh0 <= 1e-13
-    assert m.eh1 <= 1e-13
-    assert m.eh2 <= 1e-13
-    assert m.eht1 is None
+    e, d = metrics(sample_exact(0.0, g), None, g, medium)
+    assert math.sqrt(e.l2_core / ENERGY_TOTAL_SQ) <= 1e-13
+    assert math.sqrt(e.h1["x"][1] / ENERGY_GRAD_SQ) <= 1e-13
+    assert math.sqrt(e.l2 / ENERGY_TOTAL_SQ) <= 1e-13
+    assert d is None
     # full-norm ratios carry the dt^2 perturbation and O(h^2) quadrature terms
     now, _ = energy_report(sample_exact(0.0, g), None, medium, g)
     assert math.sqrt(now.l2 / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=5e-3)
@@ -176,9 +176,11 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
     g = make_grid(8, 8, 8, 0.05)
     s0 = enforce_pec(sample_exact(0.0, g))
     s1 = step(s0, g, medium)
-    m = metrics(s1, s0, g, medium)
-    for value in (m.eh0, m.eh1, m.eh2, m.eht1, m.eht2):
-        assert 0 < value < 0.1
+    e, de = metrics(s1, s0, g, medium)
+    for value_sq, const in ((e.l2_core, ENERGY_TOTAL_SQ), (e.h1["x"][1], ENERGY_GRAD_SQ),
+                            (e.l2, ENERGY_TOTAL_SQ), (de.h1["x"][1], ENERGY_GRAD_TIME_SQ),
+                            (de.l2, ENERGY_TIME_SQ)):
+        assert 0 < math.sqrt(value_sq / const) < 0.1
     _, d = energy_report(s1, s0, medium, g)
     assert math.sqrt(d.h1["x"][1] / ENERGY_GRAD_TIME_SQ) == pytest.approx(1.0, abs=0.05)
     assert math.sqrt(d.l2 / ENERGY_TIME_SQ) == pytest.approx(1.0, abs=0.05)

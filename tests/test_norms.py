@@ -190,7 +190,7 @@ def test_divergence_of_sampled_mode_cancels(medium):
 def test_divergence_zero_state(medium):
     g = grid3()
     rep = divergence(zero_state(g), medium, g)
-    assert rep == DivergenceReport(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert rep == DivergenceReport(0.0, 0.0, 0.0, 0.0)
 
 
 def test_energy_report_and_csv(tmp_path, rng, medium):
