@@ -3,11 +3,11 @@ divergence audits, and stability stress runs, with CSV emission.
 
 Every driver steps one trajectory, `_trajectory(cfg, grid)`: from the initial
 state that `cfg.init` names it yields `(n, prev, level)` for n = 0 ... round(T/dt),
-where `level` is time level n and `prev` is level n-1 (None at n = 0).  Each
-driver does only its own work on those levels: report ticks for `run`, the
-audits and `stability`, the last pair per resolution for the convergence
-studies.  A non-finite field ends the trajectory with a RuntimeError naming
-the step that made it.
+where `level` is time level n and `prev` is level n-1 (None at n = 0); level
+n+1 is written into the arrays of `prev`.  Each driver does only its own work
+on those levels: report ticks for `run`, the audits and `stability`, the last
+pair per resolution for the convergence studies.  A non-finite field ends the
+trajectory with a RuntimeError naming the step that made it.
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
@@ -236,17 +236,22 @@ def _start(cfg: RunConfig):
 def _trajectory(cfg: RunConfig, grid: GridSpec):
     """Yield (n, level n-1, level n) for n = 0 ... round(T / grid.dt), starting
     from the initial state of `cfg.init`; at n = 0 the previous level is None.
-    Step n+1 runs while the caller still holds what it kept of yield n."""
+
+    Each new level is written into the arrays of the level yielded as previous
+    one step earlier, which the caller is done with: a yielded level stays valid
+    until the caller asks for the level after next.  So a step holds its input,
+    the half level and the storage it writes, and from step 2 on no whole level
+    is allocated."""
     med = cfg.to_medium()
     if cfg.init == "zero":
         level = zero_state(grid)
     else:
         level = enforce_pec(sample_exact(0.0, grid))  # at t = 0 the mode is the same in any medium
-    yield 0, None, level
+    prev = None
+    yield 0, prev, level
     for n in range(1, round(cfg.T / grid.dt) + 1):
-        prev = level
         try:
-            level = stage2(stage1(prev, grid, med), grid, med)
+            prev, level = level, stage2(stage1(level, grid, med), grid, med, out=prev)
         except NonFiniteFieldError as exc:
             raise RuntimeError(f"non-finite field detected at step {n}") from exc
         yield n, prev, level
@@ -404,8 +409,7 @@ def divergence_audit(cfg: RunConfig) -> Result:
     out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     rows = []
-    for n, prev, state in _trajectory(cfg, grid):
-        del prev  # unused; without it only one level lives through the next step
+    for n, _, state in _trajectory(cfg, grid):
         if n in ticks:
             rows.append({"time_level": state.time_level,
                          **_div_cells(divergence(state, med, grid))})
@@ -432,8 +436,7 @@ def stability(cfg: RunConfig) -> StabilityResult:
     ticks = _ticks(cfg.steps, cfg.cadence)
     max_drift = max_field = 0.0
     rows = []
-    for n, prev, state in _trajectory(cfg, grid):
-        del prev  # unused; without it only one level lives through the next step
+    for n, _, state in _trajectory(cfg, grid):
         q, m = energy_l2(state, med, grid), state.max_abs()
         if n == 0:
             q0, m0 = q, m

@@ -84,31 +84,36 @@ def _exact_amplitude(comp: str, t, med: Medium):
     return _AMPLITUDE[comp] * math.sqrt(med.eps / med.mu) * np.sin(w * t)
 
 
-def _sample(amplitudes: dict, t: float, grid: GridSpec) -> FieldState:
-    """The six sampled profiles on their staggered lattices, scaled per component."""
-    arrays = []
-    for comp in COMPONENTS:
-        off = HALF_OFFSET[comp]
-        ni, nj, nk = extent(comp, grid)
-        xs = ((np.arange(ni) + 0.5 * off[0]) * grid.dx)[:, None, None]
-        ys = ((np.arange(nj) + 0.5 * off[1]) * grid.dy)[None, :, None]
-        zs = ((np.arange(nk) + 0.5 * off[2]) * grid.dz)[None, None, :]
-        arrays.append(_profile(comp, amplitudes[comp], xs, ys, zs))
-    return FieldState(*arrays, time_level=t / grid.dt)
+def _sample(amplitudes: dict, t: float, grid: GridSpec, lazy: bool = False):
+    """The six sampled profiles on their staggered lattices, scaled per component; with
+    `lazy`, an iterator of (name, lattice) that samples each component as it is reached."""
+    def lattices():
+        for comp in COMPONENTS:
+            off = HALF_OFFSET[comp]
+            ni, nj, nk = extent(comp, grid)
+            xs = ((np.arange(ni) + 0.5 * off[0]) * grid.dx)[:, None, None]
+            ys = ((np.arange(nj) + 0.5 * off[1]) * grid.dy)[None, :, None]
+            zs = ((np.arange(nk) + 0.5 * off[2]) * grid.dz)[None, None, :]
+            yield comp, _profile(comp, amplitudes[comp], xs, ys, zs)
+    if lazy:
+        return lattices()
+    return FieldState(*(a for _, a in lattices()), time_level=t / grid.dt)
 
 
-def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT) -> FieldState:
-    """Sample the mode in the medium `med` on every staggered lattice at time t.
+def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):
+    """Sample the mode in the medium `med` on every staggered lattice at time t
+    (with `lazy`, one component at a time; see _sample).
 
     Wall entries of tangential e evaluate to sin(pi * 0) and the like, so they
     are zero only to round-off (about 1e-16); run initialization squares that
     away with enforce_pec.
     """
-    return _sample({c: _exact_amplitude(c, t, med) for c in COMPONENTS}, t, grid)
+    return _sample({c: _exact_amplitude(c, t, med) for c in COMPONENTS}, t, grid, lazy)
 
 
-def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT) -> FieldState:
-    """Sample the grid's time-exact solution that starts from the sampled mode.
+def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):
+    """Sample the grid's time-exact solution that starts from the sampled mode (with
+    `lazy`, one component at a time; see _sample).
 
     The Yee difference of a sampled cos/sin(pi(1-u)) profile along axis a is
     the continuous derivative with pi replaced by s_a = 2 sin(pi h_a/2)/h_a.
@@ -132,7 +137,7 @@ def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT) -> FieldS
     a_par = (a @ s) / (s @ s) * s
     e_amp = a_par + (a - a_par) * math.cos(w * t)
     h_amp = np.cross(s, a) * (math.sin(w * t) / norm * math.sqrt(med.eps / med.mu))
-    return _sample(dict(zip(COMPONENTS, (*e_amp, *h_amp))), t, grid)
+    return _sample(dict(zip(COMPONENTS, (*e_amp, *h_amp))), t, grid, lazy)
 
 
 def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None,
@@ -154,21 +159,23 @@ def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None,
 def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medium,
             reference=None) -> tuple[StateSums, StateSums | None]:
     """The sums, along x, of the error of `curr` against `reference` (which error_state
-    takes as it does) and, when `prev` is given, of the error's time difference (else
-    None); one pass per state."""
+    takes as it does; with `prev`, it is also called with lazy=True) and, when `prev`
+    is given, of the error's time difference (else None); one pass per state."""
     err = error_state(curr, curr.time_level * grid.dt, grid, reference, med)
     now = state_sums(err, med, grid, axes="x")
     if prev is None:
         return now, None
     _check_consecutive(prev, curr)
-    back = error_state(prev, prev.time_level * grid.dt, grid, reference, med)
-    # (err - back) / dt, bit for bit time_diff's, formed in err's arrays so that
-    # no third error-sized state is alive
+    check_extents(prev, grid)
+    # (err - b) / dt, bit for bit time_diff's, formed in err's arrays with b, the error
+    # of prev, sampled and formed one component at a time: a tick holds no fourth state
     s = 1.0 / grid.dt
-    for (_, e), (_, b) in zip(err.components(), back.components()):
+    for name, b in (reference or sample_exact)(prev.time_level * grid.dt, grid, med, lazy=True):
+        np.subtract(b, getattr(prev, name), out=b)
+        e = getattr(err, name)
         e *= s
         e -= np.multiply(b, s, out=b)
-    del back
+        del b  # before the next component is sampled
     err.time_level = 0.5 * (prev.time_level + curr.time_level)
     return now, state_sums(err, med, grid, axes="x")
 

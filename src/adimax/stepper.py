@@ -70,6 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import FieldState, GridSpec, Medium, check_extents
+from .operators import diff
 
 
 class NonFiniteFieldError(ValueError):
@@ -210,35 +211,45 @@ def on_two_threads(here, there) -> tuple:
     return first, later.result()
 
 
-def _half_update(state: FieldState, grid: GridSpec, med: Medium, stage: int) -> FieldState:
+def _half_update(state: FieldState, grid: GridSpec, med: Medium, stage: int,
+                 out: FieldState | None = None) -> FieldState:
     """One half-update per the stage table in the module docstring.
 
-    The output is a fresh state: E wall entries are exact zeros by
+    The output is a fresh state unless `out` is given: then E interiors and all
+    of H are written into out's arrays, whose tangential-E wall entries must
+    be zeros, as at every level.  E wall entries are exact zeros by
     construction, so the PEC condition holds bitwise at every level.
     """
     check_extents(state, grid)
+    e_new, h_new = [None] * 3, [None] * 3
+    if out is not None:
+        check_extents(out, grid)
+        pairs = ((a, b) for _, a in out.components() for _, b in state.components())
+        if any(np.may_share_memory(a, b) for a, b in pairs):
+            raise ValueError("out may share memory with the input state")
+        e_new, h_new = list(out.e_triple()), list(out.h_triple())
     args = (state, grid, med, stage)
     if not two_threads(math.prod(grid.cells), _SPLIT_MIN):
-        e_new, h_new = [None] * 3, [None] * 3
         _update([(c, 0, n) for c, n in enumerate(grid.cells)], *args, e_new, h_new, _solve_lines,
                 pack=True)
     else:
-        e_new = [np.zeros(e.shape) for e in state.e_triple()]
-        h_new = [np.empty(x.shape) for x in state.h_triple()]
+        if out is None:
+            e_new = [np.zeros(e.shape) for e in state.e_triple()]
+            h_new = [np.empty(x.shape) for x in state.h_triple()]
         first = [(c, 0, n // 2) for c, n in enumerate(grid.cells)]
         second = [(c, n // 2, n) for c, n in enumerate(grid.cells)]
         on_two_threads(lambda: _update(first, *args, e_new, h_new, _solve_lines),
                        lambda: _update(second, *args, e_new, h_new, _sweep))
-    out = FieldState(*e_new, *h_new, time_level=state.time_level + 0.5)
+    new = FieldState(*e_new, *h_new, time_level=state.time_level + 0.5)
     # Checking the output attributes a NaN or infinity to the stage that made
     # it, and still catches one in the input: every input entry feeds some
     # output entry.  Each H_p is copied into its own output, and each E, wall
     # entries included, is differenced over its whole lattice in the explicit
     # part of one partner update (d_c E_imp), so non-finite input leaves
     # non-finite output.
-    if not out.all_finite():
+    if not new.all_finite():
         raise NonFiniteFieldError(f"non-finite values in the stage {stage} output")
-    return out
+    return new
 
 
 def stage1(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
@@ -246,9 +257,11 @@ def stage1(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
     return _half_update(state, grid, med, 1)
 
 
-def stage2(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
-    """Advance from the intermediate level to the next whole level."""
-    return _half_update(state, grid, med, 2)
+def stage2(state: FieldState, grid: GridSpec, med: Medium,
+           out: FieldState | None = None) -> FieldState:
+    """Advance from the intermediate level to the next whole level, in out's arrays if
+    given (a whole level that shares no memory with `state`; see _half_update)."""
+    return _half_update(state, grid, med, 2, out)
 
 
 def step(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
@@ -266,33 +279,31 @@ def _residual(before: FieldState, after: FieldState, grid: GridSpec, med: Medium
     scaled by max(1, largest field magnitude), which keeps the measure
     well-conditioned for dt anywhere between 1e-4 and 1.  E equations are
     checked on their interior index sets, H equations at every lattice point.
+    Each residual is formed in place, with at most two component lattices
+    alive, from the operations of the whole-array formula in their order.
     """
-    nx, ny, nz = grid.cells
-    dx, dy, dz = grid.dx, grid.dy, grid.dz
-    ce = grid.dt / (2.0 * med.eps)
-    ch = grid.dt / (2.0 * med.mu)
+    ce, ch = grid.dt / (2.0 * med.eps), grid.dt / (2.0 * med.mu)
     lead, trail = (after, before) if stage == 1 else (before, after)
+    cut = lambda u, axis: u[(slice(None),) * axis + (slice(1, -1),)]  # 1:-1 along axis
+    equations = []  # (new, old, coefficient, (lead lattice, axis), (trail lattice, axis))
+    for c in range(3):  # E_c on its interior: ce (d_a H_b - d_b H_a); H_c: ch (d_b E_a - d_a E_b)
+        a, b = (c + 1) % 3, (c + 2) % 3
+        inner = tuple(slice(None) if d == c else slice(1, -1) for d in range(3))
+        equations += [(after.e_triple()[c][inner], before.e_triple()[c][inner], ce,
+                       (cut(lead.h_triple()[b], b), a), (cut(trail.h_triple()[a], a), b)),
+                      (after.h_triple()[c], before.h_triple()[c], ch,
+                       (lead.e_triple()[a], b), (trail.e_triple()[b], a))]
     worst = 0.0
-
-    r = (after.ex - before.ex)[:, 1:ny, 1:nz] - ce * (
-        (np.diff(lead.hz, axis=1) / dy)[:, :, 1:nz] - (np.diff(trail.hy, axis=2) / dz)[:, 1:ny, :])
-    worst = max(worst, float(np.max(np.abs(r))) if r.size else 0.0)
-    r = (after.ey - before.ey)[1:nx, :, 1:nz] - ce * (
-        (np.diff(lead.hx, axis=2) / dz)[1:nx, :, :] - (np.diff(trail.hz, axis=0) / dx)[:, :, 1:nz])
-    worst = max(worst, float(np.max(np.abs(r))) if r.size else 0.0)
-    r = (after.ez - before.ez)[1:nx, 1:ny, :] - ce * (
-        (np.diff(lead.hy, axis=0) / dx)[:, 1:ny, :] - (np.diff(trail.hx, axis=1) / dy)[1:nx, :, :])
-    worst = max(worst, float(np.max(np.abs(r))) if r.size else 0.0)
-
-    r = (after.hx - before.hx) - ch * (np.diff(lead.ey, axis=2) / dz - np.diff(trail.ez, axis=1) / dy)
-    worst = max(worst, float(np.max(np.abs(r))))
-    r = (after.hy - before.hy) - ch * (np.diff(lead.ez, axis=0) / dx - np.diff(trail.ex, axis=2) / dz)
-    worst = max(worst, float(np.max(np.abs(r))))
-    r = (after.hz - before.hz) - ch * (np.diff(lead.ex, axis=1) / dy - np.diff(trail.ey, axis=0) / dx)
-    worst = max(worst, float(np.max(np.abs(r))))
-
-    scale = max(1.0, before.max_abs(), after.max_abs())
-    return worst / scale
+    for new, old, coef, (u, p), (v, q) in equations:
+        curl = diff(u, p, grid)
+        curl -= diff(v, q, grid)
+        curl *= coef
+        r = np.subtract(new, old)
+        r -= curl
+        del curl
+        worst = max(worst, float(np.max(np.abs(r, out=r))))
+        del r  # so that the next curl and its difference are the only lattices alive
+    return worst / max(1.0, before.max_abs(), after.max_abs())
 
 
 def stage1_residual(before: FieldState, after: FieldState, grid: GridSpec, med: Medium) -> float:

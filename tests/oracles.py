@@ -381,3 +381,34 @@ def adi_step_loop(state, grid, med):
                 hzn2[i, j, k] = hzn[i, j, k] + ch * ((exn[i, j + 1, k] - exn[i, j, k]) / dy
                                                      - (eyn2[i + 1, j, k] - eyn2[i, j, k]) / dx)
     return FieldState(exn2, eyn2, ezn2, hxn2, hyn2, hzn2, time_level=state.time_level + 1.0)
+
+
+def residual_formula(before, after, grid, med, stage):
+    """The stage residual as six whole-array expressions, one per coupled equation:
+    what stepper._residual computes in place, with the same operations in the same
+    order, so the two agree bit for bit."""
+    nx, ny, nz = grid.cells
+    dx, dy, dz = grid.dx, grid.dy, grid.dz
+    ce = grid.dt / (2.0 * med.eps)
+    ch = grid.dt / (2.0 * med.mu)
+    lead, trail = (after, before) if stage == 1 else (before, after)
+    worst = 0.0
+
+    r = (after.ex - before.ex)[:, 1:ny, 1:nz] - ce * (
+        (np.diff(lead.hz, axis=1) / dy)[:, :, 1:nz] - (np.diff(trail.hy, axis=2) / dz)[:, 1:ny, :])
+    worst = max(worst, float(np.max(np.abs(r))))
+    r = (after.ey - before.ey)[1:nx, :, 1:nz] - ce * (
+        (np.diff(lead.hx, axis=2) / dz)[1:nx, :, :] - (np.diff(trail.hz, axis=0) / dx)[:, :, 1:nz])
+    worst = max(worst, float(np.max(np.abs(r))))
+    r = (after.ez - before.ez)[1:nx, 1:ny, :] - ce * (
+        (np.diff(lead.hy, axis=0) / dx)[:, 1:ny, :] - (np.diff(trail.hx, axis=1) / dy)[1:nx, :, :])
+    worst = max(worst, float(np.max(np.abs(r))))
+
+    r = (after.hx - before.hx) - ch * (np.diff(lead.ey, axis=2) / dz - np.diff(trail.ez, axis=1) / dy)
+    worst = max(worst, float(np.max(np.abs(r))))
+    r = (after.hy - before.hy) - ch * (np.diff(lead.ez, axis=0) / dx - np.diff(trail.ex, axis=2) / dz)
+    worst = max(worst, float(np.max(np.abs(r))))
+    r = (after.hz - before.hz) - ch * (np.diff(lead.ex, axis=1) / dy - np.diff(trail.ey, axis=0) / dx)
+    worst = max(worst, float(np.max(np.abs(r))))
+
+    return worst / max(1.0, before.max_abs(), after.max_abs())

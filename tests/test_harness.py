@@ -232,30 +232,41 @@ def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind)
 
 @pytest.mark.parametrize("kind, held", [
     ("run", 2), ("energy-audit", 2), ("converge-time", 2), ("converge-space", 2),
-    ("divergence-audit", 1), ("stability", 1),
+    ("divergence-audit", 2), ("stability", 2),
 ])
 def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
-    # a step holds its input level and, where the driver reads it, the level before
+    # a step holds its input, the half level and the storage it writes, from step 2 on
+    # that of the level before its input: `held` whole levels, whatever the driver reads
     cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
     steps = round(cfg.T / (cfg.dt_list or (cfg.dt,))[0])
-    levels, alive = [], []
+    levels, halves, alive, recycled = [], [], [], []  # levels and halves: weakrefs to ex
     real_stage1, real_stage2 = harness.stage1, harness.stage2
 
-    def stage1(state, grid, med):
-        if not levels:
-            levels.append(weakref.ref(state))
-        alive.append(sum(ref() is not None for ref in levels))
-        return real_stage1(state, grid, med)
+    def count(refs):  # distinct arrays still alive
+        return len({id(a) for a in (ref() for ref in refs) if a is not None})
 
-    def stage2(state, grid, med):
-        out = real_stage2(state, grid, med)
-        levels.append(weakref.ref(out))
+    def stage1(state, grid, med, **kwargs):
+        if not levels:
+            levels.append(weakref.ref(state.ex))
+        alive.append((count(levels), count(halves)))
+        half = real_stage1(state, grid, med, **kwargs)
+        halves.append(weakref.ref(half.ex))
+        return half
+
+    def stage2(state, grid, med, **kwargs):
+        out = real_stage2(state, grid, med, **kwargs)
+        if len(levels) >= 2:  # level n in the arrays of level n-2
+            recycled.append(out.ex is levels[-2]())
+        levels.append(weakref.ref(out.ex))
+        alive.append((count(levels), count(halves)))
         return out
 
     monkeypatch.setattr(harness, "stage1", stage1)
     monkeypatch.setattr(harness, "stage2", stage2)
     harness.DRIVERS[kind](cfg)
-    assert len(alive) == steps and max(alive) == held
+    assert len(alive) == 2 * steps and max(w for w, _ in alive) == held
+    assert [h for _, h in alive] == [0, 1] * steps  # no half level outlives its step
+    assert len(recycled) == steps - 1 and all(recycled)
 
 
 def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):

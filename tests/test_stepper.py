@@ -16,7 +16,7 @@ from adimax.norms import energy_l2
 from adimax.operators import diff
 
 from conftest import force_split, grid3, grid4, max_component_diff, random_state
-from oracles import adi_step_loop, dense_tridiag_solve, lincomb
+from oracles import adi_step_loop, dense_tridiag_solve, lincomb, residual_formula
 
 
 def test_tridiagonal_identity_when_lambda_zero():
@@ -371,10 +371,79 @@ def test_stage_outputs_are_contiguous_with_zero_walls(cells, split, rng, monkeyp
         force_split(monkeypatch)
     g = make_grid(*cells, 0.6)
     half = stage1(random_state(g, rng), g, Medium())
-    for out in (half, stage2(half, g, Medium())):
+    recycled = step(random_state(g, rng), g, Medium())
+    for out in (half, stage2(half, g, Medium()), stage2(half, g, Medium(), out=recycled)):
         _assert_walls_zero(out)
         for name, a in out.components():
             assert a.flags.c_contiguous and a.flags.owndata and a.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["packed", "split"])
+@pytest.mark.parametrize("cells, med", [
+    pytest.param((8, 8, 8), Medium(), id="8^3"),
+    pytest.param((12, 20, 9), Medium(eps=2.5, mu=0.4), id="12x20x9"),
+])
+def test_stage2_into_recycled_storage_is_bytewise_a_fresh_stage2(cells, med, split, rng,
+                                                                 monkeypatch):
+    # a trajectory writes each new level into the arrays of a level it is done with
+    if split:
+        force_split(monkeypatch)
+    g = make_grid(*cells, 0.7)
+    recycled = step(random_state(g, rng), g, med)
+    arrays = [a for _, a in recycled.components()]
+    half = stage1(random_state(g, rng), g, med)
+    want = stage2(half, g, med)
+    got = stage2(half, g, med, out=recycled)
+    _assert_same_bytes(got, want)
+    assert all(a is b for (_, a), b in zip(got.components(), arrays))
+
+
+def test_stage2_rejects_out_sharing_memory_with_its_input(rng, medium):
+    g = grid4()
+    half = stage1(random_state(g, rng), g, medium)
+    partly = step(random_state(g, rng), g, medium)
+    partly.hy = half.hy[...]  # one component a view of the input's
+    for out in (half, partly):
+        with pytest.raises(ValueError, match="share memory"):
+            stage2(half, g, medium, out=out)
+
+
+@pytest.mark.parametrize("cells, dt, med", [
+    pytest.param((8, 8, 8), 0.05, Medium(), id="8^3"),
+    pytest.param((12, 20, 9), 0.7, Medium(eps=2.5, mu=0.4), id="12x20x9"),
+    pytest.param((3, 4, 5), 1.7, Medium(eps=2.0, mu=0.5), id="3x4x5"),
+])
+def test_residuals_are_bitwise_the_whole_array_formula(cells, dt, med, rng):
+    g = make_grid(*cells, dt)
+    s0 = random_state(g, rng)
+    half = stage1(s0, g, med)
+    # a true step (residuals at round-off) and three unrelated states (residuals of order one)
+    for before, mid, after in ((s0, half, stage2(half, g, med)),
+                               tuple(random_state(g, rng) for _ in range(3))):
+        first = residual_formula(before, mid, g, med, 1)
+        second = residual_formula(mid, after, g, med, 2)
+        assert stage1_residual(before, mid, g, med) == first
+        assert stage2_residual(mid, after, g, med) == second
+        assert step_residual(before, mid, after, g, med) == max(first, second)
+
+
+def test_step_residual_scratch_stays_under_bound():
+    """Scratch peak of step_residual on 24^3, in component lattices: the residuals are
+    formed in place (the whole-array formula's peak is 5.2)."""
+    g = make_grid(24, 24, 24, 0.3)
+    med = Medium()
+    s0 = enforce_pec(sample_exact(0.0, g, med))
+    half = stage1(s0, g, med)
+    full = stage2(half, g, med)
+    component_bytes = sum(a.nbytes for _, a in s0.components()) / 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step_residual(s0, half, full, g, med)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / component_bytes <= 3.5
 
 
 def test_half_level_energy_balance(rng, medium):
