@@ -6,8 +6,8 @@ manufactured-solution error metrics, and divergence diagnostics."""
 from .grid import (COMPONENTS, FieldState, GridSpec, Medium, enforce_pec, extent, make_grid,
                    read_component_blob, rotate_state, write_component_blob, write_snapshot,
                    zero_state)
-from .harness import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
-                      emit_config, energy_audit, parse_config, run, stability)
+from .harness import (ConfigError, RunConfig, converge_space, converge_time, emit_config,
+                      energy_audit, parse_config, run, stability)
 from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
                            OMEGA, error_state, metrics, observed_rate, sample_exact,
                            sample_semidiscrete)

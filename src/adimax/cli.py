@@ -14,7 +14,6 @@ DESK_DEFAULTS = {
     "converge-time": dict(nx=32, ny=32, nz=32, T=1.0, dt_list=(0.05, 0.04, 0.025)),
     "converge-space": dict(nx=10, ny=10, nz=10, dt=0.0025, T=1.0,
                            grid_list=(10, 20, 40)),
-    "divergence-audit": dict(nx=20, ny=20, nz=20, dt=0.05, T=4.0, cadence=20),
     "stability": dict(nx=20, ny=20, nz=20, dt=0.25, T=100.0, cadence=40),
 }
 
@@ -24,7 +23,6 @@ FULL_SCALE_DEFAULTS = {
     "converge-time": dict(nx=100, ny=100, nz=100, T=1.0, dt_list=(0.05, 0.04, 0.025, 0.02)),
     "converge-space": dict(nx=40, ny=40, nz=40, dt=0.001, T=1.0,
                            grid_list=(40, 50, 100)),
-    "divergence-audit": dict(nx=100, ny=100, nz=100, dt=0.01, T=20.0, cadence=100),
     "stability": dict(nx=100, ny=100, nz=100, dt=0.25, T=100.0, cadence=40),
 }
 

@@ -217,18 +217,25 @@ def write_component_blob(path, comp: str, values: np.ndarray, grid: GridSpec,
 
 
 def read_component_blob(path) -> tuple[str, np.ndarray, tuple[int, int, int], float]:
+    """The (component, values, cells, time level) of a blob; ValueError naming the file
+    if it is not a whole blob of this format."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, version, nx, ny, nz, tag, _res, time_level = _HEADER.unpack(raw)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        comp = tag.rstrip(b" \x00").decode("ascii")
-        if comp not in COMPONENTS:
-            raise ValueError(f"unknown component tag {comp!r}")
-        shape = tuple(n if o else n + 1 for n, o in zip((nx, ny, nz), HALF_OFFSET[comp]))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape).copy()
+        raw, payload = fh.read(_HEADER.size), fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, short of the {_HEADER.size}-byte header")
+    magic, version, nx, ny, nz, tag, _res, time_level = _HEADER.unpack(raw)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"{path}: bad snapshot magic {magic!r}")
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    comp = tag.rstrip(b" \x00").decode("ascii", "replace")
+    if comp not in COMPONENTS:
+        raise ValueError(f"{path}: unknown component tag {comp!r}")
+    shape = tuple(n if o else n + 1 for n, o in zip((nx, ny, nz), HALF_OFFSET[comp]))
+    if len(payload) != 8 * math.prod(shape):
+        raise ValueError(f"{path}: {comp} on {nx}x{ny}x{nz} cells needs {math.prod(shape)} "
+                         f"values, found {len(payload) / 8:g}")
+    data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return comp, data, (nx, ny, nz), time_level
 
 

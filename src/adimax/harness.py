@@ -1,11 +1,11 @@
-"""Experiment drivers: simulation runs, energy audits, convergence studies,
-divergence audits, and stability stress runs, with CSV emission.
+"""Experiment drivers: simulation runs, energy audits, convergence studies and
+stability stress runs, with CSV emission.
 
 Every driver steps one trajectory, `_trajectory(cfg, grid)`: from the initial
 state that `cfg.init` names it yields `(n, prev, level)` for n = 0 ... round(T/dt),
 where `level` is time level n and `prev` is level n-1 (None at n = 0); level
 n+1 is written into the arrays of `prev`.  Each driver does only its own work
-on those levels: report ticks for `run`, the audits and `stability`, the last
+on those levels: report ticks for `run`, the audit and `stability`, the last
 pair per resolution for the convergence studies.  A non-finite field ends the
 trajectory with a RuntimeError naming the step that made it.
 
@@ -33,13 +33,12 @@ from pathlib import Path
 from .grid import GridSpec, Medium, enforce_pec, make_grid, write_snapshot, zero_state
 from .manufactured import (energy_constants, metrics, observed_rate, sample_exact,
                            sample_semidiscrete)
-from .norms import DivergenceReport, StateSums, divergence, energy_l2, energy_report, energy_suite
+from .norms import StateSums, divergence, energy_l2, energy_report, energy_suite
 from .stepper import NonFiniteFieldError, stage1, stage2
 
-KINDS = ("run", "energy-audit", "converge-time", "converge-space", "divergence-audit",
-         "stability")
+KINDS = ("run", "energy-audit", "converge-time", "converge-space", "stability")
 INITS = ("exact", "zero")
-_TICKED = ("run", "energy-audit", "divergence-audit", "stability")  # kinds with report ticks
+_TICKED = ("run", "energy-audit", "stability")  # kinds with report ticks
 
 DRIFT_TOL = 1e-10  # stability: largest L2-type energy drift
 GROWTH_FACTOR = 10.0  # stability: largest field over the initial maximum
@@ -83,7 +82,7 @@ class RunConfig:
     snapshots: bool = _key(False, _bool, ("run",), "dump final field snapshots",
                            action="store_const", const="true")
     # an energy audit of the zero state would measure drift against zero energy
-    init: str = _key("exact", str, ("run", "divergence-audit", "stability"),
+    init: str = _key("exact", str, ("run", "stability"),
                      f"initial fields: {' or '.join(INITS)}")
     dt_list: tuple[float, ...] | None = _key(None, _list(float), ("converge-time",),
                                              "time steps to compare", metavar="DT,DT,...")
@@ -202,7 +201,11 @@ class _OutDir:
         self.path = Path(path) if path is not None else None
         self.names: list[str] = []
         if self.path is not None:
-            self.path.mkdir(parents=True, exist_ok=True)
+            try:
+                self.path.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # a file there or on the way, or no permission
+                raise ConfigError(f"out {str(self.path)!r} is not a usable directory: "
+                                  f"{exc.strerror}") from exc
 
     def write_text(self, name: str, text: str) -> None:
         if self.path is None:
@@ -277,12 +280,6 @@ def _ratio(value_sq, const):
     return None if value_sq is None else math.sqrt(value_sq / const)
 
 
-def _div_cells(d: DivergenceReport) -> dict:
-    """The divergence columns of a report, by label."""
-    return {"DivE_Linf": d.div_e_linf, "DivE_L2": d.div_e_l2, "DivH_Linf": d.div_h_linf,
-            "DivH_L2": d.div_h_l2}
-
-
 def run(cfg: RunConfig) -> Result:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
     out, grid, med = _start(cfg)
@@ -301,7 +298,8 @@ def run(cfg: RunConfig) -> Result:
             "time_level": state.time_level, "Q_h1x": s.h1["x"][1], "Q_h1y": s.h1["y"][1],
             "Q_h1z": s.h1["z"][1], "Q_l2": s.l2, "E_sq": s.e_sq, "H_sq": s.h_sq,
             "CurlPosE_sq": s.curl_pos_e, "CurlNegH_sq": s.curl_neg_h, "Q_h1tx": h1t["x"],
-            "Q_h1ty": h1t["y"], "Q_h1tz": h1t["z"], "Q_l2t": l2t, **_div_cells(div),
+            "Q_h1ty": h1t["y"], "Q_h1tz": h1t["z"], "Q_l2t": l2t, "DivE_Linf": div.div_e_linf,
+            "DivE_L2": div.div_e_l2, "DivH_Linf": div.div_h_linf, "DivH_L2": div.div_h_l2,
             "ERR0_n": _ratio(e.l2_core, k["total"]), "ERR1_n": _ratio(e.h1["x"][1], k["grad"]),
             "ERR2_n": _ratio(e.l2, k["total"]), "ErrE": math.sqrt(e.e_sq),
             "ErrH": math.sqrt(e.h_sq), "EH1_n": _ratio(s.h1["x"][1], k["grad"]),
@@ -405,18 +403,6 @@ def converge_space(cfg: RunConfig) -> Result:
                      lambda c: [(1.0 / n, c.to_grid(n=n)) for n in c.grid_list])
 
 
-def divergence_audit(cfg: RunConfig) -> Result:
-    out, grid, med = _start(cfg)
-    ticks = _ticks(cfg.steps, cfg.cadence)
-    rows = []
-    for n, _, state in _trajectory(cfg, grid):
-        if n in ticks:
-            rows.append({"time_level": state.time_level,
-                         **_div_cells(divergence(state, med, grid))})
-    out.write_csv("divergence_audit.csv", rows)
-    return Result(cfg, rows, out.finish())
-
-
 @dataclass
 class StabilityResult:
     config: RunConfig
@@ -456,6 +442,5 @@ DRIVERS = {
     "energy-audit": energy_audit,
     "converge-time": converge_time,
     "converge-space": converge_space,
-    "divergence-audit": divergence_audit,
     "stability": stability,
 }

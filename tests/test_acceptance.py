@@ -13,7 +13,7 @@ from adimax import (Medium, RunConfig, divergence, energy_h1, energy_l2, enforce
                     make_grid, sample_exact, stability, stage1, stage1_residual, stage2,
                     stage2_residual, step, time_diff)
 from adimax import stepper
-from adimax.harness import converge_space, converge_time, divergence_audit
+from adimax.harness import converge_space, converge_time, run
 from adimax.norms import electric_norm_sq
 
 from conftest import max_component_diff, random_state
@@ -136,10 +136,10 @@ def test_criterion_4_spatial_convergence(tmp_path):
 
 def test_criterion_5_divergence_preservation(tmp_path):
     """20^3 equal mesh, dt=0.05, T=4: electric divergence norms <= 1e-10 at all
-    report times, and <= 1e-13 for the sampled initial field."""
-    cfg = RunConfig(nx=20, ny=20, nz=20, dt=0.05, T=4.0, kind="divergence-audit",
+    report times of `run`, and <= 1e-13 for the sampled initial field."""
+    cfg = RunConfig(nx=20, ny=20, nz=20, dt=0.05, T=4.0, kind="run",
                     cadence=10, out=str(tmp_path / "div")).validate()
-    rows = divergence_audit(cfg).rows
+    rows = run(cfg).rows
     init_ok = rows[0]["DivE_Linf"] <= 1e-13 and rows[0]["DivE_L2"] <= 1e-13
     worst_linf = max(r["DivE_Linf"] for r in rows)
     worst_l2 = max(r["DivE_L2"] for r in rows)

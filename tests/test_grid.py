@@ -128,6 +128,28 @@ def test_blob_bytes_are_header_then_little_endian_values(tmp_path, rng, layout):
     assert path.read_bytes() == header + values.astype("<f8").tobytes()
 
 
+@pytest.mark.parametrize("defect, message", [
+    ("magic", "bad snapshot magic b'ADIX'"),
+    ("version", "unsupported snapshot version 2"),
+    ("tag", "unknown component tag 'hq'"),
+    ("short-header", "20 bytes, short of the 48-byte header"),
+    ("short-payload", "hy on 3x4x5 cells needs 75 values, found 74"),
+], ids=["magic", "version", "tag", "short-header", "short-payload"])
+def test_read_blob_rejects_a_bad_file_by_name(tmp_path, rng, defect, message):
+    g = make_grid(3, 4, 5, 0.125)
+    raw = bytearray(grid_module._HEADER.pack(
+        grid_module.SNAPSHOT_MAGIC, 2 if defect == "version" else grid_module.SNAPSHOT_VERSION,
+        3, 4, 5, b"hq  " if defect == "tag" else b"hy  ", 0, 2.5))
+    raw += rng.standard_normal(extent("hy", g)).astype("<f8").tobytes()
+    if defect == "magic":
+        raw[3:4] = b"X"
+    path = tmp_path / "hy.bin"
+    path.write_bytes({"short-header": raw[:20], "short-payload": raw[:-8]}.get(defect, raw))
+    with pytest.raises(ValueError) as info:
+        read_component_blob(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_write_snapshot_emits_six_files(tmp_path, rng):
     g = grid3()
     s = random_state(g, rng)

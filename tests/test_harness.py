@@ -11,8 +11,8 @@ from adimax import manufactured, norms, stepper
 from adimax import (divergence, electric_norm_sq, energy_h1, energy_l2, enforce_pec,
                     magnetic_norm_sq, metrics, sample_exact, sample_semidiscrete, step,
                     time_diff)
-from adimax import (ConfigError, RunConfig, converge_space, converge_time, divergence_audit,
-                    emit_config, energy_audit, observed_rate, parse_config, run, stability)
+from adimax import (ConfigError, RunConfig, converge_space, converge_time, emit_config,
+                    energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
 
 from conftest import force_split
@@ -109,7 +109,7 @@ def test_config_round_trip(tmp_path, kind):
 
 def test_off_kind_pairs():
     assert {line.split(" =")[0] for _, line in _OFF_KIND} == set(_OFF_KIND_TEXT)
-    assert len(_OFF_KIND) == 21
+    assert len(_OFF_KIND) == 18
 
 
 @pytest.mark.parametrize("kind, line", _OFF_KIND)
@@ -199,7 +199,15 @@ def test_run_zero_init_gives_zero_reports(tmp_path):
     result = run(desk_cfg(tmp_path, init="zero"))
     for row in result.rows:
         assert row["Q_l2"] == 0.0 and row["Q_h1x"] == 0.0
-        assert row["DivE_Linf"] == 0.0 and row["DivH_L2"] == 0.0
+        assert row["DivE_Linf"] == 0.0 and row["DivE_L2"] == 0.0 and row["DivH_L2"] == 0.0
+
+
+def test_run_divergence_small_throughout(tmp_path):
+    result = run(desk_cfg(tmp_path, dt=0.1, T=1.0, cadence=5))
+    assert result.rows[0]["DivE_Linf"] <= 1e-13
+    for row in result.rows:
+        assert row["DivE_Linf"] <= 1e-10
+        assert row["DivE_L2"] <= 1e-10
 
 
 def test_run_snapshots_round_trip(tmp_path):
@@ -232,7 +240,7 @@ def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind)
 
 @pytest.mark.parametrize("kind, held", [
     ("run", 2), ("energy-audit", 2), ("converge-time", 2), ("converge-space", 2),
-    ("divergence-audit", 2), ("stability", 2),
+    ("stability", 2),
 ])
 def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
     # a step holds its input, the half level and the storage it writes, from step 2 on
@@ -597,21 +605,21 @@ def test_convergence_csv_columns_are_their_sources(tmp_path, kind, lists):
     _assert_cells(_last_row(tmp_path / "out" / name), want)
 
 
-def test_divergence_audit_rows_are_divergence(tmp_path):
-    cfg = desk_cfg(tmp_path, kind="divergence-audit", **_TICK_GRID, cadence=2)
-    result = divergence_audit(cfg)
+def test_run_div_cells_are_divergence_at_every_tick(tmp_path):
+    cfg = desk_cfg(tmp_path, **_TICK_GRID, cadence=2)
+    result = run(cfg)
     grid, med, states = _trajectory(cfg)
     want = []
     for n in sorted(harness._ticks(cfg.steps, cfg.cadence)):
         div = divergence(states[n], med, grid)
         want.append({"time_level": n, "DivE_Linf": div.div_e_linf, "DivE_L2": div.div_e_l2,
                      "DivH_Linf": div.div_h_linf, "DivH_L2": div.div_h_l2})
-    assert result.rows == want
-    with open(tmp_path / "out" / "divergence_audit.csv", newline="") as fh:
+    with open(tmp_path / "out" / "run.csv", newline="") as fh:
         written = list(csv.DictReader(fh))
-    assert len(written) == len(want)
-    for row, values in zip(written, want):
-        _assert_cells(row, values)
+    assert len(result.rows) == len(written) == len(want)
+    for row, line, values in zip(result.rows, written, want):
+        assert {label: row[label] for label in values} == values
+        _assert_cells({label: line[label] for label in values}, values)
 
 
 @_CONVERGENCE
@@ -686,23 +694,6 @@ def test_nonunit_medium_errors_and_ratios(tmp_path):
                                                       math.sqrt(last["Q_l2"] / k["total"])]
 
 
-# --- divergence audit ------------------------------------------------------
-
-def test_divergence_audit_small_throughout(tmp_path):
-    cfg = desk_cfg(tmp_path, kind="divergence-audit", dt=0.1, T=1.0, cadence=5)
-    result = divergence_audit(cfg)
-    assert result.rows[0]["DivE_Linf"] <= 1e-13
-    for row in result.rows:
-        assert row["DivE_Linf"] <= 1e-10
-        assert row["DivE_L2"] <= 1e-10
-
-
-def test_divergence_audit_zero_init(tmp_path):
-    result = divergence_audit(desk_cfg(tmp_path, kind="divergence-audit", init="zero"))
-    for row in result.rows:
-        assert row["DivE_Linf"] == 0.0 and row["DivE_L2"] == 0.0
-
-
 # --- stability -------------------------------------------------------------
 
 def test_stability_large_courant_short_run(tmp_path):
@@ -740,6 +731,16 @@ def test_cli_config_error(capsys):
     rc = cli_main(["run", "--grid", "2,2,2", "--dt", "0.1", "--T", "0.5"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["a-file", "a-file/sub"])
+def test_cli_unusable_out_is_a_config_error(tmp_path, capsys, where):
+    (tmp_path / "a-file").write_text("")
+    rc = cli_main(["run", "--grid", "4,4,4", "--dt", "0.1", "--T", "0.2",
+                   "--out", str(tmp_path / where)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: out '{tmp_path / where}' ")
+    assert (tmp_path / "a-file").read_text() == ""
 
 
 def test_cli_converge_time(tmp_path, capsys):
@@ -792,7 +793,6 @@ _CSV_HEADERS = {
                       "rate2_semi"),
     "converge-space": ("converge_space.csv", "resolution,ERR1,rate1,ERR2,rate2,ERRt1,ratet1,"
                        "ERRt2,ratet2,ErrE,rateE,ErrH,rateH"),
-    "divergence-audit": ("divergence_audit.csv", "time_level,DivE_Linf,DivE_L2,DivH_Linf,DivH_L2"),
     "stability": ("stability.csv", "time_level,Q_l2,drift,max_field"),
 }
 
