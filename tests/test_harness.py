@@ -199,7 +199,7 @@ def test_run_zero_init_gives_zero_reports(tmp_path):
     result = run(desk_cfg(tmp_path, init="zero"))
     for row in result.rows:
         assert row["Q_l2"] == 0.0 and row["Q_h1x"] == 0.0
-        assert row["DivE_Linf"] == 0.0 and row["DivE_L2"] == 0.0 and row["DivH_L2"] == 0.0
+        assert row["DivE_Linf"] == 0.0 and row["DivH_L2"] == 0.0
 
 
 def test_run_divergence_small_throughout(tmp_path):
@@ -208,6 +208,13 @@ def test_run_divergence_small_throughout(tmp_path):
     for row in result.rows:
         assert row["DivE_Linf"] <= 1e-10
         assert row["DivE_L2"] <= 1e-10
+
+
+def test_divergence_audit_zero_init(tmp_path):
+    result = run(desk_cfg(tmp_path, init="zero"))
+    for row in result.rows:
+        for col in ("DivE_Linf", "DivE_L2", "DivH_Linf", "DivH_L2"):
+            assert row[col] == 0.0
 
 
 def test_run_snapshots_round_trip(tmp_path):
