@@ -9,8 +9,7 @@ from .grid import (COMPONENTS, FieldState, GridSpec, Medium, enforce_pec, extent
 from .harness import (ConfigError, RunConfig, converge_space, converge_time, emit_config,
                       energy_audit, parse_config, run, stability)
 from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                           OMEGA, error_state, metrics, observed_rate, sample_exact,
-                           sample_semidiscrete)
+                           OMEGA, metrics, observed_rate, sample_exact, sample_semidiscrete)
 from .norms import (DivergenceReport, divergence, electric_norm_sq, energy_h1, energy_l2,
                     energy_report, energy_suite, face_norm_sq, magnetic_norm_sq)
 from .operators import diff, time_diff

@@ -151,8 +151,8 @@ class FieldState:
         return all(bool(np.isfinite(getattr(self, c)).all()) for c in COMPONENTS)
 
 
-def zero_state(grid: GridSpec, time_level: float = 0.0) -> FieldState:
-    return FieldState(*(np.zeros(extent(c, grid)) for c in COMPONENTS), time_level=time_level)
+def zero_state(grid: GridSpec) -> FieldState:
+    return FieldState(*(np.zeros(extent(c, grid)) for c in COMPONENTS))
 
 
 def check_extents(state: FieldState, grid: GridSpec) -> None:

@@ -195,7 +195,9 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 class _OutDir:
-    """Collects output files and writes the MANIFEST listing them."""
+    """Collects output files and writes the MANIFEST listing them.  A directory reused
+    from an earlier run first loses the files its MANIFEST names, so that it ends up
+    holding only this run's; only bare file names are removed, and nothing outside it."""
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
@@ -203,6 +205,11 @@ class _OutDir:
         if self.path is not None:
             try:
                 self.path.mkdir(parents=True, exist_ok=True)
+                old = self.path / "MANIFEST"
+                stale = old.read_text(errors="replace").splitlines() if old.is_file() else []
+                for name in stale:  # bare file names only ("..", "a/b" are not): none outside
+                    if Path(name).name == name and (self.path / name).is_file():
+                        (self.path / name).unlink()
             except OSError as exc:  # a file there or on the way, or no permission
                 raise ConfigError(f"out {str(self.path)!r} is not a usable directory: "
                                   f"{exc.strerror}") from exc
@@ -403,15 +410,13 @@ def converge_space(cfg: RunConfig) -> Result:
                      lambda c: [(1.0 / n, c.to_grid(n=n)) for n in c.grid_list])
 
 
-@dataclass
-class StabilityResult:
-    config: RunConfig
-    courant: float
+@dataclass(kw_only=True)
+class StabilityResult(Result):
+    """A Result with the verdict of `stability` and the maxima it was judged on."""
     passed: bool
     max_drift: float
     max_field: float
     initial_max: float
-    files: list[str] = field(default_factory=list)
 
 
 def stability(cfg: RunConfig) -> StabilityResult:
@@ -433,8 +438,8 @@ def stability(cfg: RunConfig) -> StabilityResult:
             rows.append({"time_level": n, "Q_l2": q, "drift": drift, "max_field": m})
     passed = bool(max_drift <= DRIFT_TOL and max_field <= GROWTH_FACTOR * max(m0, 1e-300))
     out.write_csv("stability.csv", rows)
-    return StabilityResult(cfg, grid.courant(med.eps, med.mu), passed, max_drift, max_field,
-                           m0, out.finish())
+    return StabilityResult(cfg, rows, out.finish(), passed=passed, max_drift=max_drift,
+                           max_field=max_field, initial_max=m0)
 
 
 DRIVERS = {

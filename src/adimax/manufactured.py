@@ -49,22 +49,15 @@ ENERGY_GRAD_TIME_SQ = 63.0 * math.pi**4 / 64.0         # |d2e/dxdt|^2 + |d2h/dxd
 
 _SQ3 = math.sqrt(3.0)
 _UNIT = Medium()
+# the mode's (e_x, e_y, e_z) amplitudes and the (h_x, h_y, h_z) ones at unit sqrt(eps/mu)
+_E_AMP = np.array([_SQ3 / 4.0, _SQ3 / 2.0, -3.0 * _SQ3 / 4.0])
+_H_AMP = np.array([-5.0 / 4.0, 1.0, 0.25])
 
 
 def energy_constants(med: Medium) -> dict:
     """The analytic energy constants of the mode in the medium `med`, by short name."""
     return {"total": ENERGY_TOTAL_SQ * med.eps, "grad": ENERGY_GRAD_SQ * med.eps,
             "time": ENERGY_TIME_SQ / med.mu, "grad_time": ENERGY_GRAD_TIME_SQ / med.mu}
-
-
-_AMPLITUDE = {
-    "ex": _SQ3 / 4.0,
-    "ey": _SQ3 / 2.0,
-    "ez": -3.0 * _SQ3 / 4.0,
-    "hx": -5.0 / 4.0,
-    "hy": 1.0,
-    "hz": 0.25,
-}
 
 
 def _profile(comp: str, amplitude, x, y, z):
@@ -77,16 +70,15 @@ def _profile(comp: str, amplitude, x, y, z):
     return out
 
 
-def _exact_amplitude(comp: str, t, med: Medium):
-    w = OMEGA / math.sqrt(med.eps * med.mu)
-    if comp.startswith("e"):
-        return _AMPLITUDE[comp] * np.cos(w * t)
-    return _AMPLITUDE[comp] * math.sqrt(med.eps / med.mu) * np.sin(w * t)
+def _flow(a_par, a_perp, b, freq, t: float, grid: GridSpec, med: Medium, lazy: bool = False):
+    """The six sampled profiles on their staggered lattices at time t, scaled by the
+    (x, y, z) amplitudes a_par + a_perp cos(w t) for e and b sqrt(eps/mu) sin(w t) for h
+    (a_par may be the scalar 0), with w = freq / sqrt(eps mu); with `lazy`, an iterator
+    of (name, lattice) that samples each component as it is reached."""
+    w = freq / math.sqrt(med.eps * med.mu)
+    amplitudes = dict(zip(COMPONENTS, (*(a_par + a_perp * np.cos(w * t)),
+                                       *(b * math.sqrt(med.eps / med.mu) * np.sin(w * t)))))
 
-
-def _sample(amplitudes: dict, t: float, grid: GridSpec, lazy: bool = False):
-    """The six sampled profiles on their staggered lattices, scaled per component; with
-    `lazy`, an iterator of (name, lattice) that samples each component as it is reached."""
     def lattices():
         for comp in COMPONENTS:
             off = HALF_OFFSET[comp]
@@ -102,18 +94,18 @@ def _sample(amplitudes: dict, t: float, grid: GridSpec, lazy: bool = False):
 
 def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):
     """Sample the mode in the medium `med` on every staggered lattice at time t
-    (with `lazy`, one component at a time; see _sample).
+    (with `lazy`, one component at a time; see _flow).
 
     Wall entries of tangential e evaluate to sin(pi * 0) and the like, so they
     are zero only to round-off (about 1e-16); run initialization squares that
     away with enforce_pec.
     """
-    return _sample({c: _exact_amplitude(c, t, med) for c in COMPONENTS}, t, grid, lazy)
+    return _flow(0.0, _E_AMP, _H_AMP, OMEGA, t, grid, med, lazy)
 
 
 def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):
     """Sample the grid's time-exact solution that starts from the sampled mode (with
-    `lazy`, one component at a time; see _sample).
+    `lazy`, one component at a time; see _flow).
 
     The Yee difference of a sampled cos/sin(pi(1-u)) profile along axis a is
     the continuous derivative with pi replaced by s_a = 2 sin(pi h_a/2)/h_a.
@@ -124,44 +116,33 @@ def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: boo
     (A, B) = (a, 0) at t = 0, with a split into a_par along s and a_perp
     across it, and w = |s| / sqrt(eps mu),
 
-        A(t) = a_par + a_perp cos(w t),   B(t) = (s x a) sin(w t) / |s|.
+        A(t) = a_par + a_perp cos(w t),   B(t) = (s x a) sin(w t) / |s|,
 
-    On a cube a . s = 0, and this is the sampled mode with sqrt(3) pi replaced
-    by sqrt(3) s.  The fully discrete solution differs from it only by the
-    error of the time stepping: the O(h^2) spatial error drops out.
+    which is _flow's.  The continuous mode is the case s = pi (1, 1, 1), where
+    a . s = 0 and (s x a) / |s| = (-5/4, 1, 1/4).  The fully discrete solution
+    differs from this flow only by the error of the time stepping: the O(h^2)
+    spatial error drops out.
     """
     s = np.array([2.0 * math.sin(0.5 * math.pi * h) / h for h in (grid.dx, grid.dy, grid.dz)])
-    a = np.array([_AMPLITUDE[c] for c in ("ex", "ey", "ez")])
     norm = math.sqrt(s @ s)
-    w = norm / math.sqrt(med.eps * med.mu)
-    a_par = (a @ s) / (s @ s) * s
-    e_amp = a_par + (a - a_par) * math.cos(w * t)
-    h_amp = np.cross(s, a) * (math.sin(w * t) / norm * math.sqrt(med.eps / med.mu))
-    return _sample(dict(zip(COMPONENTS, (*e_amp, *h_amp))), t, grid, lazy)
-
-
-def error_state(numeric: FieldState, t: float, grid: GridSpec, reference=None,
-                med: Medium = _UNIT) -> FieldState:
-    """Reference-minus-numeric field state at time t, formed in the reference's arrays.
-
-    `reference(t, grid, med)` returns a fresh sample of the solution graded
-    against; None means sample_exact, looked up at call time so that a wrapper
-    installed on this module's attribute sees the call.
-    """
-    check_extents(numeric, grid)
-    err = (reference or sample_exact)(t, grid, med)
-    for comp, arr in numeric.components():
-        np.subtract(getattr(err, comp), arr, out=getattr(err, comp))
-    err.time_level = numeric.time_level
-    return err
+    a_par = (_E_AMP @ s) / (s @ s) * s
+    return _flow(a_par, _E_AMP - a_par, np.cross(s, _E_AMP) / norm, norm, t, grid, med, lazy)
 
 
 def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medium,
             reference=None) -> tuple[StateSums, StateSums | None]:
-    """The sums, along x, of the error of `curr` against `reference` (which error_state
-    takes as it does; with `prev`, it is also called with lazy=True) and, when `prev`
-    is given, of the error's time difference (else None); one pass per state."""
-    err = error_state(curr, curr.time_level * grid.dt, grid, reference, med)
+    """The sums, along x, of the error of `curr` (reference minus numeric) and, when `prev`
+    is given, of the error's time difference (else None); one pass per state.
+
+    `reference(t, grid, med)` returns a fresh sample of the solution graded against,
+    in whose arrays the error is formed (with `prev`, it is also called with lazy=True);
+    None means sample_exact, looked up at call time so that a wrapper installed on this
+    module's attribute sees the call."""
+    check_extents(curr, grid)
+    reference = reference or sample_exact
+    err = reference(curr.time_level * grid.dt, grid, med)
+    for name, arr in curr.components():
+        np.subtract(getattr(err, name), arr, out=getattr(err, name))
     now = state_sums(err, med, grid, axes="x")
     if prev is None:
         return now, None
@@ -170,7 +151,7 @@ def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medi
     # (err - b) / dt, bit for bit time_diff's, formed in err's arrays with b, the error
     # of prev, sampled and formed one component at a time: a tick holds no fourth state
     s = 1.0 / grid.dt
-    for name, b in (reference or sample_exact)(prev.time_level * grid.dt, grid, med, lazy=True):
+    for name, b in reference(prev.time_level * grid.dt, grid, med, lazy=True):
         np.subtract(b, getattr(prev, name), out=b)
         e = getattr(err, name)
         e *= s

@@ -272,11 +272,6 @@ def _check_consecutive(prev: FieldState, curr: FieldState) -> None:
         )
 
 
-def _dt_state(prev: FieldState, curr: FieldState, grid: GridSpec) -> FieldState:
-    _check_consecutive(prev, curr)
-    return time_diff(curr, prev, grid.dt)
-
-
 # ---------------------------------------------------------------------------
 # Divergence diagnostics
 # ---------------------------------------------------------------------------
@@ -322,7 +317,10 @@ def energy_report(curr: FieldState, prev: FieldState | None, med: Medium, grid: 
     """The sums of `curr` and, when `prev` is given, of (curr - prev)/dt (else None);
     one pass per state."""
     now = state_sums(curr, med, grid, axes)
-    return now, None if prev is None else state_sums(_dt_state(prev, curr, grid), med, grid, axes)
+    if prev is None:
+        return now, None
+    _check_consecutive(prev, curr)
+    return now, state_sums(time_diff(curr, prev, grid.dt), med, grid, axes)
 
 
 def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium,

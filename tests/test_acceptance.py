@@ -64,9 +64,10 @@ def test_criterion_2_unconditional_stability(tmp_path):
     cfg = RunConfig(nx=20, ny=20, nz=20, dt=0.25, T=100.0, kind="stability",
                     cadence=40, out=str(tmp_path / "stab")).validate()
     result = stability(cfg)
-    assert result.courant >= 5.0
+    courant = cfg.to_grid().courant(cfg.eps, cfg.mu)
+    assert courant >= 5.0
     ok = _verdict(2, "unconditional stability", result.passed,
-                  f"Courant {result.courant:.2f}, drift {result.max_drift:.3e} (tol 1e-10), "
+                  f"Courant {courant:.2f}, drift {result.max_drift:.3e} (tol 1e-10), "
                   f"max |field| {result.max_field:.3f} vs initial {result.initial_max:.3f}")
     assert ok
 

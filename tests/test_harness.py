@@ -230,6 +230,30 @@ def test_run_snapshots_round_trip(tmp_path):
     assert np.isfinite(data).all()
 
 
+def test_reused_out_holds_only_the_last_runs_files(tmp_path):
+    out = tmp_path / "out"
+    run(desk_cfg(tmp_path, snapshots=True, T=0.2))
+    (out / "notes.txt").write_text("not written by a run")
+    result = run(desk_cfg(tmp_path, T=0.2))
+    assert not list(out.glob("snapshot_*"))
+    assert sorted(p.name for p in out.iterdir()) == sorted([*result.files, "MANIFEST", "notes.txt"])
+    assert (out / "notes.txt").read_text() == "not written by a run"
+
+
+def test_reused_out_removes_nothing_outside_it(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("victim", "inner"):
+        (tmp_path / name).write_text("keep")
+    (out / "sub").mkdir()
+    (out / "sub" / "victim").write_text("keep")
+    (out / "MANIFEST").write_text("../victim\n%s\nsub/victim\nsub\n.\n..\nmissing\n"
+                                  % (tmp_path / "inner"))
+    run(desk_cfg(tmp_path, T=0.2))
+    for kept in (tmp_path / "victim", tmp_path / "inner", out / "sub" / "victim"):
+        assert kept.read_text() == "keep"
+
+
 @pytest.mark.parametrize("kind", list(harness.DRIVERS))
 def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind):
     cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
@@ -706,9 +730,15 @@ def test_nonunit_medium_errors_and_ratios(tmp_path):
 def test_stability_large_courant_short_run(tmp_path):
     cfg = desk_cfg(tmp_path, kind="stability", dt=0.5, T=10.0, cadence=5)
     result = stability(cfg)
-    assert result.courant > 5.0
+    assert cfg.to_grid().courant(cfg.eps, cfg.mu) > 5.0
     assert result.passed
     assert result.max_field <= 10 * result.initial_max
+    # its rows are its CSV's, like every driver's
+    with open(tmp_path / "out" / "stability.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert [row["time_level"] for row in result.rows] == [0, 5, 10, 15, 20]
+    for row, line in zip(result.rows, written, strict=True):
+        _assert_cells(line, row)
 
 
 def test_stability_tiny_dt(tmp_path):

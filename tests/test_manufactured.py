@@ -6,7 +6,7 @@ import pytest
 
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
                     OMEGA, Medium, electric_norm_sq, energy_report, energy_suite, enforce_pec,
-                    error_state, magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
+                    magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
                     sample_semidiscrete, step, zero_state)
 from adimax import manufactured
 from adimax.manufactured import energy_constants
@@ -138,21 +138,33 @@ def test_mode_energies_scale_with_the_medium():
                                           "grad_time": ENERGY_GRAD_TIME_SQ}
 
 
-def test_error_state_trivial_cases(medium):
-    g = make_grid(5, 5, 5, 0.1)
-    t = 0.3
-    exact = sample_exact(t, g)
-    zero_err = error_state(exact, t, g)
-    assert zero_err.max_abs() == 0.0
-    full_err = error_state(zero_state(g), t, g)
-    assert max_component_diff(full_err, exact) == 0.0
+def _recorded_passes(monkeypatch) -> list:
+    """Copies of the states `metrics` hands to state_sums, in call order."""
+    passes = []
+    monkeypatch.setattr(manufactured, "state_sums",
+                        lambda state, *a, **k: passes.append(state.copy()) or state_sums(state, *a, **k))
+    return passes
+
+
+def test_error_state_trivial_cases(medium, monkeypatch):
+    # the error state that metrics grades is reference minus numeric: zero for the
+    # reference itself, and the reference's own bits for the zero state
+    g = make_grid(5, 5, 5, 0.125)
+    exact = sample_exact(0.375, g, medium)  # level 3, whose time 3 * dt is 0.375 exactly
+    passes = _recorded_passes(monkeypatch)
+    metrics(exact, None, g, medium)
+    assert passes[-1].max_abs() == 0.0
+    zero = zero_state(g)
+    zero.time_level = exact.time_level
+    metrics(zero, None, g, medium)
+    assert max_component_diff(passes[-1], exact) == 0.0
 
 
 def test_error_small_after_one_step(medium):
     g = make_grid(8, 8, 8, 0.05)
     s = enforce_pec(sample_exact(0.0, g))
     s1 = step(s, g, medium)
-    err = error_state(s1, g.dt, g)
+    err = lincomb(1.0, sample_exact(g.dt, g, medium), -1.0, s1)
     assert 0 < err.max_abs() < 0.05
 
 
@@ -187,13 +199,12 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
     # the error's time difference, formed in place, has the bits of the linear
     # combination (levels 1 -> 2: the error of level 0 is zero), against either reference
     s2 = step(s1, g, medium)
-    passes = []
-    monkeypatch.setattr(manufactured, "state_sums",
-                        lambda state, *a, **k: passes.append(state.copy()) or state_sums(state, *a, **k))
-    for reference in (None, sample_semidiscrete):
-        metrics(s2, s1, g, medium, reference)
-        ref = lincomb(1.0 / g.dt, error_state(s2, 2 * g.dt, g, reference),
-                      -1.0 / g.dt, error_state(s1, g.dt, g, reference))
+    passes = _recorded_passes(monkeypatch)
+    for reference in (sample_exact, sample_semidiscrete):
+        metrics(s2, s1, g, medium, None if reference is sample_exact else reference)
+        errors = [lincomb(1.0, reference(t, g, medium), -1.0, s)
+                  for t, s in ((2 * g.dt, s2), (g.dt, s1))]
+        ref = lincomb(1.0 / g.dt, errors[0], -1.0 / g.dt, errors[1])
         assert passes[-1].time_level == 1.5
         assert all(np.array_equal(getattr(passes[-1], c), x) for c, x in ref.components())
 
