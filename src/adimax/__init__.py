@@ -10,10 +10,9 @@ from .harness import (ConfigError, RunConfig, converge_space, converge_time, emi
                       energy_audit, parse_config, run, stability)
 from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
                            OMEGA, metrics, observed_rate, sample_exact, sample_semidiscrete)
-from .norms import (DivergenceReport, divergence, electric_norm_sq, energy_h1, energy_l2,
-                    energy_report, energy_suite, face_norm_sq, magnetic_norm_sq)
+from .norms import (DivergenceReport, divergence, energy_h1, energy_l2, energy_report,
+                    energy_suite)
 from .operators import diff, time_diff
-from .stepper import (NonFiniteFieldError, stage1, stage1_residual, stage2, stage2_residual, step,
-                      step_residual)
+from .stepper import NonFiniteFieldError, stage1, stage2, step, step_residual
 
 __version__ = "0.1.0"

@@ -119,6 +119,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.cadence < 1:
             raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
+        if self.out is not None and not self.out.strip():  # "" would be the working directory
+            raise ConfigError(f"out must name a directory, got {self.out!r}")
         if self.kind == "converge-time" and not self.dt_list:
             raise ConfigError("converge-time needs dt_list")
         key, dts = ("dt_list", self.dt_list) if self.kind == "converge-time" else ("dt", (self.dt,))

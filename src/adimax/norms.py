@@ -13,17 +13,19 @@ of the two-stage update, for any time step:
 Their time-difference variants (the same forms applied to (next - prev)/dt
 across two consecutive whole levels) are conserved as well.
 
-All of them, and their core forms (without the dt^2 terms), are partial
-sums of one pass over a state, `state_sums`, in two independent halves: the E
-half takes every lattice sum of E and of the curl pieces (d_y ez, d_z ex,
-d_x ey), the H half those of H and of (d_z hy, d_x hz, d_y hx), trimmed to the
-E sets.  Each half forms one piece at a time and takes its sums for every axis
-of the pass, by the piece's role (see `energy_h1`), before the next piece reuses
-the array.  The parts, and the wall-plane sums, are then added in a fixed
-order, so the sums are bit for bit the same on one thread or two.  A report
-tick takes its functionals as two such records, `energy_report`: the sums of
-a level and of its time difference (`energy_suite`: along x alone).  Which
-sum fills which CSV column is for `harness` alone to say.
+All of them, their core forms (without the dt^2 terms) and the component
+norms |E|_E^2, |H|_H^2 are partial sums of one pass over a state, `state_sums`,
+the one way to any lattice norm.  It runs in two independent halves: the E half
+takes every lattice sum of E and of the curl pieces (d_y ez, d_z ex, d_x ey),
+and per axis the tangential-E wall planes; the H half those of H and of
+(d_z hy, d_x hz, d_y hx), trimmed to the E sets, and the normal-H wall planes.
+Each half forms one piece at a time and takes its sums for every axis of the
+pass, by the piece's role (see `energy_h1`), before the next piece reuses the
+array.  The parts are then added in a fixed order, so the sums are bit for bit
+the same on one thread or two.  A report tick takes its functionals as two
+such records, `energy_report`: the sums of a level and of its time difference
+(`energy_suite`: along x alone).  Which sum fills which CSV column is for
+`harness` alone to say.
 
 From _THREAD_MIN cells on, with two usable cores, the H half runs on the
 stepper's worker and calls no name a tracer wraps; below it both halves run
@@ -101,55 +103,10 @@ def _roles(seq, a: int) -> tuple:
     return tuple(seq[(a + r) % 3] for r in range(3))
 
 
-def electric_norm_sq(u, weight: float, grid: GridSpec, buf: np.ndarray | None = None) -> float:
-    """Squared norm over E-located triples with the interior index ranges.
-
-    The x-slot sums all half-offset x indices but only interior y, z nodes
-    (and cyclically for the other slots); `weight` is eps for electric fields,
-    mu for magnetic quantities measured on E locations.
-    """
-    nx, ny, nz = grid.cells
-    ux, uy, uz = _expect(u, ((nx, ny + 1, nz + 1), (nx + 1, ny, nz + 1), (nx + 1, ny + 1, nz)))
-    s = (_ssq(ux[:, 1:ny, 1:nz], buf) + _ssq(uy[1:nx, :, 1:nz], buf)
-         + _ssq(uz[1:nx, 1:ny, :], buf))
-    return weight * grid.dv * s
-
-
-def magnetic_norm_sq(v, weight: float, grid: GridSpec, buf: np.ndarray | None = None) -> float:
-    """Squared norm over H-located triples; every lattice entry participates."""
-    nx, ny, nz = grid.cells
-    vx, vy, vz = _expect(v, ((nx + 1, ny, nz), (nx, ny + 1, nz), (nx, ny, nz + 1)))
-    return weight * grid.dv * (_ssq(vx, buf) + _ssq(vy, buf) + _ssq(vz, buf))
-
-
-def _expect(triple, shapes):
-    """`triple` itself once every lattice has its expected shape."""
-    for arr, shape in zip(triple, shapes):
-        if arr.shape != shape:
-            raise ValueError(f"lattice shape {arr.shape} does not match expected {shape}")
-    return triple
-
-
-def face_norm_sq(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> tuple[float, float]:
-    """Wall-plane norms on the two planes nearest the walls perpendicular to `axis`.
-
-    Returns (tangential-E part, wall-normal-H part), both squared.  For the x
-    axis the planes are i' in {1, nx-1}; the E part sums ey and ez there, the
-    H part sums hx, each scaled by the transverse area element over the axis
-    spacing.  The other axes read this through the role map.
-    """
-    a = _AXES[axis]
-    check_extents(state, grid)
-    n0, n1, n2 = _roles(grid.cells, a)
+def _cb(grid: GridSpec, a: int) -> float:
+    """h1 h2 / h0 for axis a: the transverse area element of a wall plane over the axis spacing."""
     h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
-    _, e1, e2 = _roles(state.e_triple(), a)
-    m0 = state.h_triple()[a]
-    cb = h1 * h2 / h0
-    total = 0.0
-    for ip in (1, n0 - 1):
-        total += (_ssq(e1[_ix(a, ip, slice(None), slice(1, n2))])
-                  + _ssq(e2[_ix(a, ip, slice(1, n1))]))
-    return med.eps * cb * total, med.mu * cb * (_ssq(m0[_ix(a, 1)]) + _ssq(m0[_ix(a, n0 - 1)]))
+    return h1 * h2 / h0
 
 
 @dataclass(frozen=True)
@@ -181,12 +138,11 @@ def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz"
         on_two_threads(e_half, h_half) if threaded else (e_half(), h_half()))
     q, by_axis = grid.dt ** 2 / (4.0 * med.eps * med.mu), {}
     for axis, a in zip(axes, idx):
-        (vol_e, pert_e, (fe1, fe2)), (vol_h, pert_h, (fh1, fh2)) = e_h1[a], h_h1[a]
+        (vol_e, pert_e, (fe1, fe2), face_e), (vol_h, pert_h, (fh1, fh2), face_h) = e_h1[a], h_h1[a]
         vol, pert, fpert = vol_e + vol_h, pert_h + pert_e, fh1 + fe1 + fh2 + fe2  # i' = 1, nx-1
-        faces = sum(face_norm_sq(state, axis, med, grid))  # planes, not lattices: on this thread
-        h0, h1, h2 = _roles((grid.dx, grid.dy, grid.dz), a)
+        faces = face_e + face_h
         by_axis[axis] = (grid.dv * vol + faces,
-                         grid.dv * (vol + q * pert) + faces + q * (h1 * h2 / h0) * fpert)
+                         grid.dv * (vol + q * pert) + faces + q * _cb(grid, a) * fpert)
     l2_core = e_sq + h_sq
     return StateSums(e_sq, h_sq, curl_pos_e, curl_neg_h, l2_core,
                      l2_core + q * (curl_neg_h + curl_pos_e), by_axis)
@@ -209,7 +165,7 @@ def _by_piece(pieces, roles, axes, grid: GridSpec, piece: np.ndarray, buf: np.nd
 
 
 def _e_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) -> tuple:
-    """e_sq, curl_pos_e and, per axis, the E parts (vol, pert, fpert) of the H1 sums."""
+    """e_sq, curl_pos_e and, per axis, the E parts (vol, pert, fpert, faces) of the H1 sums."""
     e, eps, every = state.e_triple(), med.eps, slice(None)
     # roles of (d_y e2, d_z e0, d_x e1): d_x sums; H planes i' = 1, nx-1; d_x e1's vol term
     roles = lambda n0, n1, n2: (
@@ -220,17 +176,24 @@ def _e_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) ->
     for a in axes:
         (t0, f1, f2), (t1,), (t2, v) = by_role[a]
         n0, n1, n2 = _roles(grid.cells, a)
-        e0, _, e2 = _roles(e, a)
+        e0, e1, e2 = _roles(e, a)
         # x-differenced energies on the sets where their update equations hold:
         # integer x in [1, nx-1], half x in [3/2, nx-3/2] (d_x ey), then ez
         vol = eps * (_dssq(e0, a, grid, buf, every, slice(1, n1), slice(1, n2)) + v
                      + _dssq(e2, a, grid, buf, slice(1, n0 - 1), slice(1, n1)))
-        parts[a] = (vol, eps * (t0 + t1 + t2), (eps * f1, eps * f2))
-    return electric_norm_sq(e, eps, grid, buf), eps * grid.dv * sum(sq), parts
+        # the wall planes i' = 1, nx-1: tangential ey on interior z, ez on interior y
+        planes = [_ssq(e1[_ix(a, ip, every, slice(1, n2))], buf)
+                  + _ssq(e2[_ix(a, ip, slice(1, n1))], buf) for ip in (1, n0 - 1)]
+        parts[a] = (vol, eps * (t0 + t1 + t2), (eps * f1, eps * f2),
+                    eps * _cb(grid, a) * (planes[0] + planes[1]))
+    nx, ny, nz = grid.cells  # each E lattice on its interior nodes, every half-offset index
+    e_sq = (_ssq(e[0][:, 1:ny, 1:nz], buf) + _ssq(e[1][1:nx, :, 1:nz], buf)
+            + _ssq(e[2][1:nx, 1:ny, :], buf))
+    return eps * grid.dv * e_sq, eps * grid.dv * sum(sq), parts
 
 
 def _h_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) -> tuple:
-    """h_sq, curl_neg_h and, per axis, the H parts (vol, pert, fpert) of the H1 sums."""
+    """h_sq, curl_neg_h and, per axis, the H parts (vol, pert, fpert, faces) of the H1 sums."""
     m, mu, every = state.h_triple(), med.mu, slice(None)
     # roles of (d_z m1, d_x m2, d_y m0), trimmed to the E sets (the only ones read): d_x
     # sums; the planes i' - 1 next to the E planes
@@ -245,8 +208,10 @@ def _h_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) ->
         # wall-adjacent x entries dropped: the wall-plane terms hold those pencils
         vol = mu * (_dssq(m0, a, grid, buf, slice(1, n0 - 1))
                     + _dssq(m1, a, grid, buf, every, slice(1, n1)) + sq[(a + 1) % 3])
-        parts[a] = (vol, mu * (t0 + t1 + t2), (mu * (g1 + k1), mu * (g2 + k2)))
-    return magnetic_norm_sq(m, mu, grid, buf), mu * grid.dv * sum(sq), parts
+        parts[a] = (vol, mu * (t0 + t1 + t2), (mu * (g1 + k1), mu * (g2 + k2)),
+                    mu * _cb(grid, a) * (_ssq(m0[_ix(a, 1)], buf) + _ssq(m0[_ix(a, n0 - 1)], buf)))
+    h_sq = _ssq(m[0], buf) + _ssq(m[1], buf) + _ssq(m[2], buf)  # every H lattice entry
+    return mu * grid.dv * h_sq, mu * grid.dv * sum(sq), parts
 
 
 def energy_l2(state: FieldState, med: Medium, grid: GridSpec) -> float:

@@ -306,16 +306,8 @@ def _residual(before: FieldState, after: FieldState, grid: GridSpec, med: Medium
     return worst / max(1.0, before.max_abs(), after.max_abs())
 
 
-def stage1_residual(before: FieldState, after: FieldState, grid: GridSpec, med: Medium) -> float:
-    return _residual(before, after, grid, med, stage=1)
-
-
-def stage2_residual(before: FieldState, after: FieldState, grid: GridSpec, med: Medium) -> float:
-    return _residual(before, after, grid, med, stage=2)
-
-
 def step_residual(state_n: FieldState, state_half: FieldState, state_next: FieldState,
                   grid: GridSpec, med: Medium) -> float:
     """Max residual over both half-updates of one full step."""
-    return max(stage1_residual(state_n, state_half, grid, med),
-               stage2_residual(state_half, state_next, grid, med))
+    return max(_residual(state_n, state_half, grid, med, stage=1),
+               _residual(state_half, state_next, grid, med, stage=2))

@@ -11,9 +11,11 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-@pytest.fixture
-def medium():
-    return Medium(1.0, 1.0)
+# vacuum keeps each test's plain id (pytest >= 8.4 hides it); the second medium is appended
+@pytest.fixture(params=[Medium(1.0, 1.0), Medium(2.5, 0.4)],
+                ids=[getattr(pytest, "HIDDEN_PARAM", "vacuum"), "eps2.5-mu0.4"])
+def medium(request):
+    return request.param
 
 
 def random_state(grid, rng, pec=True, time_level=0.0) -> FieldState:

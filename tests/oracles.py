@@ -116,26 +116,6 @@ def rotate_loop(state: FieldState) -> FieldState:
                       time_level=state.time_level)
 
 
-def face_norm_loop(state, axis, med, grid):
-    s, g = state, grid
-    for _ in range({"x": 0, "y": 1, "z": 2}[axis]):
-        s, g = rotate_loop(s), rotate_grid(g)
-    nx, ny, nz = g.cells
-    cb = g.dy * g.dz / g.dx
-    e_part = h_part = 0.0
-    for ip in (1, nx - 1):
-        for j in range(ny):
-            for k in range(1, nz):
-                e_part += med.eps * s.ey[ip, j, k] ** 2
-        for j in range(1, ny):
-            for k in range(nz):
-                e_part += med.eps * s.ez[ip, j, k] ** 2
-        for j in range(ny):
-            for k in range(nz):
-                h_part += med.mu * s.hx[ip, j, k] ** 2
-    return cb * e_part, cb * h_part
-
-
 def energy_l2_loop(state, med, grid, core=False):
     nx, ny, nz = grid.cells
     dx, dy, dz = grid.dx, grid.dy, grid.dz

@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 from adimax import (Medium, RunConfig, divergence, energy_h1, energy_l2, enforce_pec,
-                    make_grid, sample_exact, stability, stage1, stage1_residual, stage2,
-                    stage2_residual, step, time_diff)
+                    make_grid, sample_exact, stability, stage1, stage2, step, step_residual,
+                    time_diff)
 from adimax import stepper
 from adimax.harness import converge_space, converge_time, run
-from adimax.norms import electric_norm_sq
+from adimax.norms import state_sums
 
 from conftest import max_component_diff, random_state
 from oracles import (adi_step_loop, dense_tridiag_solve, divergence_loop, energy_h1_loop,
-                     energy_l2_loop, face_norm_loop, norm_e_loop, norm_h_loop)
-from adimax.norms import face_norm_sq, magnetic_norm_sq
+                     energy_l2_loop, norm_e_loop, norm_h_loop)
 
 MEDIUM = Medium(1.0, 1.0)
 
@@ -163,7 +162,7 @@ def test_criterion_6_analytic_energy_constants():
     devs = {}
     for n in (16, 32):
         g = make_grid(n, n, n, 0.05)
-        e_sq = electric_norm_sq(sample_exact(0.0, g).e_triple(), MEDIUM.eps, g)
+        e_sq = state_sums(sample_exact(0.0, g), MEDIUM, g, axes="").e_sq
         devs[n] = abs(e_sq - 21 / 64) / (21 / 64)
     bound_ok = devs[32] <= 1e-2
     floor = 100 * np.finfo(float).eps
@@ -188,16 +187,13 @@ def test_criterion_7_oracle_equivalence(rng):
     for n in (3, 4):
         g = make_grid(n, n, n, 0.45)
         s = random_state(g, rng)
-        worst = max(worst, _rel(electric_norm_sq(s.e_triple(), 1.0, g),
-                                norm_e_loop(s.e_triple(), 1.0, g)))
-        worst = max(worst, _rel(magnetic_norm_sq(s.h_triple(), 1.0, g),
-                                norm_h_loop(s.h_triple(), 1.0, g)))
+        sums = state_sums(s, MEDIUM, g)
+        worst = max(worst, _rel(sums.e_sq, norm_e_loop(s.e_triple(), MEDIUM.eps, g)),
+                    _rel(sums.h_sq, norm_h_loop(s.h_triple(), MEDIUM.mu, g)))
         for axis in "xyz":
             worst = max(worst, _rel(energy_h1(s, axis, MEDIUM, g),
-                                    energy_h1_loop(s, axis, MEDIUM, g)))
-            got = face_norm_sq(s, axis, MEDIUM, g)
-            want = face_norm_loop(s, axis, MEDIUM, g)
-            worst = max(worst, _rel(got[0], want[0]), _rel(got[1], want[1]))
+                                    energy_h1_loop(s, axis, MEDIUM, g)),
+                        _rel(sums.h1[axis][0], energy_h1_loop(s, axis, MEDIUM, g, core=True)))
         worst = max(worst, _rel(energy_l2(s, MEDIUM, g), energy_l2_loop(s, MEDIUM, g)))
         rep = divergence(s, MEDIUM, g)
         linf_e, l2_e, linf_h, l2_h = divergence_loop(s, MEDIUM, g)
@@ -230,8 +226,7 @@ def test_criterion_8_stage_residuals(rng):
         s = random_state(g, rng)
         half = stage1(s, g, MEDIUM)
         full = stage2(half, g, MEDIUM)
-        worst = max(worst, stage1_residual(s, half, g, MEDIUM),
-                    stage2_residual(half, full, g, MEDIUM))
+        worst = max(worst, step_residual(s, half, full, g, MEDIUM))
     ok = _verdict(8, "stage residuals", worst <= 1e-12, f"worst residual {worst:.3e} (tol 1e-12)")
     assert ok
 

@@ -8,9 +8,8 @@ import pytest
 import adimax.harness as harness
 from adimax import grid as grid_module
 from adimax import manufactured, norms, stepper
-from adimax import (divergence, electric_norm_sq, energy_h1, energy_l2, enforce_pec,
-                    magnetic_norm_sq, metrics, sample_exact, sample_semidiscrete, step,
-                    time_diff)
+from adimax import (divergence, energy_h1, energy_l2, enforce_pec, metrics, sample_exact,
+                    sample_semidiscrete, step, time_diff)
 from adimax import (ConfigError, RunConfig, converge_space, converge_time, emit_config,
                     energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
@@ -450,9 +449,12 @@ def test_run_tick_reads_each_state_once(tmp_path, monkeypatch, cadence):
     for row, n in zip(rows[1:], ticks):
         curr, prev = states[n], (states[n - 1] if n else None)
         dz_hy, dx_hz, dy_hx = split_curl_neg(curr.h_triple(), grid)
+        ex, ey, ez = curr.e_triple()
         want = [n, *(energy_h1(curr, a, med, grid) for a in "xyz"), energy_l2(curr, med, grid),
-                electric_norm_sq(curr.e_triple(), med.eps, grid),
-                magnetic_norm_sq(curr.h_triple(), med.mu, grid),
+                med.eps * dv * (float(np.sum(ex[:, 1:ny, 1:nz] ** 2))
+                                + float(np.sum(ey[1:nx, :, 1:nz] ** 2))
+                                + float(np.sum(ez[1:nx, 1:ny, :] ** 2))),
+                med.mu * dv * sum(float(np.sum(h ** 2)) for h in curr.h_triple()),
                 med.eps * dv * sum(float(np.sum(p ** 2))
                                    for p in split_curl_pos(curr.e_triple(), grid)),
                 med.mu * dv * (float(np.sum(dz_hy[:, 1:ny, :] ** 2))
@@ -778,6 +780,21 @@ def test_cli_unusable_out_is_a_config_error(tmp_path, capsys, where):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"config error: out '{tmp_path / where}' ")
     assert (tmp_path / "a-file").read_text() == ""
+
+
+@pytest.mark.parametrize("form", ["flag", "flag-blank", "config-file"])
+def test_cli_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys, form):
+    # an empty out would write into, and clean up, the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "keep.txt").write_text("keep")
+    (tmp_path / "MANIFEST").write_text("keep.txt\nMANIFEST\n")
+    (tmp_path / "cfg").write_text("nx = 4\nny = 4\nnz = 4\ndt = 0.1\nT = 0.1\nout =\n")
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    argv = {"flag": ["--out", ""], "flag-blank": ["--out", " "], "config-file": ["--config", "cfg"]}
+    rc = cli_main(["run", "--grid", "4,4,4", "--dt", "0.1", "--T", "0.1", *argv[form]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: out must name a directory")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_converge_time(tmp_path, capsys):

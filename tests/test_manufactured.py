@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
-                    OMEGA, Medium, electric_norm_sq, energy_report, energy_suite, enforce_pec,
-                    magnetic_norm_sq, make_grid, metrics, observed_rate, sample_exact,
-                    sample_semidiscrete, step, zero_state)
+                    OMEGA, Medium, energy_report, energy_suite, enforce_pec, make_grid, metrics,
+                    observed_rate, sample_exact, sample_semidiscrete, step, zero_state)
 from adimax import manufactured
 from adimax.manufactured import energy_constants
 from adimax.norms import state_sums
@@ -128,11 +127,9 @@ def test_mode_energies_scale_with_the_medium():
     assert total == 3.0 * ENERGY_TOTAL_SQ
     w = OMEGA / math.sqrt(1.5)
     for t in (0.0, 0.3):
-        s = sample_exact(t, g, med)
-        e_sq = electric_norm_sq(s.e_triple(), med.eps, g)
-        h_sq = magnetic_norm_sq(s.h_triple(), med.mu, g)
-        assert abs(e_sq - total * math.cos(w * t) ** 2) <= 1e-13 * total
-        assert abs(h_sq - total * math.sin(w * t) ** 2) <= 1e-13 * total
+        sums = state_sums(sample_exact(t, g, med), med, g, axes="")
+        assert abs(sums.e_sq - total * math.cos(w * t) ** 2) <= 1e-13 * total
+        assert abs(sums.h_sq - total * math.sin(w * t) ** 2) <= 1e-13 * total
     assert energy_constants(Medium()) == {"total": ENERGY_TOTAL_SQ, "grad": ENERGY_GRAD_SQ,
                                           "time": ENERGY_TIME_SQ,
                                           "grad_time": ENERGY_GRAD_TIME_SQ}
@@ -162,7 +159,7 @@ def test_error_state_trivial_cases(medium, monkeypatch):
 
 def test_error_small_after_one_step(medium):
     g = make_grid(8, 8, 8, 0.05)
-    s = enforce_pec(sample_exact(0.0, g))
+    s = enforce_pec(sample_exact(0.0, g, medium))
     s1 = step(s, g, medium)
     err = lincomb(1.0, sample_exact(g.dt, g, medium), -1.0, s1)
     assert 0 < err.max_abs() < 0.05
@@ -170,32 +167,34 @@ def test_error_small_after_one_step(medium):
 
 def test_metrics_zero_for_exact_samples(medium):
     g = make_grid(8, 8, 8, 0.05)
-    e, d = metrics(sample_exact(0.0, g), None, g, medium)
-    assert math.sqrt(e.l2_core / ENERGY_TOTAL_SQ) <= 1e-13
-    assert math.sqrt(e.h1["x"][1] / ENERGY_GRAD_SQ) <= 1e-13
-    assert math.sqrt(e.l2 / ENERGY_TOTAL_SQ) <= 1e-13
+    k, exact = energy_constants(medium), sample_exact(0.0, g, medium)
+    e, d = metrics(exact, None, g, medium)
+    assert math.sqrt(e.l2_core / k["total"]) <= 1e-13
+    assert math.sqrt(e.h1["x"][1] / k["grad"]) <= 1e-13
+    assert math.sqrt(e.l2 / k["total"]) <= 1e-13
     assert d is None
     # full-norm ratios carry the dt^2 perturbation and O(h^2) quadrature terms
-    now, _ = energy_report(sample_exact(0.0, g), None, medium, g)
-    assert math.sqrt(now.l2 / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=5e-3)
-    assert math.sqrt(now.h1["x"][1] / ENERGY_GRAD_SQ) == pytest.approx(1.0, abs=2e-2)
+    now, _ = energy_report(exact, None, medium, g)
+    assert math.sqrt(now.l2 / k["total"]) == pytest.approx(1.0, abs=5e-3)
+    assert math.sqrt(now.h1["x"][1] / k["grad"]) == pytest.approx(1.0, abs=2e-2)
     # without the perturbation the lattice sums are alias free: exact to round-off
-    core = state_sums(sample_exact(0.0, g), medium, g).l2_core
-    assert math.sqrt(core / ENERGY_TOTAL_SQ) == pytest.approx(1.0, abs=1e-12)
+    core = state_sums(exact, medium, g).l2_core
+    assert math.sqrt(core / k["total"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metrics_with_consecutive_levels(medium, monkeypatch):
     g = make_grid(8, 8, 8, 0.05)
-    s0 = enforce_pec(sample_exact(0.0, g))
+    k = energy_constants(medium)
+    s0 = enforce_pec(sample_exact(0.0, g, medium))
     s1 = step(s0, g, medium)
     e, de = metrics(s1, s0, g, medium)
-    for value_sq, const in ((e.l2_core, ENERGY_TOTAL_SQ), (e.h1["x"][1], ENERGY_GRAD_SQ),
-                            (e.l2, ENERGY_TOTAL_SQ), (de.h1["x"][1], ENERGY_GRAD_TIME_SQ),
-                            (de.l2, ENERGY_TIME_SQ)):
+    for value_sq, const in ((e.l2_core, k["total"]), (e.h1["x"][1], k["grad"]),
+                            (e.l2, k["total"]), (de.h1["x"][1], k["grad_time"]),
+                            (de.l2, k["time"])):
         assert 0 < math.sqrt(value_sq / const) < 0.1
     _, d = energy_report(s1, s0, medium, g)
-    assert math.sqrt(d.h1["x"][1] / ENERGY_GRAD_TIME_SQ) == pytest.approx(1.0, abs=0.05)
-    assert math.sqrt(d.l2 / ENERGY_TIME_SQ) == pytest.approx(1.0, abs=0.05)
+    assert math.sqrt(d.h1["x"][1] / k["grad_time"]) == pytest.approx(1.0, abs=0.05)
+    assert math.sqrt(d.l2 / k["time"]) == pytest.approx(1.0, abs=0.05)
     # the error's time difference, formed in place, has the bits of the linear
     # combination (levels 1 -> 2: the error of level 0 is zero), against either reference
     s2 = step(s1, g, medium)

@@ -9,14 +9,14 @@ import tracemalloc
 import pytest
 
 from adimax import (DivergenceReport, Medium, divergence, energy_h1, energy_l2,
-                    energy_report, energy_suite, enforce_pec, face_norm_sq, make_grid, metrics,
+                    energy_report, energy_suite, enforce_pec, make_grid, metrics,
                     norms, sample_exact, step, time_diff, zero_state)
 from adimax.harness import _OutDir, format_value
-from adimax.manufactured import ENERGY_TOTAL_SQ, OMEGA
-from adimax.norms import electric_norm_sq, magnetic_norm_sq, state_sums
+from adimax.manufactured import OMEGA, energy_constants
+from adimax.norms import state_sums
 
 from conftest import force_split, grid3, grid4, random_state
-from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, face_norm_loop, lincomb,
+from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, lincomb,
                      norm_e_loop, norm_h_loop)
 
 
@@ -24,24 +24,26 @@ def test_electric_norm_counting_example(medium):
     g = grid4()
     s = zero_state(g)
     s.ex[:] = 1.0
-    # 4 * 3 * 3 contributing x-slots, each weighing dv = 1/64
-    assert electric_norm_sq(s.e_triple(), medium.eps, g) == pytest.approx(36 / 64, rel=1e-14)
+    # 4 * 3 * 3 contributing x-slots, each weighing eps dv = eps/64
+    assert state_sums(s, medium, g).e_sq == pytest.approx(36 / 64 * medium.eps, rel=1e-14)
 
 
 def test_magnetic_norm_counting_example(medium):
     g = grid4()
     s = zero_state(g)
     s.hx[:] = 1.0
-    assert magnetic_norm_sq(s.h_triple(), medium.mu, g) == pytest.approx(80 / 64, rel=1e-14)
+    assert state_sums(s, medium, g).h_sq == pytest.approx(80 / 64 * medium.mu, rel=1e-14)
 
 
 def test_face_norm_counting_example(medium):
     g = grid4()
     s = zero_state(g)
     s.ey[:] = 1.0
-    e_part, h_part = face_norm_sq(s, "x", medium, g)
-    assert e_part == pytest.approx(6.0, rel=1e-14)
-    assert h_part == 0.0
+    # every volume term of this state is zero, so the core x energy is the wall planes':
+    # ey on i' = 1, 3 and interior z, 4 * 3 entries each, eps dy dz / dx = eps / 4 apiece
+    # (hx is zero, so the wall-normal H planes add nothing)
+    assert state_sums(s, medium, g, axes="x").h1["x"][0] == pytest.approx(6.0 * medium.eps,
+                                                                          rel=1e-14)
 
 
 def test_zero_state_norms_vanish(medium):
@@ -50,7 +52,6 @@ def test_zero_state_norms_vanish(medium):
     assert energy_l2(s, medium, g) == 0.0
     for axis in "xyz":
         assert energy_h1(s, axis, medium, g) == 0.0
-    assert face_norm_sq(s, "y", medium, g) == (0.0, 0.0)
 
 
 def test_norms_are_quadratic(rng, medium):
@@ -61,7 +62,7 @@ def test_norms_are_quadratic(rng, medium):
     for func in (lambda u: energy_l2(u, medium, g),
                  lambda u: energy_h1(u, "x", medium, g),
                  lambda u: energy_h1(u, "z", medium, g),
-                 lambda u: sum(face_norm_sq(u, "y", medium, g))):
+                 lambda u: state_sums(u, medium, g, axes="y").h1["y"][0]):
         assert func(cs) == pytest.approx(c * c * func(s), rel=1e-13)
 
 
@@ -69,19 +70,16 @@ def test_norms_are_quadratic(rng, medium):
 def test_norms_match_loop_oracles(cells, rng, medium):
     g = make_grid(*cells, 0.35)
     s = random_state(g, rng)
-    assert electric_norm_sq(s.e_triple(), medium.eps, g) == pytest.approx(
-        norm_e_loop(s.e_triple(), medium.eps, g), rel=1e-13)
-    assert magnetic_norm_sq(s.h_triple(), medium.mu, g) == pytest.approx(
-        norm_h_loop(s.h_triple(), medium.mu, g), rel=1e-13)
+    sums = state_sums(s, medium, g)
+    assert sums.e_sq == pytest.approx(norm_e_loop(s.e_triple(), medium.eps, g), rel=1e-13)
+    assert sums.h_sq == pytest.approx(norm_h_loop(s.h_triple(), medium.mu, g), rel=1e-13)
     for axis in "xyz":
-        assert face_norm_sq(s, axis, medium, g) == pytest.approx(
-            face_norm_loop(s, axis, medium, g), rel=1e-13)
         assert energy_h1(s, axis, medium, g) == pytest.approx(
             energy_h1_loop(s, axis, medium, g), rel=1e-13)
-        assert state_sums(s, medium, g, axes=axis).h1[axis][0] == pytest.approx(
+        assert sums.h1[axis][0] == pytest.approx(
             energy_h1_loop(s, axis, medium, g, core=True), rel=1e-13)
     assert energy_l2(s, medium, g) == pytest.approx(energy_l2_loop(s, medium, g), rel=1e-13)
-    assert state_sums(s, medium, g).l2_core == pytest.approx(
+    assert sums.l2_core == pytest.approx(
         energy_l2_loop(s, medium, g, core=True), rel=1e-13)
     rep = divergence(s, medium, g)
     linf_e, l2_e, linf_h, l2_h = divergence_loop(s, medium, g)
@@ -95,7 +93,7 @@ def test_nonunit_medium_weights(rng):
     g = grid3()
     med = Medium(eps=3.0, mu=0.5)
     s = random_state(g, rng)
-    assert electric_norm_sq(s.e_triple(), med.eps, g) == pytest.approx(
+    assert state_sums(s, med, g).e_sq == pytest.approx(
         norm_e_loop(s.e_triple(), med.eps, g), rel=1e-13)
     assert energy_h1(s, "y", med, g) == pytest.approx(
         energy_h1_loop(s, "y", med, g), rel=1e-13)
@@ -105,25 +103,25 @@ def test_nonunit_medium_weights(rng):
 def test_sampled_mode_energy_tracks_analytic_law(medium):
     # uniform trig sums are alias free, so the discrete component energies hit
     # the analytic values essentially to round-off, at every resolution
+    total, w = energy_constants(medium)["total"], OMEGA / math.sqrt(medium.eps * medium.mu)
     for n in (8, 16):
         g = make_grid(n, n, n, 0.05)
         for t in (0.0, 0.3):
-            s = sample_exact(t, g)
-            e_sq = electric_norm_sq(s.e_triple(), medium.eps, g)
-            h_sq = magnetic_norm_sq(s.h_triple(), medium.mu, g)
-            assert abs(e_sq - ENERGY_TOTAL_SQ * math.cos(OMEGA * t) ** 2) <= 1e-13
-            assert abs(h_sq - ENERGY_TOTAL_SQ * math.sin(OMEGA * t) ** 2) <= 1e-13
-    # and in particular matches the quoted value 21/64 within the loose bound
+            sums = state_sums(sample_exact(t, g, medium), medium, g, axes="")
+            assert abs(sums.e_sq - total * math.cos(w * t) ** 2) <= 1e-13
+            assert abs(sums.h_sq - total * math.sin(w * t) ** 2) <= 1e-13
+    # and in particular matches the quoted value 21/64 eps within the loose bound
     g = make_grid(16, 16, 16, 0.05)
-    e_sq = electric_norm_sq(sample_exact(0.0, g).e_triple(), medium.eps, g)
-    assert abs(e_sq - 21 / 64) / (21 / 64) <= 1e-2
+    e_sq = state_sums(sample_exact(0.0, g, medium), medium, g, axes="").e_sq
+    assert abs(e_sq - total) / total <= 1e-2
 
 
 def test_magnetic_energy_at_quarter_period(medium):
     g = make_grid(12, 12, 12, 0.05)
-    t = 1.0 / (2.0 * math.sqrt(3.0))  # sin(omega t) = 1
-    h_sq = magnetic_norm_sq(sample_exact(t, g).h_triple(), medium.mu, g)
-    assert abs(h_sq - 21 / 64) / (21 / 64) <= 1e-2
+    total = energy_constants(medium)["total"]
+    t = math.sqrt(medium.eps * medium.mu) / (2.0 * math.sqrt(3.0))  # sin(omega t) = 1
+    h_sq = state_sums(sample_exact(t, g, medium), medium, g, axes="").h_sq
+    assert abs(h_sq - total) / total <= 1e-2
 
 
 def test_functionals_invariant_on_tiny_grid(rng, medium):
@@ -232,8 +230,8 @@ def test_energy_suite_keys(rng, medium):
 
 
 def test_face_norm_requires_three_cells():
-    # make_grid rejects fewer than 3 cells, so the two wall planes of
-    # face_norm_sq never collide
+    # make_grid rejects fewer than 3 cells, so the two wall planes of an
+    # axis (i' = 1, n - 1) never collide
     with pytest.raises(ValueError):
         make_grid(2, 4, 4, 0.1)
 
