@@ -145,10 +145,18 @@ class FieldState:
         return FieldState(*(getattr(self, c).copy() for c in COMPONENTS), time_level=self.time_level)
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(getattr(self, c)))) for c in COMPONENTS)
+        return max(max_abs(getattr(self, c)) for c in COMPONENTS)
 
     def all_finite(self) -> bool:
-        return all(bool(np.isfinite(getattr(self, c)).all()) for c in COMPONENTS)
+        """Whether every entry is finite: a lattice whose plain sum is finite is, and only
+        a lattice whose sum is not (or overflows) is checked entry by entry."""
+        return all(math.isfinite(np.einsum("ijk->", a)) or bool(np.isfinite(a).all())
+                   for a in (getattr(self, c) for c in COMPONENTS))
+
+
+def max_abs(a: np.ndarray) -> float:
+    """max |a|, without the array of absolute values."""
+    return max(float(a.max()), -float(a.min()))
 
 
 def zero_state(grid: GridSpec) -> FieldState:

@@ -1,13 +1,17 @@
 """Experiment drivers: simulation runs, energy audits, convergence studies and
 stability stress runs, with CSV emission.
 
-Every driver steps one trajectory, `_trajectory(cfg, grid)`: from the initial
-state that `cfg.init` names it yields `(n, prev, level)` for n = 0 ... round(T/dt),
-where `level` is time level n and `prev` is level n-1 (None at n = 0); level
-n+1 is written into the arrays of `prev`.  Each driver does only its own work
-on those levels: report ticks for `run`, the audit and `stability`, the last
-pair per resolution for the convergence studies.  A non-finite field ends the
-trajectory with a RuntimeError naming the step that made it.
+Every driver steps one trajectory, `_trajectory(cfg, grid, lends)`: from the
+initial state that `cfg.init` names it yields `(n, prev, level)` for n = 0 ...
+round(T/dt), where `level` is time level n and `prev` is level n-1 (None at
+n = 0); level n+1 is written into the arrays of `prev`.  Each driver does only
+its own work on those levels: report ticks for `run`, the audit and
+`stability`, the last pair per resolution for the convergence studies.  It
+names the steps whose `prev` it reads in `lends` (run: its ticks; the audit:
+its ticks and step 1), where the trajectory holds no carried right-hand side.
+The convergence studies read the last pair after the trajectory has ended,
+and `stability` reads no `prev`.  A non-finite field ends the trajectory with
+a RuntimeError naming the step that made it.
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
@@ -34,7 +38,7 @@ from .grid import GridSpec, Medium, enforce_pec, make_grid, write_snapshot, zero
 from .manufactured import (energy_constants, metrics, observed_rate, sample_exact,
                            sample_semidiscrete)
 from .norms import StateSums, divergence, energy_l2, energy_report, energy_suite
-from .stepper import NonFiniteFieldError, stage1, stage2
+from .stepper import NonFiniteFieldError, carry, stage1, stage2
 
 KINDS = ("run", "energy-audit", "converge-time", "converge-space", "stability")
 INITS = ("exact", "zero")
@@ -245,27 +249,35 @@ def _start(cfg: RunConfig):
     return out, cfg.to_grid(), cfg.to_medium()
 
 
-def _trajectory(cfg: RunConfig, grid: GridSpec):
+def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
     """Yield (n, level n-1, level n) for n = 0 ... round(T / grid.dt), starting
     from the initial state of `cfg.init`; at n = 0 the previous level is None.
 
     Each new level is written into the arrays of the level yielded as previous
     one step earlier, which the caller is done with: a yielded level stays valid
-    until the caller asks for the level after next.  So a step holds its input,
-    the half level and the storage it writes, and from step 2 on no whole level
-    is allocated."""
+    until the caller asks for the level after next.  The steps carry stage one's
+    right-hand side (`carry`) from one to the next, a third whole state.  It is
+    dropped before each yield of a step in `lends`, the steps whose previous level
+    the caller reads, so that no third state is alive while it does, and rebuilt
+    from the level after; a rebuilt one rounds apart from a carried one, so the
+    levels depend on `lends` at rounding level."""
     med = cfg.to_medium()
     if cfg.init == "zero":
         level = zero_state(grid)
     else:
         level = enforce_pec(sample_exact(0.0, grid))  # at t = 0 the mode is the same in any medium
-    prev = None
+    prev = rhs = None
     yield 0, prev, level
     for n in range(1, round(cfg.T / grid.dt) + 1):
+        rhs = carry(level, grid, med) if rhs is None else rhs
+        out = zero_state(grid) if prev is None else prev
         try:
-            prev, level = level, stage2(stage1(level, grid, med), grid, med, out=prev)
+            stage1(rhs, grid, med, out=out, carried=True)
+            prev, level = level, stage2(rhs, grid, med, out=out, carried=True)
         except NonFiniteFieldError as exc:
             raise RuntimeError(f"non-finite field detected at step {n}") from exc
+        if n in lends:
+            rhs = None
         yield n, prev, level
 
 
@@ -295,7 +307,7 @@ def run(cfg: RunConfig) -> Result:
     ticks = _ticks(cfg.steps, cfg.cadence)
     k = energy_constants(med)
     rows = []
-    for n, prev, state in _trajectory(cfg, grid):
+    for n, prev, state in _trajectory(cfg, grid, lends=ticks):
         if n not in ticks:
             continue
         s, d = energy_report(state, prev, med, grid)  # d: the sums of (state - prev)/dt
@@ -344,7 +356,7 @@ def energy_audit(cfg: RunConfig) -> Result:
     ticks = _ticks(cfg.steps, cfg.cadence)
     k = energy_constants(med)
     rows = []
-    for n, prev, state in _trajectory(cfg, grid):
+    for n, prev, state in _trajectory(cfg, grid, lends=ticks | {1}):
         if n > 1 and n not in ticks:
             continue
         s, d = energy_suite(state, prev, med, grid)  # d: the sums of (state - prev)/dt
@@ -376,7 +388,7 @@ def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> Result:
     k = energy_constants(med)
     rows: list[dict] = []
     for res, grid in points(cfg):
-        for _, prev, state in _trajectory(cfg, grid):
+        for _, prev, state in _trajectory(cfg, grid, lends={round(cfg.T / grid.dt)}):
             pass  # only the last pair of levels is graded
         e, de = metrics(state, prev, grid, med)  # T >= dt, so prev is a level
         errors = {"ERR1": _ratio(e.h1["x"][1], k["grad"]), "ERR2": _ratio(e.l2, k["total"]),

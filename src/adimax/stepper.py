@@ -1,27 +1,28 @@
 """Two-stage alternating-direction-implicit update for the 3D Maxwell system.
 
 Components are indexed c = 0, 1, 2 for x, y, z, with cyclic neighbours
-(a, b) = (c+1, c+2) mod 3, so that (curl H)_c = d_a H_b - d_b H_a.  Each full
-step of size dt is split into two half-updates.  In each one every E_c is
-implicit along one axis imp through one H component, its partner H_p, and
-the implicit axes rotate between the stages:
+(a, b) = (c+1, c+2) mod 3, so that (curl H)_c = d_a H_b - d_b H_a.  With
+ce = dt/(2 eps), ch = dt/(2 mu) and q = ce ch = dt^2/(4 eps mu), dt/2 times the
+curl system splits into two parts A1 + A2, and a full step is
+
+    u^{n+1} = (I - A2)^-1 (I + A1) (I - A1)^-1 (I + A2) u^n.
+
+Stage s solves (I - A_s) x = r.  A_s pairs every E_c with one H component, its
+partner H_p, through differences along one axis imp, and the implicit axes
+rotate between the stages:
 
     stage   imp   p   sigma   pairs (E_c along imp with H_p)
       1      a    b    +1     ex along y with hz, ey along z with hx, ez along x with hy
       2      b    a    -1     ex along z with hy, ey along x with hz, ez along y with hx
 
-Every H component is the partner of exactly one E component per stage.  With
-ce = dt/(2 eps), ch = dt/(2 mu) and q = ce ch = dt^2/(4 eps mu), one
-half-update computes, for each c,
+A_s maps (E_c, H_p) to (sigma ce d_imp H_p, sigma ch d_imp E_c), and every H
+component is the partner of exactly one E component per stage.  Eliminating
+the partner leaves, for each c,
 
-    H_p'  = H_p - sigma ch d_c E_imp                                (old E)
-    (1 - q d_imp d_imp) E_c* = E_c + sigma ce (d_imp H_p' - d_p H_imp)
-    H_p*  = H_p' + sigma ch d_imp E_c*
+    (1 - q d_imp d_imp) E_c = r_E + sigma ce d_imp r_H          (E_c's interior)
+    H_p = r_H + sigma ch d_imp E_c
 
-The first line is the explicit part of the partner's update; reading it in
-the E right-hand side eliminates the partner without a mixed derivative.  The
-non-partner H_imp is read at the old level.  Per pencil along imp the E
-system is the constant-coefficient tridiagonal
+Per pencil along imp the E system is the constant-coefficient tridiagonal
 
     (1 + 2*lam) u_p - lam * (u_{p-1} + u_{p+1}) = rhs_p,   lam = q / h_imp^2
 
@@ -31,30 +32,40 @@ is strictly diagonally dominant for every lam >= 0, so a single
 forward-elimination / back-substitution pass (Thomas algorithm) needs no
 pivoting.
 
-An unsplit half-update sweeps the E solves whose axes have equal length (all
-three on a cube; h = 1/n gives them one lam and m) in one call: each
-right-hand side is copied into its column block of an (m, pencils) buffer with
-the solve axis leading, in place of the copy `_solve_lines` makes for axes 1
-and 2; pencils are solved alone, so the output is bit-identical.  Each
-right-hand side goes right after its copy and the buffer before the partners'
-implicit parts (a 40^3 stage's tracemalloc scratch: 8.76 component lattices,
-8.83/9.07 per component for stage 1/2).  Packed against per component, medians
-of five single-thread processes (ten at 20^3), step time and peak RSS: 20^3
--17%/-1.3% (of 2.01 ms, 31.0 MiB), 40^3 -8/-2.4 (of 9.4 ms, 41.5 MiB), 48^3
--13/-3.4, 56^3 -3/-4.2, 64^3 -9/-5.2, 72^3 -8/-5.8, 80^3 -1/-6.4, 100^3
--0/-7.3, so no size runs faster per component (the split path's way).
+The trajectory carries the right-hand side, as fundamental ADI does (E. L. Tan,
+IEEE T-AP 56(1), 2008).  Since (I + A_s) x = 2x - r, stage one's r = (I + A2)
+u^n leaves r <- 2w - r = (I + A1) w for stage two, and stage two leaves
+r <- 2u^{n+1} - r, the next step's stage one right-hand side.  So a stage
+forms two differences per component, d_imp r_H and d_imp E_c, and no explicit
+part.  In full-lattice passes per component, besides the sweep: stage one 9,
+stage two 10, where forming (I + A_other) u afresh took 13.  `stage1(u)`,
+`stage2(u)` and `step` keep that classic form: they build (I + A_other) u in
+their output's arrays (`_rhs`) and solve over it.  2x - r rounds apart from
+forming (I + A_s) x anew, by terms of size C |field| at Courant number C, so a
+trajectory agrees with repeated `step` to rounding, not bit for bit.
+
+Below _SPLIT_MIN cells a carried stage sweeps the E solves whose axes have
+equal length (all three on a cube; h = 1/n gives them one lam and m) in one
+call: each right-hand side is formed in its column block of an (m, pencils)
+buffer with the solve axis leading, in place of the copy `_solve_lines` makes
+for axes 1 and 2; pencils are solved alone, so the output is bit-identical.
+The buffer goes before the partners' H updates, since holding it raised the
+peak.  A classic stage solves per component: it holds its whole output during
+the solves, and a packed buffer on top would raise its peak by about three
+component lattices at 40^3.
 
 From _SPLIT_MIN cells on, with two usable cores, a half-update runs as two
 slabs per component, cut at the middle plane of E_c's own axis c: the calling
 thread runs the first halves and one worker thread the second (numpy releases
-the GIL in its loops).  A slab is self-contained: only E_imp is read one plane
-past the cut (for d_c), every other difference runs along imp or p, and the
-pencils lie along imp, so every output entry comes from the same operations
-in the same order, bit-identical to the unsplit update.  Only the calling
-thread calls `_solve_lines` and runs the guard, after joining the worker; the
-worker sweeps through the `_sweep` alias, so outside-in tracers see one call
-stack.  Split against unsplit step time, interleaved on 2 cores, two runs:
-48^3 +26/+32%, 64^3 -1/+13%, 72^3 -6/-10%, 80^3 -4/-18%, 100^3 -25/-31%.
+the GIL in its loops).  A slab is self-contained: every difference runs along
+imp or p and the pencils lie along imp, so a slab reads nothing past its cut,
+and every output entry comes from the same operations in the same order,
+bit-identical to the unsplit update.  Only the calling thread calls
+`_solve_lines` and runs the guard, after joining the worker; the worker sweeps
+through the `_sweep` alias, so outside-in tracers see one call stack.
+_SPLIT_MIN rests on split against unsplit step times of the classic form,
+interleaved on 2 cores, two runs: 48^3 +26/+32%, 64^3 -1/+13%, 72^3 -6/-10%,
+80^3 -4/-18%, 100^3 -25/-31%.
 
 Any derivation slip is caught mechanically: the residual functions evaluate
 the original coupled equations on the stage output, and the test suite holds
@@ -69,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FieldState, GridSpec, Medium, check_extents
+from .grid import FieldState, GridSpec, Medium, check_extents, zero_state
 from .operators import diff
 
 
@@ -132,53 +143,87 @@ def _diff(arr: np.ndarray, axis: int, scale: float, trim: int | None = None,
     return out
 
 
-def _update(jobs, state, grid, med, stage, e_new, h_new, solve, pack=False) -> None:
-    """Write E_c and H_p on planes lo:hi along c per job (c, lo, hi); None outputs are made."""
+def _pairs(stage: int, grid: GridSpec, med: Medium) -> dict:
+    """c -> (imp, p, sigma ce / h_imp, sigma ch / h_imp, lam) for each E_c of the stage."""
     d_imp, d_p, sigma = _STAGES[stage]
-    h, ce, ch = (grid.dx, grid.dy, grid.dz), grid.dt / (2.0 * med.eps), grid.dt / (2.0 * med.mu)
-    e_old, h_old, n = state.e_triple(), state.h_triple(), grid.cells
+    ce, ch = grid.dt / (2.0 * med.eps), grid.dt / (2.0 * med.mu)
+    pairs = {}
+    for c in range(3):
+        imp, h = (c + d_imp) % 3, grid.spacing((c + d_imp) % 3)
+        pairs[c] = (imp, (c + d_p) % 3, sigma * ce / h, sigma * ch / h, ce * ch / h ** 2)
+    return pairs
+
+
+# E_c's interior: every plane along c, 1:-1 along the other two axes
+_INNER = tuple(tuple(slice(None) if d == c else slice(1, -1) for d in range(3)) for c in range(3))
+# the axis order that puts an array's leading axis back at position imp (np.moveaxis(a, 0, imp))
+_LEAD = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+
+
+def _rhs(u: FieldState, grid: GridSpec, med: Medium, stage: int,
+         out: FieldState | None = None) -> FieldState:
+    """(I + A_stage) u, A_stage being the stage's implicit part: E_c + sigma ce d_imp H_p on
+    E_c's interior (walls zero) and H_p + sigma ch d_imp E_c, in out's arrays if given."""
+    e_u, h_u = u.e_triple(), u.h_triple()
+    e = list(out.e_triple()) if out is not None else [np.zeros(a.shape) for a in e_u]
+    h = list(out.h_triple()) if out is not None else [None] * 3
+    for c, (imp, p, se, sh, _) in _pairs(stage, grid, med).items():
+        _diff(h_u[p], imp, se, trim=p, out=e[c][_INNER[c]])
+        e[c][_INNER[c]] += e_u[c][_INNER[c]]
+        h[p] = _diff(e_u[c], imp, sh, out=h[p])
+        h[p] += h_u[p]
+    return FieldState(*e, *h, time_level=u.time_level)
+
+
+def _block(buf: np.ndarray, cols: slice, shape: tuple, imp: int) -> np.ndarray:
+    """Columns `cols` of a 2D buffer as `shape` (the solve axis leading), in natural axis order."""
+    return buf[:, cols].reshape(shape).transpose(_LEAD[imp])
+
+
+def _update(jobs, r, grid, med, stage, e_out, h_out, solve, pack=False) -> None:
+    """Solve (I - A_stage) x = r on planes lo:hi along c per job (c, lo, hi): x's E interiors
+    go into the arrays e_out, its H into h_out if given, and r <- 2x - r unless e_out is r's E."""
+    r_e, r_h, n = r.e_triple(), r.h_triple(), grid.cells
+    carry, pairs = e_out[0] is not r_e[0], _pairs(stage, grid, med)
     groups: dict = {}  # with `pack`, jobs whose E solve axes are equally long share a buffer
     for c, lo, hi in jobs:
-        groups.setdefault(n[(c + d_imp) % 3] if pack else c, []).append((c, lo, hi))
+        groups.setdefault(n[pairs[c][0]] if pack else c, []).append((c, lo, hi))
     for group in groups.values():
-        width = sum((hi - lo) * (n[(c + d_p) % 3] - 1) for c, lo, hi in group)
-        buf = np.empty((n[(group[0][0] + d_imp) % 3] - 1, width)) if len(group) > 1 else None
+        imp, lam = pairs[group[0][0]][0], pairs[group[0][0]][4]  # the group's: equal lengths
+        width = sum((hi - lo) * (n[pairs[c][1]] - 1) for c, lo, hi in group)
+        buf = np.empty((n[imp] - 1, width)) if len(group) > 1 else None
         members, cut = [], 0
         for c, lo, hi in group:
-            imp, p = (c + d_imp) % 3, (c + d_p) % 3
-            # the slab's planes along c; E_imp is read one plane past the cut
-            head = (slice(None),) * c
-            slab, slab_e = head + (slice(lo, hi),), head + (slice(lo, hi + 1),)
-            # explicit part of the partner, from the old E
-            hp = _diff(e_old[imp][slab_e], c, -sigma * ch / h[c],
-                       out=None if h_new[p] is None else h_new[p][slab])
-            hp += h_old[p][slab]
-            h_new[p] = hp if h_new[p] is None else h_new[p]
-            # implicit E_c along imp, on its interior (walls stay exact zeros)
-            inner = tuple(slice(None) if d == c else slice(1, -1) for d in range(3))
-            rhs = _diff(hp, imp, sigma * ce / h[imp], trim=p)
-            tmp = _diff(h_old[imp][slab], p, sigma * ce / h[p], trim=imp)
-            rhs -= tmp
-            rhs += e_old[c][slab][inner]
-            shape = np.moveaxis(rhs, imp, 0).shape  # its block: the solve axis leading
-            cols = slice(cut, cut + rhs.size // shape[0])
-            if buf is not None:  # held to the end of the pass, rhs and tmp raise the peak
-                np.moveaxis(buf[:, cols].reshape(shape), 0, imp)[...] = rhs
-                del rhs, tmp
-            members.append((c, imp, p, slab, inner, cols, shape))
-            cut = cols.stop
-        lam = ce * ch / h[imp] ** 2  # the group's: its imp axes have equal length
+            imp, p, se = pairs[c][:3]
+            slab = (slice(None),) * c + (slice(lo, hi),)
+            dims = [hi - lo if d == c else n[d] - 1 for d in range(3)]
+            shape = (dims[imp], *(m for d, m in enumerate(dims) if d != imp))
+            block = (slice(cut, cut + math.prod(shape[1:])), shape, imp)
+            members.append((c, slab, block))
+            cut = block[0].stop
+            # r_E + sigma ce d_imp r_H on E_c's interior, formed in the block if there is one
+            rhs = _diff(r_h[p][slab], imp, se, trim=p,
+                        out=None if buf is None else _block(buf, *block))
+            rhs += r_e[c][slab][_INNER[c]]
         sol = solve(lam, rhs, imp) if buf is None else solve(lam, buf, 0)
-        for c, imp, p, slab, inner, cols, shape in members:
-            e_new[c] = np.zeros(e_old[c].shape) if e_new[c] is None else e_new[c]
-            e_new[c][slab][inner] = (sol if buf is None else
-                                     np.moveaxis(sol[:, cols].reshape(shape), 0, imp))
-        del sol, buf
-        # implicit part of the partner, from the new E_c; each rhs went after its copy and
-        # the buffer before this loop, since holding either raised the stage's peak
-        for c, imp, p, slab, *_ in members:
-            tmp = _diff(e_new[c][slab], imp, sigma * ch / h[imp])
-            h_new[p][slab] += tmp
+        for c, slab, block in members:
+            x = sol if buf is None else _block(sol, *block)
+            e_out[c][slab][_INNER[c]] = x
+            if carry:  # r_E <- 2x - r_E, 2x formed exactly in the solve's scratch
+                x *= 2.0
+                np.subtract(x, r_e[c][slab][_INNER[c]], out=r_e[c][slab][_INNER[c]])
+        del sol, buf, rhs, x
+        # x_H = r_H + t with t = sigma ch d_imp x_E, and r <- 2x - r makes r_H + 2t, formed
+        # as x_H + t where x_H is stored; the buffer went before this loop, since holding
+        # it raised the stage's peak
+        for c, slab, _ in members:
+            imp, p, _, sh, _ = pairs[c]
+            t = _diff(e_out[c][slab], imp, sh if h_out is not None else 2.0 * sh)
+            if h_out is not None:
+                np.add(r_h[p][slab], t, out=h_out[p][slab])
+            if carry:
+                np.add(r_h[p][slab] if h_out is None else h_out[p][slab], t, out=r_h[p][slab])
+            del t
 
 
 _sweep = _solve_lines  # the worker's name for the sweep, which tracing leaves unwrapped
@@ -211,57 +256,76 @@ def on_two_threads(here, there) -> tuple:
     return first, later.result()
 
 
-def _half_update(state: FieldState, grid: GridSpec, med: Medium, stage: int,
-                 out: FieldState | None = None) -> FieldState:
-    """One half-update per the stage table in the module docstring.
+def _half_update(r: FieldState, grid: GridSpec, med: Medium, stage: int, e_out, h_out) -> None:
+    """One half-update per the stage table in the module docstring, on the right-hand side
+    r (see `_update`), which moves on half a level.
 
-    The output is a fresh state unless `out` is given: then E interiors and all
-    of H are written into out's arrays, whose tangential-E wall entries must
-    be zeros, as at every level.  E wall entries are exact zeros by
-    construction, so the PEC condition holds bitwise at every level.
+    E wall entries of x are never written: e_out's must be zeros, as at every level, so the
+    PEC condition holds bitwise.
     """
-    check_extents(state, grid)
-    e_new, h_new = [None] * 3, [None] * 3
-    if out is not None:
-        check_extents(out, grid)
-        pairs = ((a, b) for _, a in out.components() for _, b in state.components())
-        if any(np.may_share_memory(a, b) for a, b in pairs):
-            raise ValueError("out may share memory with the input state")
-        e_new, h_new = list(out.e_triple()), list(out.h_triple())
-    args = (state, grid, med, stage)
+    args = (r, grid, med, stage, e_out, h_out)
     if not two_threads(math.prod(grid.cells), _SPLIT_MIN):
-        _update([(c, 0, n) for c, n in enumerate(grid.cells)], *args, e_new, h_new, _solve_lines,
-                pack=True)
+        # a replaced r is solved per component (see the module docstring)
+        _update([(c, 0, n) for c, n in enumerate(grid.cells)], *args, _solve_lines,
+                pack=e_out[0] is not r.ex)
     else:
-        if out is None:
-            e_new = [np.zeros(e.shape) for e in state.e_triple()]
-            h_new = [np.empty(x.shape) for x in state.h_triple()]
         first = [(c, 0, n // 2) for c, n in enumerate(grid.cells)]
         second = [(c, n // 2, n) for c, n in enumerate(grid.cells)]
-        on_two_threads(lambda: _update(first, *args, e_new, h_new, _solve_lines),
-                       lambda: _update(second, *args, e_new, h_new, _sweep))
-    new = FieldState(*e_new, *h_new, time_level=state.time_level + 0.5)
-    # Checking the output attributes a NaN or infinity to the stage that made
-    # it, and still catches one in the input: every input entry feeds some
-    # output entry.  Each H_p is copied into its own output, and each E, wall
-    # entries included, is differenced over its whole lattice in the explicit
-    # part of one partner update (d_c E_imp), so non-finite input leaves
-    # non-finite output.
-    if not new.all_finite():
+        on_two_threads(lambda: _update(first, *args, _solve_lines),
+                       lambda: _update(second, *args, _sweep))
+    r.time_level += 0.5
+    # Checking r attributes a NaN or infinity to the stage that made it, and still
+    # catches one in the input: every entry of r feeds an entry of r, through x where
+    # r is carried (2x - r) and as x where it is replaced, and x_E reads every H_p
+    # through d_imp and x_H every E_c.
+    if not r.all_finite():
         raise NonFiniteFieldError(f"non-finite values in the stage {stage} output")
-    return new
 
 
-def stage1(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
-    """Advance from a whole level to the intermediate level."""
-    return _half_update(state, grid, med, 1)
+def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: FieldState | None,
+           carried: bool) -> FieldState:
+    """Stage `stage` from a whole level (classic) or from a carried right-hand side."""
+    check_extents(state, grid)
+    if not carried:  # (I + A_other) state in out's arrays, solved for x over them
+        if out is not None:
+            check_extents(out, grid)
+            pairs = ((a, b) for _, a in out.components() for _, b in state.components())
+            if any(np.may_share_memory(a, b) for a, b in pairs):
+                raise ValueError("out may share memory with the input state")
+        r = _rhs(state, grid, med, 3 - stage, out)
+        _half_update(r, grid, med, stage, r.e_triple(), r.h_triple())
+        return r
+    out = zero_state(grid) if out is None else out
+    _half_update(state, grid, med, stage, out.e_triple(), out.h_triple() if stage == 2 else None)
+    if stage == 1:
+        return state
+    return FieldState(*out.e_triple(), *out.h_triple(), time_level=state.time_level)
 
 
-def stage2(state: FieldState, grid: GridSpec, med: Medium,
-           out: FieldState | None = None) -> FieldState:
+def carry(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
+    """(I + A2) state: stage one's right-hand side from a whole level, which
+    stage1(..., carried=True) and stage2(..., carried=True) move on in place."""
+    check_extents(state, grid)
+    return _rhs(state, grid, med, 2)
+
+
+def stage1(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | None = None,
+           carried: bool = False) -> FieldState:
+    """Advance from a whole level to the intermediate level, in out's arrays if given (a
+    whole state whose E walls are zeros and that shares no memory with `state`).
+
+    With `carried`, `state` is instead the right-hand side (I + A2) u of the level u (see
+    `carry`): it becomes the next stage's, (I + A1) w, in place and is returned, and the
+    E interiors of w go into out's E arrays, used as scratch."""
+    return _stage(state, grid, med, 1, out, carried)
+
+
+def stage2(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | None = None,
+           carried: bool = False) -> FieldState:
     """Advance from the intermediate level to the next whole level, in out's arrays if
-    given (a whole level that shares no memory with `state`; see _half_update)."""
-    return _half_update(state, grid, med, 2, out)
+    given (as for stage1).  With `carried`, `state` is instead (I + A1) w, as stage1 left
+    it: it becomes (I + A2) of the new level in place."""
+    return _stage(state, grid, med, 2, out, carried)
 
 
 def step(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:

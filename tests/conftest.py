@@ -11,9 +11,10 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-# vacuum keeps each test's plain id (pytest >= 8.4 hides it); the second medium is appended
-@pytest.fixture(params=[Medium(1.0, 1.0), Medium(2.5, 0.4)],
-                ids=[getattr(pytest, "HIDDEN_PARAM", "vacuum"), "eps2.5-mu0.4"])
+# vacuum keeps each test's plain id (pytest >= 8.4 hides it); the other media are appended.
+# (2.5, 0.4) has eps mu = 1, so only (3, 0.5) moves the time scale sqrt(eps mu)
+@pytest.fixture(params=[Medium(1.0, 1.0), Medium(2.5, 0.4), Medium(3.0, 0.5)],
+                ids=[getattr(pytest, "HIDDEN_PARAM", "vacuum"), "eps2.5-mu0.4", "eps3-mu0.5"])
 def medium(request):
     return request.param
 

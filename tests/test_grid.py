@@ -157,3 +157,25 @@ def test_write_snapshot_emits_six_files(tmp_path, rng):
     assert len(names) == 6
     for name in names:
         assert (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("values, finite", [
+    pytest.param((1e308, 1e308), True, id="overflowing-sum"),
+    pytest.param((np.nan,), False, id="nan"),
+    pytest.param((np.inf,), False, id="inf"),
+    pytest.param((np.inf, -np.inf), False, id="inf-minus-inf"),
+    pytest.param((-5e-324, 1.0), True, id="finite"),
+])
+def test_all_finite_is_every_entry_finite(rng, values, finite):
+    # the guard sums each lattice: a finite sum proves every entry finite, and a sum that
+    # is not finite is checked entry by entry, so an overflow is no false alarm
+    s = random_state(grid3(), rng)
+    s.hy.flat[:len(values)] = values
+    assert s.all_finite() is finite
+    assert s.all_finite() == all(bool(np.isfinite(a).all()) for _, a in s.components())
+
+
+def test_max_abs_is_the_max_of_the_absolute_values(rng):
+    s = random_state(make_grid(5, 4, 6, 0.3), rng, pec=False)
+    s.ez[1, 2, 3] = -7.5  # the largest magnitude, negative
+    assert s.max_abs() == max(float(np.max(np.abs(a))) for _, a in s.components()) == 7.5

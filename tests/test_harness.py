@@ -8,13 +8,13 @@ import pytest
 import adimax.harness as harness
 from adimax import grid as grid_module
 from adimax import manufactured, norms, stepper
-from adimax import (divergence, energy_h1, energy_l2, enforce_pec, metrics, sample_exact,
-                    sample_semidiscrete, step, time_diff)
-from adimax import (ConfigError, RunConfig, converge_space, converge_time, emit_config,
+from adimax import (divergence, energy_h1, energy_l2, enforce_pec, make_grid, metrics,
+                    sample_exact, sample_semidiscrete, step, time_diff, zero_state)
+from adimax import (ConfigError, Medium, RunConfig, converge_space, converge_time, emit_config,
                     energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
 
-from conftest import force_split
+from conftest import force_split, random_state
 from oracles import split_curl_neg, split_curl_pos
 
 
@@ -258,7 +258,6 @@ def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind)
     cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
 
     def poisoned(t, grid):
-        from adimax import zero_state
         s = zero_state(grid)
         s.ex[2, 2, 2] = np.nan
         return s
@@ -273,38 +272,76 @@ def test_driver_aborts_with_step_index_on_nonfinite(tmp_path, monkeypatch, kind)
     ("stability", 2),
 ])
 def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
-    # a step holds its input, the half level and the storage it writes, from step 2 on
-    # that of the level before its input: `held` whole levels, whatever the driver reads
+    # a step holds its input, the storage it writes (from step 2 on that of the level before
+    # its input) and the carried right-hand side, and stores no half level: `held` whole
+    # levels and one carried state, whatever the driver reads
     cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
     steps = round(cfg.T / (cfg.dt_list or (cfg.dt,))[0])
-    levels, halves, alive, recycled = [], [], [], []  # levels and halves: weakrefs to ex
-    real_stage1, real_stage2 = harness.stage1, harness.stage2
+    levels, carried, alive, recycled = [], [], [], []  # levels and carried: weakrefs to ex
+    real_carry, real_stage1, real_stage2 = harness.carry, harness.stage1, harness.stage2
 
     def count(refs):  # distinct arrays still alive
         return len({id(a) for a in (ref() for ref in refs) if a is not None})
 
-    def stage1(state, grid, med, **kwargs):
+    def carry(level, grid, med):
         if not levels:
-            levels.append(weakref.ref(state.ex))
-        alive.append((count(levels), count(halves)))
-        half = real_stage1(state, grid, med, **kwargs)
-        halves.append(weakref.ref(half.ex))
-        return half
+            levels.append(weakref.ref(level.ex))
+        rhs = real_carry(level, grid, med)
+        carried.append(weakref.ref(rhs.ex))
+        return rhs
 
-    def stage2(state, grid, med, **kwargs):
-        out = real_stage2(state, grid, med, **kwargs)
+    def stage1(rhs, grid, med, **kwargs):
+        alive.append((count(levels), count(carried)))
+        assert real_stage1(rhs, grid, med, **kwargs) is rhs
+        return rhs
+
+    def stage2(rhs, grid, med, **kwargs):
+        out = real_stage2(rhs, grid, med, **kwargs)
         if len(levels) >= 2:  # level n in the arrays of level n-2
             recycled.append(out.ex is levels[-2]())
         levels.append(weakref.ref(out.ex))
-        alive.append((count(levels), count(halves)))
+        alive.append((count(levels), count(carried)))
         return out
 
+    monkeypatch.setattr(harness, "carry", carry)
     monkeypatch.setattr(harness, "stage1", stage1)
     monkeypatch.setattr(harness, "stage2", stage2)
     harness.DRIVERS[kind](cfg)
     assert len(alive) == 2 * steps and max(w for w, _ in alive) == held
-    assert [h for _, h in alive] == [0, 1] * steps  # no half level outlives its step
+    assert [c for _, c in alive] == [1, 1] * steps  # one carried state at a time
     assert len(recycled) == steps - 1 and all(recycled)
+    # rebuilt after each step but the last whose previous level the driver reads: the
+    # run's ticks (cadence 2), those and step 1 for the audit, none for the others
+    rebuilt = {"run": steps // 2 - 1, "energy-audit": steps // 2}.get(kind, 0)
+    assert len(carried) == 1 + rebuilt
+
+
+@pytest.mark.parametrize("kind", ["run", "energy-audit", "converge-time", "converge-space"])
+def test_no_carried_state_alive_where_prev_is_read(tmp_path, monkeypatch, kind):
+    # where a driver reads the previous level, the trajectory holds it and the level (two
+    # whole states) but not the carried right-hand side (a third); traced memory says so
+    import tracemalloc
+    keys = dict(cadence=3) if kind in ("run", "energy-audit") else {}
+    keys |= dict(grid_list=(24,)) if kind == "converge-space" else dict(nx=24, ny=24, nz=24)
+    cfg = desk_cfg(tmp_path, kind=kind, T=0.4, dt_list=(0.1,) if kind == "converge-time" else None,
+                   **keys)
+    reader = {"run": "energy_report", "energy-audit": "energy_suite"}.get(kind, "metrics")
+    real, seen = getattr(harness, reader), []
+
+    def measuring(curr, prev, *args, **kwargs):
+        if prev is not None:
+            seen.append(tracemalloc.get_traced_memory()[0] - base)
+        return real(curr, prev, *args, **kwargs)
+
+    monkeypatch.setattr(harness, reader, measuring)
+    state = sum(a.nbytes for _, a in zero_state(make_grid(24, 24, 24, 0.1)).components())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        harness.DRIVERS[kind](cfg)
+    finally:
+        tracemalloc.stop()
+    assert seen and max(seen) < 2.5 * state
 
 
 def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
@@ -355,6 +392,72 @@ def test_run_reports_nonfinite_made_in_the_workers_half(tmp_path, monkeypatch):
     want = step(state, grid, med)
     assert all(a.tobytes() == b.tobytes()
                for (_, a), (_, b) in zip(got.components(), want.components()))
+
+
+# --- the trajectory's carried right-hand side ---------------------------------
+
+def _random_trajectory(monkeypatch, cells, dt, med, steps, lends=(), seed=5):
+    """Copies of the levels `harness._trajectory` steps from a seeded random PEC state."""
+    grid = make_grid(*cells, dt)
+    start = random_state(grid, np.random.default_rng(seed))
+    monkeypatch.setattr(harness, "sample_exact", lambda t, g: start.copy())
+    cfg = RunConfig(nx=cells[0], ny=cells[1], nz=cells[2], dt=dt, T=steps * dt, eps=med.eps,
+                    mu=med.mu)
+    return [level.copy() for _, _, level in harness._trajectory(cfg, grid, lends)]
+
+
+def _max_diff(a, b) -> float:
+    pairs = zip(a.components(), b.components())
+    return max(float(np.max(np.abs(x - y))) for (_, x), (_, y) in pairs)
+
+
+_MEDIA = pytest.mark.parametrize("med", [Medium(1.0, 1.0), Medium(2.5, 0.4), Medium(3.0, 0.5)],
+                                 ids=["vacuum", "eps2.5-mu0.4", "eps3-mu0.5"])
+# c in the bound c (1 + C) n 2^-52 max|field| on the trajectory's rounding (see CHANGES.md)
+_ROUNDING = 4.0
+
+
+@_MEDIA
+@pytest.mark.parametrize("courant, steps", [(1.0, 1), (1.0, 100), (150.0, 1), (150.0, 20)])
+def test_trajectory_is_repeated_classic_steps_to_rounding(monkeypatch, med, courant, steps):
+    # the carried form (I + A) x = 2x - r rounds apart from forming (I + A) x anew; the
+    # right-hand sides hold terms of size C |field|, so the gap grows with C and n
+    cells = (9, 12, 7)
+    dt = courant / make_grid(*cells, 1.0).courant(med.eps, med.mu)
+    levels = _random_trajectory(monkeypatch, cells, dt, med, steps)
+    classic = [levels[0]]
+    for _ in range(steps):
+        classic.append(step(classic[-1], make_grid(*cells, dt), med))
+    scale = max(level.max_abs() for level in classic)
+    for n, (got, want) in enumerate(zip(levels, classic)):
+        assert got.time_level == want.time_level == n
+        assert _max_diff(got, want) <= _ROUNDING * (1 + courant) * max(n, 1) * 2.0 ** -52 * scale
+
+
+@_MEDIA
+def test_carried_and_rebuilt_right_hand_sides_agree_to_rounding(monkeypatch, med):
+    # dropped after every step (as a cadence-1 run does) against never dropped
+    cells, dt, steps = (12, 20, 9), 0.7, 30
+    courant = make_grid(*cells, dt).courant(med.eps, med.mu)
+    carried = _random_trajectory(monkeypatch, cells, dt, med, steps)
+    rebuilt = _random_trajectory(monkeypatch, cells, dt, med, steps, lends=range(steps + 1))
+    scale = max(level.max_abs() for level in carried)
+    assert any(_max_diff(a, b) > 0.0 for a, b in zip(carried, rebuilt))
+    for n, (a, b) in enumerate(zip(carried, rebuilt)):
+        assert _max_diff(a, b) <= _ROUNDING * (1 + courant) * max(n, 1) * 2.0 ** -52 * scale
+
+
+@pytest.mark.parametrize("cells, lends", [((12, 20, 9), ()), ((8, 8, 8), (1, 2, 3))],
+                         ids=["12x20x9-carried", "8^3-rebuilt"])
+def test_split_trajectory_is_bytewise_the_unsplit_one(monkeypatch, cells, lends):
+    med = Medium(3.0, 0.5)
+    unsplit = _random_trajectory(monkeypatch, cells, 0.7, med, 5, lends)
+    workers = force_split(monkeypatch)
+    split = _random_trajectory(monkeypatch, cells, 0.7, med, 5, lends)
+    assert workers
+    for a, b in zip(split, unsplit):
+        pairs = zip(a.components(), b.components())
+        assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in pairs)
 
 
 # --- energy audit ----------------------------------------------------------
@@ -408,11 +511,14 @@ def _count_passes(monkeypatch):
 
 
 def _trajectory(cfg, grid=None):
-    """Levels 0 ... round(T / dt) on `grid` (the config's if None)."""
+    """Levels 0 ... round(T / dt) on `grid` (the config's if None), bit for bit as the
+    driver of cfg.kind steps them: it drops the carried right-hand side after each step
+    whose previous level it reads, and the rebuilt one rounds apart from the carried one."""
     grid, med = grid or cfg.to_grid(), cfg.to_medium()
-    states = [enforce_pec(sample_exact(0.0, grid))]
-    for _ in range(round(cfg.T / grid.dt)):
-        states.append(step(states[-1], grid, med))
+    steps = round(cfg.T / grid.dt)
+    lends = {"run": harness._ticks(steps, cfg.cadence),
+             "energy-audit": harness._ticks(steps, cfg.cadence) | {1}}.get(cfg.kind, ())
+    states = [level.copy() for _, _, level in harness._trajectory(cfg, grid, lends)]
     return grid, med, states
 
 
@@ -746,6 +852,49 @@ def test_stability_large_courant_short_run(tmp_path):
 def test_stability_tiny_dt(tmp_path):
     cfg = desk_cfg(tmp_path, kind="stability", dt=1e-4, T=1e-3, cadence=1)
     assert stability(cfg).passed
+
+
+@pytest.mark.parametrize("factor, passed", [(9.0, True), (11.0, False)])
+def test_stability_fails_on_growth_alone(tmp_path, monkeypatch, factor, passed):
+    # the energy stays put while one non-tick level grows to `factor` times the initial
+    # maximum: the verdict is the growth bound's alone
+    cfg = desk_cfg(tmp_path, kind="stability", dt=0.5, T=5.0, cadence=4)
+    monkeypatch.setattr(harness, "energy_l2", lambda state, med, grid: 1.0)
+    start = enforce_pec(sample_exact(0.0, cfg.to_grid())).max_abs()
+    real_stage2, steps = harness.stage2, []
+
+    def growing(*args, **kwargs):
+        level = real_stage2(*args, **kwargs)
+        steps.append(level.time_level)
+        if len(steps) == 5:
+            scale = factor * start / level.max_abs()
+            for _, a in level.components():
+                a *= scale
+        return level
+
+    monkeypatch.setattr(harness, "stage2", growing)
+    result = stability(cfg)
+    assert 5 not in harness._ticks(cfg.steps, cfg.cadence)
+    assert result.max_drift == 0.0 and result.initial_max == start
+    assert result.max_field == pytest.approx(factor * start, rel=1e-12)
+    assert result.passed is passed
+
+
+def test_stability_drift_is_read_at_every_step(tmp_path, monkeypatch):
+    # one energy spike on a step that is no tick fails the run, and sets its drift maximum
+    cfg = desk_cfg(tmp_path, kind="stability", dt=0.5, T=5.0, cadence=4)
+    calls = []
+
+    def spiking(state, med, grid):
+        calls.append(state.time_level)
+        return 1.0 + (1e-6 if len(calls) == 6 else 0.0)  # level 5
+
+    monkeypatch.setattr(harness, "energy_l2", spiking)
+    result = stability(cfg)
+    assert 5 not in harness._ticks(cfg.steps, cfg.cadence) and calls[5] == 5.0
+    assert result.max_drift == pytest.approx(1e-6, rel=1e-9)
+    assert not result.passed
+    assert all(row["drift"] == 0.0 for row in result.rows)
 
 
 # --- CLI -------------------------------------------------------------------

@@ -321,8 +321,10 @@ def test_forked_child_steps_with_the_split(rng, monkeypatch):
     pytest.param((12, 20, 9), 3, id="12x20x9"),
 ])
 def test_unsplit_stage_sweeps_once_per_solve_length(cells, solves, rng, monkeypatch):
-    # solves share a sweep when their axes have equal lengths: all three on a cube,
-    # two of three on 6x6x4 and none on 12x20x9 (the split path solves per component)
+    # the carried stages of a trajectory share a sweep among solves whose axes have equal
+    # lengths: all three on a cube, two of three on 6x6x4 and none on 12x20x9 (the split
+    # path solves per component); classic stages solve per component, as they hold their
+    # whole output during the solves
     g = make_grid(*cells, 0.7)
     solve, axes = stepper._solve_lines, []
 
@@ -331,16 +333,21 @@ def test_unsplit_stage_sweeps_once_per_solve_length(cells, solves, rng, monkeypa
         return solve(lam, rhs, axis)
 
     monkeypatch.setattr(stepper, "_solve_lines", counting)
-    half = stage1(random_state(g, rng), g, Medium())
+    s = random_state(g, rng)
+    rhs, out = stepper.carry(s, g, Medium()), zero_state(g)
+    stage1(rhs, g, Medium(), out=out, carried=True)
     assert len(axes) == solves
-    stage2(half, g, Medium())
+    stage2(rhs, g, Medium(), out=out, carried=True)
     assert len(axes) == 2 * solves
+    step(s, g, Medium())
+    assert len(axes) == 2 * solves + 6
 
 
 @pytest.mark.parametrize("stage, bound", [(1, 8.83), (2, 9.07)], ids=["1", "2"])
 def test_stage_scratch_stays_under_bound(stage, bound):
-    """Scratch peak of one packed half-update on 40^3, in component lattices: the
-    per-component update's peak, measured on the same grid, bounds it.
+    """Peak of one classic half-update on 40^3 (its output and its scratch), in component
+    lattices: the per-component update of the scheme before the carried right-hand side,
+    measured on the same grid, bounds it.
 
     In numpy 2.4, ufuncs over non-contiguous views allocate iteration buffers that
     tracemalloc counts, so the peak overstates the live lattices by up to about one."""
@@ -360,6 +367,28 @@ def test_stage_scratch_stays_under_bound(stage, bound):
     finally:
         tracemalloc.stop()
     assert peak / component_bytes < bound
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_carried_stage_scratch_stays_under_bound(stage):
+    """Scratch peak of one carried half-update on 40^3, beyond the right-hand side and
+    the storage it writes, in component lattices: the packed buffer (2.75) and numpy's
+    iteration buffers for its strided blocks (about 0.12 each)."""
+    g = make_grid(40, 40, 40, 0.125)
+    med = Medium()
+    s = enforce_pec(sample_exact(0.0, g, med))
+    rhs, out = stepper.carry(s, g, med), zero_state(g)
+    update = lambda: (stage1, stage2)[stage - 1](rhs, g, med, out=out, carried=True)
+    update()  # the Thomas coefficients are cached outside the measurement
+    component_bytes = sum(a.nbytes for _, a in s.components()) / 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        update()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / component_bytes < 3.3
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["packed", "split"])
