@@ -148,10 +148,9 @@ class FieldState:
         return max(max_abs(getattr(self, c)) for c in COMPONENTS)
 
     def all_finite(self) -> bool:
-        """Whether every entry is finite: a lattice whose plain sum is finite is, and only
-        a lattice whose sum is not (or overflows) is checked entry by entry."""
-        return all(math.isfinite(np.einsum("ijk->", a)) or bool(np.isfinite(a).all())
-                   for a in (getattr(self, c) for c in COMPONENTS))
+        """Whether every entry is finite: a NaN or an infinity shows in a lattice's max or
+        min, and these make no temporary array."""
+        return all(math.isfinite(max_abs(a)) for _, a in self.components())
 
 
 def max_abs(a: np.ndarray) -> float:

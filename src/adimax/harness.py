@@ -11,7 +11,11 @@ names the steps whose `prev` it reads in `lends` (run: its ticks; the audit:
 its ticks and step 1), where the trajectory holds no carried right-hand side.
 The convergence studies read the last pair after the trajectory has ended,
 and `stability` reads no `prev`.  A non-finite field ends the trajectory with
-a RuntimeError naming the step that made it.
+a RuntimeError naming the step that made it: the stepper raises where an
+operation makes a NaN or infinity, and the initial level, where none is made,
+is checked once, as step 1.  A non-finite CSV cell (a functional that
+overflows on finite fields) is a RuntimeError naming the file, the column and
+the row, and nothing of that CSV is written.
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
@@ -228,7 +232,14 @@ class _OutDir:
 
     def write_csv(self, name: str, rows: list[dict]) -> None:
         """A CSV of `rows`, each a dict from column label to value: a header of the
-        first row's labels, then one line of values per row."""
+        first row's labels, then one line of values per row.  A NaN or infinite value
+        is a RuntimeError, raised before anything is written."""
+        for row in rows:
+            for label, value in row.items():
+                if value is not None and not math.isfinite(value):
+                    first, at = next(iter(row.items()))
+                    raise RuntimeError(f"{name}: non-finite {label} ({value}) in the row "
+                                       f"{first} = {format_value(at)}")
         lines = (",".join(map(format_value, row.values())) for row in rows)
         self.write_text(name, "\n".join([",".join(rows[0]), *lines]) + "\n")
 
@@ -269,13 +280,18 @@ def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
     prev = rhs = None
     yield 0, prev, level
     for n in range(1, round(cfg.T / grid.dt) + 1):
-        rhs = carry(level, grid, med) if rhs is None else rhs
-        out = zero_state(grid) if prev is None else prev
         try:
+            # the stepper raises where it makes a NaN or infinity, not where one passes
+            # through, so the initial level is checked once, here
+            if n == 1 and not level.all_finite():
+                raise NonFiniteFieldError("non-finite values in the initial level")
+            rhs = carry(level, grid, med) if rhs is None else rhs
+            # after carry: allocating `out` first raised a 64^3 run's minor faults ninefold
+            out = zero_state(grid) if prev is None else prev
             stage1(rhs, grid, med, out=out, carried=True)
             prev, level = level, stage2(rhs, grid, med, out=out, carried=True)
         except NonFiniteFieldError as exc:
-            raise RuntimeError(f"non-finite field detected at step {n}") from exc
+            raise RuntimeError(f"non-finite field detected at step {n}: {exc}") from exc
         if n in lends:
             rhs = None
         yield n, prev, level

@@ -61,11 +61,22 @@ the GIL in its loops).  A slab is self-contained: every difference runs along
 imp or p and the pencils lie along imp, so a slab reads nothing past its cut,
 and every output entry comes from the same operations in the same order,
 bit-identical to the unsplit update.  Only the calling thread calls
-`_solve_lines` and runs the guard, after joining the worker; the worker sweeps
-through the `_sweep` alias, so outside-in tracers see one call stack.
+`_solve_lines`; the worker sweeps through the `_sweep` alias, so outside-in
+tracers see one call stack.
 _SPLIT_MIN rests on split against unsplit step times of the classic form,
 interleaved on 2 cores, two runs: 48^3 +26/+32%, 64^3 -1/+13%, 72^3 -6/-10%,
 80^3 -4/-18%, 100^3 -25/-31%.
+
+The scheme is unconditionally stable, so a NaN or infinity comes only from bad
+input or from an operation that overflows.  IEEE 754 sets the overflow, invalid
+or divide-by-zero flag whenever an operation on finite operands makes one, and
+numpy reads those flags after every loop; so every stage job and every formed
+right-hand side runs under `_flagged`, which turns a raised flag into a
+NonFiniteFieldError naming the stage, at no extra pass.  A value that is
+already non-finite raises no flag (NaN + x, inf + x), so each state is checked
+once where it enters: the classic stages check their input, and a trajectory
+checks its initial level.  numpy's error state is per thread, so each job
+enters it on the thread that runs it.
 
 Any derivation slip is caught mechanically: the residual functions evaluate
 the original coupled equations on the stage output, and the test suite holds
@@ -76,6 +87,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -86,6 +98,17 @@ from .operators import diff
 
 class NonFiniteFieldError(ValueError):
     """A field lattice contains NaN or infinity."""
+
+
+@contextmanager
+def _flagged(what: str):
+    """Raise NonFiniteFieldError naming `what` where a numpy operation on this thread
+    overflows or makes a NaN (the overflow, invalid and divide-by-zero flags)."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteFieldError(f"non-finite values made in {what}: {exc}") from exc
 
 
 @lru_cache(maxsize=64)
@@ -261,25 +284,23 @@ def _half_update(r: FieldState, grid: GridSpec, med: Medium, stage: int, e_out, 
     r (see `_update`), which moves on half a level.
 
     E wall entries of x are never written: e_out's must be zeros, as at every level, so the
-    PEC condition holds bitwise.
+    PEC condition holds bitwise.  A NaN or infinity that the update makes, on either
+    thread, raises NonFiniteFieldError naming the stage (see `_flagged`); r is not read
+    again to look for one.
     """
-    args = (r, grid, med, stage, e_out, h_out)
+    def job(jobs, solve, pack=False):  # numpy's error state is per thread: enter it in the job
+        with _flagged(f"stage {stage}"):
+            _update(jobs, r, grid, med, stage, e_out, h_out, solve, pack)
+
     if not two_threads(math.prod(grid.cells), _SPLIT_MIN):
         # a replaced r is solved per component (see the module docstring)
-        _update([(c, 0, n) for c, n in enumerate(grid.cells)], *args, _solve_lines,
-                pack=e_out[0] is not r.ex)
+        job([(c, 0, n) for c, n in enumerate(grid.cells)], _solve_lines,
+            pack=e_out[0] is not r.ex)
     else:
         first = [(c, 0, n // 2) for c, n in enumerate(grid.cells)]
         second = [(c, n // 2, n) for c, n in enumerate(grid.cells)]
-        on_two_threads(lambda: _update(first, *args, _solve_lines),
-                       lambda: _update(second, *args, _sweep))
+        on_two_threads(lambda: job(first, _solve_lines), lambda: job(second, _sweep))
     r.time_level += 0.5
-    # Checking r attributes a NaN or infinity to the stage that made it, and still
-    # catches one in the input: every entry of r feeds an entry of r, through x where
-    # r is carried (2x - r) and as x where it is replaced, and x_E reads every H_p
-    # through d_imp and x_H every E_c.
-    if not r.all_finite():
-        raise NonFiniteFieldError(f"non-finite values in the stage {stage} output")
 
 
 def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: FieldState | None,
@@ -292,7 +313,10 @@ def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: Fiel
             pairs = ((a, b) for _, a in out.components() for _, b in state.components())
             if any(np.may_share_memory(a, b) for a, b in pairs):
                 raise ValueError("out may share memory with the input state")
-        r = _rhs(state, grid, med, 3 - stage, out)
+        if not state.all_finite():  # what is already non-finite raises no flag
+            raise NonFiniteFieldError(f"non-finite values in the stage {stage} input")
+        with _flagged(f"the stage {stage} right-hand side"):
+            r = _rhs(state, grid, med, 3 - stage, out)
         _half_update(r, grid, med, stage, r.e_triple(), r.h_triple())
         return r
     out = zero_state(grid) if out is None else out
@@ -304,9 +328,11 @@ def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: Fiel
 
 def carry(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
     """(I + A2) state: stage one's right-hand side from a whole level, which
-    stage1(..., carried=True) and stage2(..., carried=True) move on in place."""
+    stage1(..., carried=True) and stage2(..., carried=True) move on in place.  `state` is
+    not checked for NaN or infinity; the caller does that once per trajectory."""
     check_extents(state, grid)
-    return _rhs(state, grid, med, 2)
+    with _flagged("the stage 1 right-hand side"):
+        return _rhs(state, grid, med, 2)
 
 
 def stage1(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | None = None,

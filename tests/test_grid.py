@@ -167,8 +167,7 @@ def test_write_snapshot_emits_six_files(tmp_path, rng):
     pytest.param((-5e-324, 1.0), True, id="finite"),
 ])
 def test_all_finite_is_every_entry_finite(rng, values, finite):
-    # the guard sums each lattice: a finite sum proves every entry finite, and a sum that
-    # is not finite is checked entry by entry, so an overflow is no false alarm
+    # entries whose sum overflows are each finite, so they raise no false alarm
     s = random_state(grid3(), rng)
     s.hy.flat[:len(values)] = values
     assert s.all_finite() is finite

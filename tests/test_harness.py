@@ -355,7 +355,7 @@ def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
         # on the 8^3 cube each stage packs its three E solves into one sweep
         if len(calls) == 2 * cfg.steps:  # last solve: stage two of the last step
             out = out.copy()
-            out[(0,) * out.ndim] = np.inf
+            out[(0,) * out.ndim] = np.finfo(float).max  # the stage's 2x overflows
         return out
 
     monkeypatch.setattr(stepper, "_solve_lines", poisoned)
@@ -375,7 +375,7 @@ def test_run_reports_nonfinite_made_in_the_workers_half(tmp_path, monkeypatch):
         calls.append(axis)
         if len(calls) == 6 + 3 + 2:  # the worker's second stage-two sweep of step 2
             out = out.copy()
-            out[(-1,) * out.ndim] = np.nan
+            out[(-1,) * out.ndim] = np.finfo(float).max  # the stage's 2x overflows
         return out
 
     monkeypatch.setattr(stepper, "_sweep", poisoned)
@@ -383,7 +383,7 @@ def test_run_reports_nonfinite_made_in_the_workers_half(tmp_path, monkeypatch):
         run(cfg)
     assert isinstance(info.value.__cause__, stepper.NonFiniteFieldError)
     assert "stage 2" in str(info.value.__cause__)
-    assert len(calls) == 3 * 4
+    assert len(calls) == 3 * 4 - 1  # the worker stopped at the overflow, before its last sweep
     # the worker is idle again: the next step runs, bitwise as unsplit
     grid, med = cfg.to_grid(), cfg.to_medium()
     state = enforce_pec(sample_exact(0.0, grid))
@@ -392,6 +392,73 @@ def test_run_reports_nonfinite_made_in_the_workers_half(tmp_path, monkeypatch):
     want = step(state, grid, med)
     assert all(a.tobytes() == b.tobytes()
                for (_, a), (_, b) in zip(got.components(), want.components()))
+
+
+@pytest.mark.parametrize("where", ["unsplit", "calling-thread", "worker-thread"])
+def test_run_reports_an_overflow_in_carried_stage_one_at_its_step(tmp_path, monkeypatch, where):
+    cfg = desk_cfg(tmp_path)
+    if where != "unsplit":
+        force_split(monkeypatch)
+    name = "_sweep" if where == "worker-thread" else "_solve_lines"
+    solve, calls = getattr(stepper, name), []
+    # stage one of step 2: the 8^3 cube packs a stage's solves into one sweep, and a
+    # forced split sweeps per component on each thread
+    poisoned_call = 3 if where == "unsplit" else 6 + 1
+
+    def poisoned(lam, rhs, axis):
+        out = solve(lam, rhs, axis)
+        calls.append(axis)
+        if len(calls) == poisoned_call:
+            out = out.copy()
+            out[(1,) * out.ndim] = np.finfo(float).max  # the stage's 2x overflows
+        return out
+
+    monkeypatch.setattr(stepper, name, poisoned)
+    with pytest.raises(RuntimeError, match=r"step 2\b") as info:
+        run(cfg)
+    assert isinstance(info.value.__cause__, stepper.NonFiniteFieldError)
+    assert "stage 1" in str(info.value.__cause__)
+    assert "overflow" in str(info.value.__cause__)
+    assert len(calls) == poisoned_call
+
+
+def test_trajectory_reports_an_overflow_in_the_first_carry_as_step_1(tmp_path, monkeypatch):
+    def huge(t, grid):  # finite, but ch / h = 2.8 times it is not
+        s = zero_state(grid)
+        s.ex[3, 3, 3] = np.finfo(float).max
+        return s
+
+    monkeypatch.setattr(harness, "sample_exact", huge)
+    # converge-time reads no level before the last, so nothing else sums the huge one
+    with pytest.raises(RuntimeError, match=r"step 1\b") as info:
+        converge_time(desk_cfg(tmp_path, kind="converge-time", dt_list=(0.7,), T=1.4))
+    assert "stage 1 right-hand side" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("kind", list(harness.DRIVERS))
+def test_trajectory_checks_finiteness_once(tmp_path, monkeypatch, kind):
+    # the stepper raises where it makes a NaN or infinity, so a whole-state pass is
+    # left only for the initial level, where none is made
+    cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
+    real, calls = grid_module.FieldState.all_finite, []
+
+    def counting(state):
+        calls.append(state.time_level)
+        return real(state)
+
+    monkeypatch.setattr(grid_module.FieldState, "all_finite", counting)
+    harness.DRIVERS[kind](cfg)
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_csv_rejects_a_non_finite_cell(tmp_path, value):
+    out = harness._OutDir(tmp_path / "out")
+    rows = [{"time_level": 0.0, "Q_l2": 1.0, "ERR1_n": None},
+            {"time_level": 3.0, "Q_l2": 2.0, "ERR1_n": value}]
+    with pytest.raises(RuntimeError, match=r"^run\.csv: non-finite ERR1_n .* time_level = 3$"):
+        out.write_csv("run.csv", rows)
+    assert not (tmp_path / "out" / "run.csv").exists() and out.names == []
 
 
 # --- the trajectory's carried right-hand side ---------------------------------
@@ -951,6 +1018,16 @@ def test_cli_converge_time(tmp_path, capsys):
                    "--dt-list", "0.1,0.05", "--out", str(tmp_path / "cli")])
     assert rc == 0
     assert (tmp_path / "cli" / "converge_time.csv").exists()
+
+
+def test_cli_aborts_on_a_non_finite_csv_cell(tmp_path, capsys):
+    # at eps 1e-200 the fields stay finite but the ratios to the mode constants overflow
+    rc = cli_main(["run", "--grid", "6,6,6", "--dt", "0.1", "--T", "0.3", "--eps", "1e-200",
+                   "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("aborted: run.csv: non-finite ERR1_n (inf) "
+                                              "in the row time_level = 3")
+    assert not (tmp_path / "cli" / "run.csv").exists()
 
 
 def test_cli_config_file(tmp_path):

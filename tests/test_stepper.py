@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,11 +114,25 @@ def test_residual_zero_states(medium):
 
 def test_stage_rejects_non_finite(medium):
     g = grid3()
+    for value in (np.inf, np.nan):  # a NaN raises no floating-point flag on its way through
+        s = zero_state(g)
+        s.hy[1, 1, 1] = value
+        # the input is rejected before any arithmetic, so numpy warns of no inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFieldError, match="stage 1 input"):
+                stage1(s, g, medium)
+
+
+@pytest.mark.parametrize("form, stage", [("carry", 1), ("stage1", 1), ("stage2", 2)])
+def test_right_hand_side_overflow_names_its_stage(form, stage):
+    # ch / h = 2.8 on 8^3 at dt 0.7, so the H part of (I + A) s overflows; the input is finite
+    g = make_grid(8, 8, 8, 0.7)
     s = zero_state(g)
-    s.hy[1, 1, 1] = np.inf
-    # inf - inf in the right-hand sides makes nan, which numpy reports before the guard
-    with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(NonFiniteFieldError):
-        stage1(s, g, medium)
+    s.ex[3, 3, 3] = np.finfo(float).max
+    forms = {"carry": stepper.carry, "stage1": stage1, "stage2": stage2}
+    with pytest.raises(NonFiniteFieldError, match=f"stage {stage} right-hand side: overflow"):
+        forms[form](s, g, Medium())
 
 
 def test_step_linearity(rng, medium):
@@ -237,6 +252,37 @@ def test_split_solves_and_guards_run_on_the_calling_thread(rng, monkeypatch):
     assert [kind for kind, _ in calls].count("guard") == 2 * 3
     assert {ident for _, ident in calls} == {threading.get_ident()}
     assert len(workers) == 6 * 3 and threading.get_ident() not in workers
+
+
+def test_error_state_is_restored_on_both_threads(rng, monkeypatch):
+    # each stage job raises on numpy's floating-point flags on the thread that runs it,
+    # and leaves both threads' error state as it found it, also when it raised
+    g = make_grid(12, 20, 9, 0.7)
+    force_split(monkeypatch)
+    states = lambda: (np.geterr(), stepper._worker().submit(np.geterr).result())
+    before, inside = states(), []
+    solve, sweep = stepper._solve_lines, stepper._sweep
+
+    def recording(real, poison):
+        def solving(lam, rhs, axis):
+            inside.append(np.geterr())
+            out = real(lam, rhs, axis)
+            if poison:
+                out = out.copy()
+                out[(1,) * out.ndim] = np.finfo(float).max
+            return out
+        return solving
+
+    monkeypatch.setattr(stepper, "_solve_lines", recording(solve, False))
+    monkeypatch.setattr(stepper, "_sweep", recording(sweep, False))
+    step(random_state(g, rng), g, Medium())
+    assert states() == before
+    monkeypatch.setattr(stepper, "_sweep", recording(sweep, True))
+    with pytest.raises(NonFiniteFieldError, match="stage 1"):
+        step(random_state(g, rng), g, Medium())
+    assert states() == before
+    assert len(inside) == 6 + 6 + 3 + 1
+    assert all(e["over"] == e["invalid"] == e["divide"] == "raise" for e in inside)
 
 
 def test_split_joins_the_worker_before_raising(rng, monkeypatch):
