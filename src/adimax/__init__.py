@@ -12,7 +12,7 @@ from .manufactured import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, 
                            OMEGA, metrics, observed_rate, sample_exact, sample_semidiscrete)
 from .norms import (DivergenceReport, divergence, energy_h1, energy_l2, energy_report,
                     energy_suite)
-from .operators import diff, time_diff
+from .operators import diff
 from .stepper import NonFiniteFieldError, stage1, stage2, step, step_residual
 
 __version__ = "0.1.0"

@@ -6,16 +6,20 @@ initial state that `cfg.init` names it yields `(n, prev, level)` for n = 0 ...
 round(T/dt), where `level` is time level n and `prev` is level n-1 (None at
 n = 0); level n+1 is written into the arrays of `prev`.  Each driver does only
 its own work on those levels: report ticks for `run`, the audit and
-`stability`, the last pair per resolution for the convergence studies.  It
-names the steps whose `prev` it reads in `lends` (run: its ticks; the audit:
-its ticks and step 1), where the trajectory holds no carried right-hand side.
-The convergence studies read the last pair after the trajectory has ended,
-and `stability` reads no `prev`.  A non-finite field ends the trajectory with
+`stability`, the last pair per resolution for the convergence studies.  A
+driver names in `lends` the steps where the trajectory must hold no carried
+right-hand side, since its own work there makes a whole-state temporary:
+`run` its ticks, where `metrics` forms a whole error state, and the
+convergence studies their last step, graded after the trajectory has ended.
+The audit lends none, as its ticks form the time difference in prev's arrays
+and make no whole-state temporary, and `stability` reads no `prev`.  A
+non-finite field ends the trajectory with
 a RuntimeError naming the step that made it: the stepper raises where an
 operation makes a NaN or infinity, and the initial level, where none is made,
 is checked once, as step 1.  A non-finite CSV cell (a functional that
 overflows on finite fields) is a RuntimeError naming the file, the column and
-the row, and nothing of that CSV is written.
+the row, and nothing of that CSV is written.  A driver that raises still
+writes the MANIFEST of the files it wrote (`_driver`).
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import wraps
 from pathlib import Path
 
 from .grid import GridSpec, Medium, enforce_pec, make_grid, write_snapshot, zero_state
@@ -252,12 +257,22 @@ class _OutDir:
         return self.names
 
 
-def _start(cfg: RunConfig):
-    """Validate `cfg`, write config.echo, and build the output directory, grid and medium."""
-    cfg.validate()
-    out = _OutDir(cfg.out)
-    out.write_text("config.echo", emit_config(cfg))
-    return out, cfg.to_grid(), cfg.to_medium()
+def _driver(body):
+    """The driver `body(cfg, out, grid, med)` as a function of its config: `cfg` is
+    validated, config.echo written and the output directory, grid and medium built first.
+    If the body raises, the MANIFEST of what was written goes out before the error does,
+    so an aborted run's directory too holds exactly the files its MANIFEST lists."""
+    @wraps(body)
+    def driver(cfg: RunConfig):
+        cfg.validate()
+        out = _OutDir(cfg.out)
+        out.write_text("config.echo", emit_config(cfg))
+        try:
+            return body(cfg, out, cfg.to_grid(), cfg.to_medium())
+        except BaseException:
+            out.finish()
+            raise
+    return driver
 
 
 def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
@@ -266,12 +281,14 @@ def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
 
     Each new level is written into the arrays of the level yielded as previous
     one step earlier, which the caller is done with: a yielded level stays valid
-    until the caller asks for the level after next.  The steps carry stage one's
+    until the caller asks for the level after next, and the caller may overwrite
+    the previous level (the tick functionals form the time difference there) so
+    long as its tangential-E walls stay zeros.  The steps carry stage one's
     right-hand side (`carry`) from one to the next, a third whole state.  It is
-    dropped before each yield of a step in `lends`, the steps whose previous level
-    the caller reads, so that no third state is alive while it does, and rebuilt
-    from the level after; a rebuilt one rounds apart from a carried one, so the
-    levels depend on `lends` at rounding level."""
+    dropped before each yield of a step in `lends`, the steps where the caller
+    makes a whole-state temporary, so that no fourth state is alive while it
+    does, and rebuilt from the level after; a rebuilt one rounds apart from a
+    carried one, so the levels depend on `lends` at rounding level."""
     med = cfg.to_medium()
     if cfg.init == "zero":
         level = zero_state(grid)
@@ -317,18 +334,19 @@ def _ratio(value_sq, const):
     return None if value_sq is None else math.sqrt(value_sq / const)
 
 
-def run(cfg: RunConfig) -> Result:
+@_driver
+def run(cfg: RunConfig, out: _OutDir, grid: GridSpec, med: Medium) -> Result:
     """Step from the sampled (or zero) initial state to T, reporting per cadence tick."""
-    out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     k = energy_constants(med)
     rows = []
     for n, prev, state in _trajectory(cfg, grid, lends=ticks):
         if n not in ticks:
             continue
-        s, d = energy_report(state, prev, med, grid)  # d: the sums of (state - prev)/dt
-        div = divergence(state, med, grid)
         e, de = metrics(state, prev, grid, med)  # de: the sums of the error's time difference
+        # d: the sums of (state - prev)/dt, formed in prev's arrays, so after metrics
+        s, d = energy_report(state, prev, med, grid)
+        div = divergence(state, med, grid)
         h1t = {a: None if d is None else d.h1[a][1] for a in "xyz"}
         l2t = None if d is None else d.l2
         rows.append({
@@ -364,15 +382,15 @@ def _core_full(sums: StateSums | None, form: str) -> tuple:
     return sums.h1["x"] if form == "h1" else (sums.l2_core, sums.l2)
 
 
-def energy_audit(cfg: RunConfig) -> Result:
+@_driver
+def energy_audit(cfg: RunConfig, out: _OutDir, grid: GridSpec, med: Medium) -> Result:
     """Track the experiment energy norms: drifts against level 0 (the time-difference
     norms: against the (0, 1) pair) and ratios against the analytic mode constants,
     full and core (starred) forms."""
-    out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     k = energy_constants(med)
     rows = []
-    for n, prev, state in _trajectory(cfg, grid, lends=ticks | {1}):
+    for n, prev, state in _trajectory(cfg, grid):
         if n > 1 and n not in ticks:
             continue
         s, d = energy_suite(state, prev, med, grid)  # d: the sums of (state - prev)/dt
@@ -396,11 +414,11 @@ def energy_audit(cfg: RunConfig) -> Result:
     return Result(cfg, rows, out.finish())
 
 
-def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> Result:
+def _converge(cfg: RunConfig, out: _OutDir, med: Medium, name: str, points,
+              semi: bool = False) -> Result:
     """Errors at T for each (resolution, grid) of `points(cfg)`, each followed by its rate
     against the previous row.  With `semi` the rows also carry the errors at T against
     sample_semidiscrete."""
-    out, _, med = _start(cfg)
     k = energy_constants(med)
     rows: list[dict] = []
     for res, grid in points(cfg):
@@ -427,16 +445,18 @@ def _converge(cfg: RunConfig, name: str, points, semi: bool = False) -> Result:
     return Result(cfg, rows, out.finish())
 
 
-def converge_time(cfg: RunConfig) -> Result:
+@_driver
+def converge_time(cfg: RunConfig, out: _OutDir, grid: GridSpec, med: Medium) -> Result:
     """Error at T for each dt in dt_list on the fixed grid, with observed rates,
     against the continuous mode and against the grid's time-exact solution."""
-    return _converge(cfg, "converge_time.csv",
+    return _converge(cfg, out, med, "converge_time.csv",
                      lambda c: [(dt, c.to_grid(dt=dt)) for dt in c.dt_list], semi=True)
 
 
-def converge_space(cfg: RunConfig) -> Result:
+@_driver
+def converge_space(cfg: RunConfig, out: _OutDir, grid: GridSpec, med: Medium) -> Result:
     """Error at T for each cube grid in grid_list at the fixed small dt."""
-    return _converge(cfg, "converge_space.csv",
+    return _converge(cfg, out, med, "converge_space.csv",
                      lambda c: [(1.0 / n, c.to_grid(n=n)) for n in c.grid_list])
 
 
@@ -449,11 +469,11 @@ class StabilityResult(Result):
     initial_max: float
 
 
-def stability(cfg: RunConfig) -> StabilityResult:
+@_driver
+def stability(cfg: RunConfig, out: _OutDir, grid: GridSpec, med: Medium) -> StabilityResult:
     """Long run at an arbitrary Courant number; passes when the L2-type energy
     drift stays within DRIFT_TOL and no field grows past GROWTH_FACTOR times
     the initial maximum."""
-    out, grid, med = _start(cfg)
     ticks = _ticks(cfg.steps, cfg.cadence)
     max_drift = max_field = 0.0
     rows = []

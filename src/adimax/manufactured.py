@@ -32,12 +32,14 @@ round-off rather than to O(h^2).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, check_extents, extent
 # energy_h1 and energy_l2 are unused here; perfbench traces these names to count functionals
-from .norms import StateSums, energy_h1, energy_l2, state_sums, _check_consecutive  # noqa: F401
+from .norms import (StateSums, energy_h1, energy_l2, state_sums, _check_consecutive,  # noqa: F401
+                    _on_halves, _shaped)
 
 OMEGA = math.sqrt(3.0) * math.pi
 
@@ -60,41 +62,39 @@ def energy_constants(med: Medium) -> dict:
             "time": ENERGY_TIME_SQ / med.mu, "grad_time": ENERGY_GRAD_TIME_SQ / med.mu}
 
 
-def _profile(comp: str, amplitude, x, y, z):
-    """`amplitude` times the spatial profile of one component (broadcasting):
-    cos(pi(1-u)) along the component's half-offset axes, sin(pi(1-u)) along the others."""
-    out = amplitude
-    for coord, is_cos in zip((x, y, z), HALF_OFFSET[comp]):
-        phase = math.pi * (1.0 - np.asarray(coord, dtype=float))
-        out = out * (np.cos(phase) if is_cos else np.sin(phase))
-    return out
+def _factors(comp: str, amplitude, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays whose broadcast product is `amplitude` times the profile of `comp` on its
+    staggered lattice, cos(pi(1-u)) along the component's half-offset axes and sin(pi(1-u))
+    along the others: (amplitude times the x and y factors, the z factor)."""
+    off, factors = HALF_OFFSET[comp], []
+    for axis, (n, h) in enumerate(zip(extent(comp, grid), (grid.dx, grid.dy, grid.dz))):
+        phase = math.pi * (1.0 - (np.arange(n) + 0.5 * off[axis]) * h)
+        shape = [1, 1, 1]
+        shape[axis] = n
+        factors.append((np.cos(phase) if off[axis] else np.sin(phase)).reshape(shape))
+    return amplitude * factors[0] * factors[1], factors[2]
 
 
 def _flow(a_par, a_perp, b, freq, t: float, grid: GridSpec, med: Medium, lazy: bool = False):
     """The six sampled profiles on their staggered lattices at time t, scaled by the
     (x, y, z) amplitudes a_par + a_perp cos(w t) for e and b sqrt(eps/mu) sin(w t) for h
-    (a_par may be the scalar 0), with w = freq / sqrt(eps mu); with `lazy`, an iterator
-    of (name, lattice) that samples each component as it is reached."""
+    (a_par may be the scalar 0), with w = freq / sqrt(eps mu); with `lazy`, a dict from
+    component name to a function `sample(out)` that forms that component's lattice in the
+    array `out` by the last broadcast product alone, which allocates nothing, on whichever
+    thread calls it."""
     w = freq / math.sqrt(med.eps * med.mu)
     amplitudes = dict(zip(COMPONENTS, (*(a_par + a_perp * np.cos(w * t)),
                                        *(b * math.sqrt(med.eps / med.mu) * np.sin(w * t)))))
-
-    def lattices():
-        for comp in COMPONENTS:
-            off = HALF_OFFSET[comp]
-            ni, nj, nk = extent(comp, grid)
-            xs = ((np.arange(ni) + 0.5 * off[0]) * grid.dx)[:, None, None]
-            ys = ((np.arange(nj) + 0.5 * off[1]) * grid.dy)[None, :, None]
-            zs = ((np.arange(nk) + 0.5 * off[2]) * grid.dz)[None, None, :]
-            yield comp, _profile(comp, amplitudes[comp], xs, ys, zs)
+    factors = {comp: _factors(comp, amplitudes[comp], grid) for comp in COMPONENTS}
     if lazy:
-        return lattices()
-    return FieldState(*(a for _, a in lattices()), time_level=t / grid.dt)
+        return {comp: partial(np.multiply, *factors[comp]) for comp in COMPONENTS}
+    return FieldState(*(np.multiply(*factors[comp]) for comp in COMPONENTS),
+                      time_level=t / grid.dt)
 
 
 def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):
     """Sample the mode in the medium `med` on every staggered lattice at time t
-    (with `lazy`, one component at a time; see _flow).
+    (with `lazy`, one sampler per component; see _flow).
 
     Wall entries of tangential e evaluate to sin(pi * 0) and the like, so they
     are zero only to round-off (about 1e-16); run initialization squares that
@@ -105,7 +105,7 @@ def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = Fal
 
 def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):
     """Sample the grid's time-exact solution that starts from the sampled mode (with
-    `lazy`, one component at a time; see _flow).
+    `lazy`, one sampler per component; see _flow).
 
     The Yee difference of a sampled cos/sin(pi(1-u)) profile along axis a is
     the continuous derivative with pi replaced by s_a = 2 sin(pi h_a/2)/h_a.
@@ -134,15 +134,25 @@ def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medi
     """The sums, along x, of the error of `curr` (reference minus numeric) and, when `prev`
     is given, of the error's time difference (else None); one pass per state.
 
-    `reference(t, grid, med)` returns a fresh sample of the solution graded against,
-    in whose arrays the error is formed (with `prev`, it is also called with lazy=True);
-    None means sample_exact, looked up at call time so that a wrapper installed on this
-    module's attribute sees the call."""
+    `reference(t, grid, med, lazy=True)` returns one sampler per component of the solution
+    graded against (see _flow); None means sample_exact, looked up at call time so that a
+    wrapper installed on this module's attribute sees the call.  It is called here, and
+    the E lattices are sampled here and the H ones by the other part of `_on_halves`: the
+    error in a whole state made here, the error of prev in one lattice of scratch per part.
+    """
     check_extents(curr, grid)
     reference = reference or sample_exact
-    err = reference(curr.time_level * grid.dt, grid, med)
-    for name, arr in curr.components():
-        np.subtract(getattr(err, name), arr, out=getattr(err, name))
+    err = FieldState(*(np.empty(a.shape) for _, a in curr.components()),
+                     time_level=curr.time_level)
+    sample = reference(curr.time_level * grid.dt, grid, med, lazy=True)
+
+    def error(names):
+        for name in names:
+            e = sample[name](getattr(err, name))
+            np.subtract(e, getattr(curr, name), out=e)
+
+    _on_halves(grid, lambda: error(COMPONENTS[:3]), lambda: error(COMPONENTS[3:]))
+    del sample  # each sampler holds a plane: none is alive during the sums
     now = state_sums(err, med, grid, axes="x")
     if prev is None:
         return now, None
@@ -150,13 +160,20 @@ def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medi
     check_extents(prev, grid)
     # (err - b) / dt, bit for bit time_diff's, formed in err's arrays with b, the error
     # of prev, sampled and formed one component at a time: a tick holds no fourth state
-    s = 1.0 / grid.dt
-    for name, b in reference(prev.time_level * grid.dt, grid, med, lazy=True):
-        np.subtract(b, getattr(prev, name), out=b)
-        e = getattr(err, name)
-        e *= s
-        e -= np.multiply(b, s, out=b)
-        del b  # before the next component is sampled
+    s, before = 1.0 / grid.dt, reference(prev.time_level * grid.dt, grid, med, lazy=True)
+
+    def difference(names, scratch):
+        for name in names:
+            e = getattr(err, name)
+            b = before[name](_shaped(scratch, e.shape))
+            np.subtract(b, getattr(prev, name), out=b)
+            e *= s
+            e -= np.multiply(b, s, out=b)
+
+    _on_halves(grid, lambda scratch: difference(COMPONENTS[:3], scratch),
+               lambda scratch: difference(COMPONENTS[3:], scratch),
+               max(a.size for _, a in err.components()), 1)
+    del before
     err.time_level = 0.5 * (prev.time_level + curr.time_level)
     return now, state_sums(err, med, grid, axes="x")
 

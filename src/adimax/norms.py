@@ -24,14 +24,22 @@ pass, by the piece's role (see `energy_h1`), before the next piece reuses the
 array.  The parts are then added in a fixed order, so the sums are bit for bit
 the same on one thread or two.  A report tick takes its functionals as two
 such records, `energy_report`: the sums of a level and of its time difference
-(`energy_suite`: along x alone).  Which sum fills which CSV column is for
-`harness` alone to say.
+(`energy_suite`: along x alone), the difference formed in the previous level's
+arrays, so that a tick makes no whole-state temporary for it.  Which sum fills
+which CSV column is for `harness` alone to say.
 
-From _THREAD_MIN cells on, with two usable cores, the H half runs on the
-stepper's worker and calls no name a tracer wraps; below it both halves run
-here on one piece and one buffer.  The caller allocates all scratch, since the
-worker's glibc arena keeps what the worker allocates (a worker half that made
-its own raised 64^3 tick peak RSS by 4.6 %).  Pass time threaded against one
+Every whole-lattice pass of a report tick runs as an E part and an H part
+(`_on_halves`): the sums' two halves, the time difference (E components, H
+components), the divergence (each field's lattice, formed and reduced), and
+`manufactured.metrics`' error and error-difference lattices.  From _THREAD_MIN
+cells on, with two usable cores, the H part runs on the stepper's worker and
+calls no name a tracer wraps; below it both parts run here in turn, on one
+set of scratch.  The calling thread allocates all scratch before the parts
+start, and each pass's scratch is released before the next pass (the sums)
+starts, since the worker's glibc arena keeps what the worker allocates (a
+worker half that made its own raised 64^3 tick peak RSS by 4.6 %).  Each entry
+comes from the same operations in the same order either way, so every output
+is bit-identical on one thread or two.  Sum pass time threaded against one
 thread in %, medians of 31 interleaved calls (15 in 100^3's first run), two runs:
 
     axes   20^3    28^3    32^3    36^3    40^3    48^3    64^3    100^3
@@ -67,9 +75,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # rotate_state is unused here; perfbench traces this name to count rotation copies
-from .grid import FieldState, GridSpec, Medium, check_extents, max_abs, rotate_state  # noqa: F401
-from .operators import diff, time_diff
-from .stepper import on_two_threads, two_threads
+from .grid import (COMPONENTS, FieldState, GridSpec, Medium, check_extents, max_abs,  # noqa: F401
+                   rotate_state)
+from .operators import diff
+from .stepper import halves
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 _THREAD_MIN = 48 ** 3  # grid cells from which state_sums runs its H half on the worker
@@ -91,7 +100,7 @@ def _dssq(u: np.ndarray, a: int, grid: GridSpec, buf: np.ndarray, *roles) -> flo
     hi, lo = list(idx), list(idx)
     hi[a], lo[a] = slice(start + 1, stop + 1), slice(start, stop)
     upper, lower = u[tuple(hi)], u[tuple(lo)]
-    out = np.subtract(upper, lower, out=buf[:upper.size].reshape(upper.shape))
+    out = np.subtract(upper, lower, out=_shaped(buf, upper.shape))
     return _ssq(out) / grid.spacing(a)**2
 
 
@@ -128,19 +137,26 @@ class StateSums:
     h1: dict
 
 
+def _on_halves(grid: GridSpec, e_part, h_part, size: int = 0, lattices: int = 0) -> tuple:
+    """`stepper.halves` of a tick pass's E and H parts, h_part on the worker from
+    _THREAD_MIN cells on."""
+    return halves(math.prod(grid.cells), _THREAD_MIN, e_part, h_part, size, lattices)
+
+
+def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat buffer, as an array of `shape`."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz") -> StateSums:
     """Every quadratic functional of `state` in one pass: the L2-type energy and
     its parts, and the directional H1-type energies along `axes`."""
     check_extents(state, grid)
     idx = [_AXES[axis] for axis in axes]
     size = max(m.size for m in state.h_triple())  # every piece and square fits in it
-    threaded = two_threads(math.prod(grid.cells), _THREAD_MIN)
-    e_scratch = (np.empty(size), np.empty(size))  # (piece, buffer), the worker's made here too
-    h_scratch = (np.empty(size), np.empty(size)) if threaded else e_scratch
-    e_half = lambda: _e_half(state, med, grid, idx, *e_scratch)
-    h_half = lambda: _h_half(state, med, grid, idx, *h_scratch)
-    (e_sq, curl_pos_e, e_h1), (h_sq, curl_neg_h, h_h1) = (
-        on_two_threads(e_half, h_half) if threaded else (e_half(), h_half()))
+    (e_sq, curl_pos_e, e_h1), (h_sq, curl_neg_h, h_h1) = _on_halves(  # (piece, buffer) each
+        grid, lambda *scratch: _e_half(state, med, grid, idx, *scratch),
+        lambda *scratch: _h_half(state, med, grid, idx, *scratch), size, 2)
     q, by_axis = grid.dt ** 2 / (4.0 * med.eps * med.mu), {}
     for axis, a in zip(axes, idx):
         (vol_e, pert_e, (fe1, fe2), face_e), (vol_h, pert_h, (fh1, fh2), face_h) = e_h1[a], h_h1[a]
@@ -159,7 +175,7 @@ def _by_piece(pieces, roles, axes, grid: GridSpec, piece: np.ndarray, buf: np.nd
     sq, by_role = [], {a: [()] * 3 for a in axes}
     for k, (u, axis) in enumerate(pieces):
         shape = tuple(m - (d == axis) for d, m in enumerate(u.shape))
-        p = diff(u, axis, grid, out=piece[:math.prod(shape)].reshape(shape))
+        p = diff(u, axis, grid, out=_shaped(piece, shape))
         for a in axes:
             r = (k - a) % 3
             diffed, *plain = roles(*_roles(grid.cells, a))[r]
@@ -261,39 +277,77 @@ class DivergenceReport:
 
 
 def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceReport:
-    """Divergence report of `state`: E at interior nodes, H at cell centers."""
+    """Divergence report of `state`: E at interior nodes, H at cell centers, each field's
+    lattice formed and reduced by one part of `_on_halves` in scratch made here."""
     check_extents(state, grid)
     nx, ny, nz = grid.cells
-    div_e = diff(state.ex[:, 1:ny, 1:nz], 0, grid)
-    div_e += diff(state.ey[1:nx, :, 1:nz], 1, grid)
-    div_e += diff(state.ez[1:nx, 1:ny, :], 2, grid)
-    div_h = diff(state.hx, 0, grid)
-    div_h += diff(state.hy, 1, grid)
-    div_h += diff(state.hz, 2, grid)
+    e_pieces = ((state.ex[:, 1:ny, 1:nz], 0), (state.ey[1:nx, :, 1:nz], 1),
+                (state.ez[1:nx, 1:ny, :], 2))
+    h_pieces = ((state.hx, 0), (state.hy, 1), (state.hz, 2))
+    # each differenced piece and each divergence has at most nx ny nz entries
+    (e_linf, e_sq), (h_linf, h_sq) = _on_halves(
+        grid, lambda *scratch: _div(e_pieces, grid, *scratch),
+        lambda *scratch: _div(h_pieces, grid, *scratch), math.prod(grid.cells), 2)
     return DivergenceReport(
-        div_e_linf=med.eps * (max_abs(div_e) if div_e.size else 0.0),
-        div_e_l2=float(np.sqrt(med.eps * grid.dv * _ssq(div_e))),
-        div_h_linf=med.eps * max_abs(div_h),
-        div_h_l2=float(np.sqrt(med.eps * grid.dv * _ssq(div_h))),
+        div_e_linf=med.eps * e_linf,
+        div_e_l2=float(np.sqrt(med.eps * grid.dv * e_sq)),
+        div_h_linf=med.eps * h_linf,
+        div_h_l2=float(np.sqrt(med.eps * grid.dv * h_sq)),
     )
+
+
+def _div(pieces, grid: GridSpec, total: np.ndarray, term: np.ndarray) -> tuple[float, float]:
+    """(max |div|, sum div^2) of the sum of diff(*piece) over `pieces`, formed in `total`
+    with each later term in `term`."""
+    div = None
+    for u, axis in pieces:
+        shape = tuple(m - (d == axis) for d, m in enumerate(u.shape))
+        d = diff(u, axis, grid, out=_shaped(term if div is not None else total, shape))
+        div = d if div is None else np.add(div, d, out=div)
+    return (max_abs(div) if div.size else 0.0), _ssq(div)
 
 
 # ---------------------------------------------------------------------------
 # Per-level energy reporting
 # ---------------------------------------------------------------------------
 
+def _time_diff_in_prev(curr: FieldState, prev: FieldState, grid: GridSpec) -> FieldState:
+    """(curr - prev)/dt, labeled at the midpoint level, in prev's arrays: per component
+    a s - b s with s = 1/dt, a s formed in scratch, so the same bits as forming it in fresh
+    arrays.  E walls that are zeros in both levels stay exact (positive) zeros."""
+    _check_consecutive(prev, curr)
+    check_extents(prev, grid)
+    s = 1.0 / grid.dt
+
+    def part(names, scratch):
+        for name in names:
+            a, b = getattr(curr, name), getattr(prev, name)
+            a_s = np.multiply(a, s, out=_shaped(scratch, a.shape))
+            np.subtract(a_s, np.multiply(b, s, out=b), out=b)
+
+    _on_halves(grid, lambda scratch: part(COMPONENTS[:3], scratch),
+               lambda scratch: part(COMPONENTS[3:], scratch),
+               max(a.size for _, a in prev.components()), 1)
+    return FieldState(*(getattr(prev, name) for name in COMPONENTS),
+                      time_level=0.5 * (prev.time_level + curr.time_level))
+
+
 def energy_report(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,
                   axes: str = "xyz") -> tuple[StateSums, StateSums | None]:
     """The sums of `curr` and, when `prev` is given, of (curr - prev)/dt (else None);
-    one pass per state."""
+    one pass per state.
+
+    The time difference is formed in prev's arrays, so `prev` is consumed: its arrays hold
+    the difference afterwards (with the E walls still zeros, as a stage's `out` needs).  A
+    caller that reads prev again passes a copy."""
     now = state_sums(curr, med, grid, axes)
     if prev is None:
         return now, None
-    _check_consecutive(prev, curr)
-    return now, state_sums(time_diff(curr, prev, grid.dt), med, grid, axes)
+    return now, state_sums(_time_diff_in_prev(curr, prev, grid), med, grid, axes)
 
 
 def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium,
                  grid: GridSpec) -> tuple[StateSums, StateSums | None]:
-    """`energy_report` along the x axis alone: the sums an energy audit reads."""
+    """`energy_report` along the x axis alone: the sums an energy audit reads (prev is
+    consumed likewise)."""
     return energy_report(curr, prev, med, grid, axes="x")

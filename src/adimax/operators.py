@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FieldState, GridSpec
+from .grid import GridSpec
 
 
 def diff(u: np.ndarray, axis: int, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -22,22 +22,3 @@ def diff(u: np.ndarray, axis: int, grid: GridSpec, out: np.ndarray | None = None
     out = np.subtract(u[hi], u[lo], out=out)
     out /= grid.spacing(axis)
     return out
-
-
-def time_diff(u_next: FieldState, u_prev: FieldState, span: float) -> FieldState:
-    """Componentwise (u_next - u_prev) / span, labeled at the midpoint level."""
-    _check_same_shapes(u_next, u_prev)
-    s = 1.0 / span
-    arrays = []
-    for (_, a), (_, b) in zip(u_next.components(), u_prev.components()):
-        d = a * s
-        d -= b * s
-        arrays.append(d)
-    return FieldState(*arrays, time_level=0.5 * (u_next.time_level + u_prev.time_level))
-
-
-def _check_same_shapes(a: FieldState, b: FieldState) -> None:
-    for (name, x), (_, y) in zip(a.components(), b.components()):
-        if x.shape != y.shape:
-            raise ValueError(f"component {name!r} shapes differ: {x.shape} vs {y.shape}")
-

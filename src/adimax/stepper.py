@@ -62,7 +62,8 @@ imp or p and the pencils lie along imp, so a slab reads nothing past its cut,
 and every output entry comes from the same operations in the same order,
 bit-identical to the unsplit update.  Only the calling thread calls
 `_solve_lines`; the worker sweeps through the `_sweep` alias, so outside-in
-tracers see one call stack.
+tracers see one call stack.  From the same size `carry` forms the E components
+of its right-hand side here and the H ones on the worker (see `halves`).
 _SPLIT_MIN rests on split against unsplit step times of the classic form,
 interleaved on 2 cores, two runs: 48^3 +26/+32%, 64^3 -1/+13%, 72^3 -6/-10%,
 80^3 -4/-18%, 100^3 -25/-31%.
@@ -183,18 +184,18 @@ _INNER = tuple(tuple(slice(None) if d == c else slice(1, -1) for d in range(3)) 
 _LEAD = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
 
 
-def _rhs(u: FieldState, grid: GridSpec, med: Medium, stage: int,
-         out: FieldState | None = None) -> FieldState:
-    """(I + A_stage) u, A_stage being the stage's implicit part: E_c + sigma ce d_imp H_p on
-    E_c's interior (walls zero) and H_p + sigma ch d_imp E_c, in out's arrays if given."""
-    e_u, h_u = u.e_triple(), u.h_triple()
-    e = list(out.e_triple()) if out is not None else [np.zeros(a.shape) for a in e_u]
-    h = list(out.h_triple()) if out is not None else [None] * 3
+def _rhs(u: FieldState, grid: GridSpec, med: Medium, stage: int, out: FieldState,
+         part: str = "EH") -> FieldState:
+    """(I + A_stage) u, A_stage being the stage's implicit part, in out's arrays (E walls
+    zero): E_c + sigma ce d_imp H_p on E_c's interior and H_p + sigma ch d_imp E_c, of the
+    fields `part` names.  The E and H parts read only u, so they may run on two threads."""
+    e_u, h_u, e, h = u.e_triple(), u.h_triple(), out.e_triple(), out.h_triple()
     for c, (imp, p, se, sh, _) in _pairs(stage, grid, med).items():
-        _diff(h_u[p], imp, se, trim=p, out=e[c][_INNER[c]])
-        e[c][_INNER[c]] += e_u[c][_INNER[c]]
-        h[p] = _diff(e_u[c], imp, sh, out=h[p])
-        h[p] += h_u[p]
+        if "E" in part:
+            _diff(h_u[p], imp, se, trim=p, out=e[c][_INNER[c]])
+            e[c][_INNER[c]] += e_u[c][_INNER[c]]
+        if "H" in part:
+            np.add(_diff(e_u[c], imp, sh, out=h[p]), h_u[p], out=h[p])
     return FieldState(*e, *h, time_level=u.time_level)
 
 
@@ -279,6 +280,18 @@ def on_two_threads(here, there) -> tuple:
     return first, later.result()
 
 
+def halves(cells: int, min_cells: int, here, there, size: int = 0, lattices: int = 0) -> tuple:
+    """(here(*scratch), there(*scratch)): there() on the worker as in on_two_threads from
+    min_cells cells on (see two_threads), else both here in turn.  Each is given `lattices`
+    flat scratch arrays of `size` entries, all made here before either starts (one set,
+    shared, when both run here), since the worker's glibc arena keeps what it allocates."""
+    threaded = two_threads(cells, min_cells)
+    mine = [np.empty(size) for _ in range(lattices)]
+    theirs = [np.empty(size) for _ in range(lattices)] if threaded else mine
+    first, second = lambda: here(*mine), lambda: there(*theirs)
+    return on_two_threads(first, second) if threaded else (first(), second())
+
+
 def _half_update(r: FieldState, grid: GridSpec, med: Medium, stage: int, e_out, h_out) -> None:
     """One half-update per the stage table in the module docstring, on the right-hand side
     r (see `_update`), which moves on half a level.
@@ -316,7 +329,7 @@ def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: Fiel
         if not state.all_finite():  # what is already non-finite raises no flag
             raise NonFiniteFieldError(f"non-finite values in the stage {stage} input")
         with _flagged(f"the stage {stage} right-hand side"):
-            r = _rhs(state, grid, med, 3 - stage, out)
+            r = _rhs(state, grid, med, 3 - stage, zero_state(grid) if out is None else out)
         _half_update(r, grid, med, stage, r.e_triple(), r.h_triple())
         return r
     out = zero_state(grid) if out is None else out
@@ -329,10 +342,22 @@ def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: Fiel
 def carry(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
     """(I + A2) state: stage one's right-hand side from a whole level, which
     stage1(..., carried=True) and stage2(..., carried=True) move on in place.  `state` is
-    not checked for NaN or infinity; the caller does that once per trajectory."""
+    not checked for NaN or infinity; the caller does that once per trajectory.
+
+    From _SPLIT_MIN cells on, with two usable cores, the H components are formed on the
+    worker while this thread forms the E ones, each part under `_flagged` on its own
+    thread; the whole state is allocated here first, since the worker's glibc arena keeps
+    what the worker allocates.  Each entry comes from the same operations either way."""
     check_extents(state, grid)
-    with _flagged("the stage 1 right-hand side"):
-        return _rhs(state, grid, med, 2)
+    r = zero_state(grid)
+
+    def part(fields):
+        with _flagged("the stage 1 right-hand side"):
+            _rhs(state, grid, med, 2, r, fields)
+
+    halves(math.prod(grid.cells), _SPLIT_MIN, lambda: part("E"), lambda: part("H"))
+    r.time_level = state.time_level
+    return r
 
 
 def stage1(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | None = None,

@@ -76,6 +76,20 @@ def lincomb(a: float, s: FieldState, b: float, t: FieldState,
     return FieldState(*arrays, time_level=s.time_level if time_level is None else time_level)
 
 
+def time_diff(u_next: FieldState, u_prev: FieldState, span: float) -> FieldState:
+    """Componentwise (u_next - u_prev) / span in fresh arrays, labeled at the midpoint
+    level: the time difference the tick functionals form in the previous level's arrays."""
+    s = 1.0 / span
+    arrays = []
+    for (name, a), (_, b) in zip(u_next.components(), u_prev.components()):
+        if a.shape != b.shape:
+            raise ValueError(f"component {name!r} shapes differ: {a.shape} vs {b.shape}")
+        d = a * s
+        d -= b * s
+        arrays.append(d)
+    return FieldState(*arrays, time_level=0.5 * (u_next.time_level + u_prev.time_level))
+
+
 def split_curl_pos(u, grid):
     """Cyclic half of the discrete curl, (d_y u_z, d_z u_x, d_x u_y), by np.diff.
 

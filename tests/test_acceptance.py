@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from adimax import (Medium, RunConfig, divergence, energy_h1, energy_l2, enforce_pec,
-                    make_grid, sample_exact, stability, stage1, stage2, step, step_residual,
-                    time_diff)
+                    make_grid, sample_exact, stability, stage1, stage2, step, step_residual)
 from adimax import stepper
 from adimax.harness import converge_space, converge_time, run
 from adimax.norms import state_sums
 
 from conftest import max_component_diff, random_state
 from oracles import (adi_step_loop, dense_tridiag_solve, divergence_loop, energy_h1_loop,
-                     energy_l2_loop, norm_e_loop, norm_h_loop)
+                     energy_l2_loop, norm_e_loop, norm_h_loop, time_diff)
 
 MEDIUM = Medium(1.0, 1.0)
 

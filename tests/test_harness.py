@@ -9,13 +9,13 @@ import adimax.harness as harness
 from adimax import grid as grid_module
 from adimax import manufactured, norms, stepper
 from adimax import (divergence, energy_h1, energy_l2, enforce_pec, make_grid, metrics,
-                    sample_exact, sample_semidiscrete, step, time_diff, zero_state)
+                    sample_exact, sample_semidiscrete, step, zero_state)
 from adimax import (ConfigError, Medium, RunConfig, converge_space, converge_time, emit_config,
                     energy_audit, observed_rate, parse_config, run, stability)
 from adimax.cli import main as cli_main
 
 from conftest import force_split, random_state
-from oracles import split_curl_neg, split_curl_pos
+from oracles import split_curl_neg, split_curl_pos, time_diff
 
 
 def desk_cfg(tmp_path, **kw):
@@ -239,6 +239,32 @@ def test_reused_out_holds_only_the_last_runs_files(tmp_path):
     assert (out / "notes.txt").read_text() == "not written by a run"
 
 
+@pytest.mark.parametrize("kind", list(harness.DRIVERS))
+def test_aborted_driver_writes_the_manifest_of_what_it_wrote(tmp_path, monkeypatch, kind):
+    # a driver that raises still lists what it wrote (config.echo) in a MANIFEST, so its
+    # directory holds exactly the files its MANIFEST lists, and a later run into it cleans it
+    cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
+    out = tmp_path / "out"
+    (out / "MANIFEST").parent.mkdir()
+    (out / "MANIFEST").write_text("stale.csv\n")  # an earlier run's list: no file is named
+    real = harness.sample_exact
+
+    def poisoned(t, grid):
+        s = zero_state(grid)
+        s.ex[2, 2, 2] = np.nan
+        return s
+
+    monkeypatch.setattr(harness, "sample_exact", poisoned)
+    with pytest.raises(RuntimeError, match=r"step 1\b"):
+        harness.DRIVERS[kind](cfg)
+    manifest = (out / "MANIFEST").read_text().splitlines()
+    assert manifest == ["config.echo", "MANIFEST"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest)
+    monkeypatch.setattr(harness, "sample_exact", real)
+    result = harness.DRIVERS[kind](cfg)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*result.files, "MANIFEST"])
+
+
 def test_reused_out_removes_nothing_outside_it(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -310,22 +336,23 @@ def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
     assert len(alive) == 2 * steps and max(w for w, _ in alive) == held
     assert [c for _, c in alive] == [1, 1] * steps  # one carried state at a time
     assert len(recycled) == steps - 1 and all(recycled)
-    # rebuilt after each step but the last whose previous level the driver reads: the
-    # run's ticks (cadence 2), those and step 1 for the audit, none for the others
-    rebuilt = {"run": steps // 2 - 1, "energy-audit": steps // 2}.get(kind, 0)
+    # rebuilt after each step but the last that the driver lends: the run's ticks (cadence
+    # 2), whose metrics makes a whole error state; none for the others, the audit included
+    rebuilt = {"run": steps // 2 - 1}.get(kind, 0)
     assert len(carried) == 1 + rebuilt
 
 
-@pytest.mark.parametrize("kind", ["run", "energy-audit", "converge-time", "converge-space"])
+@pytest.mark.parametrize("kind", ["run", "converge-time", "converge-space"])
 def test_no_carried_state_alive_where_prev_is_read(tmp_path, monkeypatch, kind):
-    # where a driver reads the previous level, the trajectory holds it and the level (two
-    # whole states) but not the carried right-hand side (a third); traced memory says so
+    # where a driver that lends reads the previous level, the trajectory holds it and the
+    # level (two whole states) but not the carried right-hand side (a third); traced memory
+    # says so
     import tracemalloc
-    keys = dict(cadence=3) if kind in ("run", "energy-audit") else {}
+    keys = dict(cadence=3) if kind == "run" else {}
     keys |= dict(grid_list=(24,)) if kind == "converge-space" else dict(nx=24, ny=24, nz=24)
     cfg = desk_cfg(tmp_path, kind=kind, T=0.4, dt_list=(0.1,) if kind == "converge-time" else None,
                    **keys)
-    reader = {"run": "energy_report", "energy-audit": "energy_suite"}.get(kind, "metrics")
+    reader = "energy_report" if kind == "run" else "metrics"
     real, seen = getattr(harness, reader), []
 
     def measuring(curr, prev, *args, **kwargs):
@@ -342,6 +369,41 @@ def test_no_carried_state_alive_where_prev_is_read(tmp_path, monkeypatch, kind):
     finally:
         tracemalloc.stop()
     assert seen and max(seen) < 2.5 * state
+
+
+def test_audit_tick_allocates_no_whole_state_temporary(tmp_path, monkeypatch):
+    # the audit lends no step, so it reads prev with the carried right-hand side alive
+    # (three whole states); its tick must add less than one more: the time difference is
+    # formed in prev's arrays, and each pass's scratch is a few lattices.  Traced peaks on
+    # 24^3, in whole states: 0.52 on one thread and 0.85 on two (4 H lattices of sums
+    # scratch, plus numpy's iteration buffers); 1.52 and 1.86 with a fresh time difference
+    import tracemalloc
+    cfg = desk_cfg(tmp_path, kind="energy-audit", nx=24, ny=24, nz=24, T=0.4, cadence=3)
+    state = sum(a.nbytes for _, a in zero_state(cfg.to_grid()).components())
+    real = harness.energy_suite
+    for threaded in (False, True):
+        if threaded:
+            force_split(monkeypatch)
+        held, peaks = [], []
+
+        def measuring(curr, prev, *args, **kwargs):
+            at_call = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sums = real(curr, prev, *args, **kwargs)
+            if prev is not None:
+                held.append(at_call - base)
+                peaks.append(tracemalloc.get_traced_memory()[1] - at_call)
+            return sums
+
+        monkeypatch.setattr(harness, "energy_suite", measuring)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            energy_audit(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3  # step 1 and the ticks at steps 3 and 4
+        assert max(held) < 3.5 * state and max(peaks) < state, threaded
 
 
 def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
@@ -579,12 +641,12 @@ def _count_passes(monkeypatch):
 
 def _trajectory(cfg, grid=None):
     """Levels 0 ... round(T / dt) on `grid` (the config's if None), bit for bit as the
-    driver of cfg.kind steps them: it drops the carried right-hand side after each step
-    whose previous level it reads, and the rebuilt one rounds apart from the carried one."""
+    driver of cfg.kind steps them: `run` drops the carried right-hand side after each tick,
+    where metrics makes a whole error state, and the rebuilt one rounds apart from the
+    carried one; the audit's ticks make no whole-state temporary, so it lends no step."""
     grid, med = grid or cfg.to_grid(), cfg.to_medium()
     steps = round(cfg.T / grid.dt)
-    lends = {"run": harness._ticks(steps, cfg.cadence),
-             "energy-audit": harness._ticks(steps, cfg.cadence) | {1}}.get(cfg.kind, ())
+    lends = harness._ticks(steps, cfg.cadence) if cfg.kind == "run" else ()
     states = [level.copy() for _, _, level in harness._trajectory(cfg, grid, lends)]
     return grid, med, states
 
@@ -1028,6 +1090,7 @@ def test_cli_aborts_on_a_non_finite_csv_cell(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("aborted: run.csv: non-finite ERR1_n (inf) "
                                               "in the row time_level = 3")
     assert not (tmp_path / "cli" / "run.csv").exists()
+    assert (tmp_path / "cli" / "MANIFEST").read_text().splitlines() == ["config.echo", "MANIFEST"]
 
 
 def test_cli_config_file(tmp_path):

@@ -6,18 +6,19 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from adimax import (DivergenceReport, Medium, divergence, energy_h1, energy_l2,
                     energy_report, energy_suite, enforce_pec, make_grid, metrics,
-                    norms, sample_exact, step, time_diff, zero_state)
+                    norms, sample_exact, step, stepper, zero_state)
 from adimax.harness import _OutDir, format_value
 from adimax.manufactured import OMEGA, energy_constants
 from adimax.norms import state_sums
 
 from conftest import force_split, grid3, grid4, random_state
 from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, lincomb,
-                     norm_e_loop, norm_h_loop)
+                     norm_e_loop, norm_h_loop, time_diff)
 
 
 def test_electric_norm_counting_example(medium):
@@ -197,7 +198,7 @@ def test_energy_report_and_csv(tmp_path, rng, medium):
     s1 = step(s0, g, medium)
     now0, d0 = energy_report(s0, None, medium, g)
     assert d0 is None and now0 == state_sums(s0, medium, g)
-    now1, d1 = energy_report(s1, s0, medium, g)
+    now1, d1 = energy_report(s1, s0.copy(), medium, g)  # the copy is consumed
     assert d1 == state_sums(time_diff(s1, s0, g.dt), medium, g) and d1.l2 > 0
     _OutDir(tmp_path).write_csv("energy.csv", [
         {"Q_h1x": now.h1["x"][1], "Q_l2t": None if d is None else d.l2}
@@ -220,12 +221,12 @@ def test_energy_suite_keys(rng, medium):
     g = grid3(0.4)
     s0 = random_state(g, rng)
     s1 = step(s0, g, medium)
-    now, d = energy_suite(s1, s0, medium, g)
+    now, d = energy_suite(s1, s0.copy(), medium, g)  # the copy is consumed
     assert list(now.h1) == list(d.h1) == ["x"]  # the audit's norms: along x alone
     assert now.h1["x"][1] == pytest.approx(energy_h1(s1, "x", medium, g), rel=1e-15)
     assert now.l2 == pytest.approx(energy_l2(s1, medium, g), rel=1e-15)
     assert now.h1["x"][0] <= now.h1["x"][1]
-    assert (now, d) == energy_report(s1, s0, medium, g, axes="x")
+    assert (now, d) == energy_report(s1, s0.copy(), medium, g, axes="x")
     assert energy_suite(s0, None, medium, g)[1] is None
 
 
@@ -279,14 +280,55 @@ def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
     curr = step(prev, g, med)
 
     def tick():
-        return (energy_report(curr, prev, med, g), energy_suite(curr, prev, med, g),
-                metrics(curr, prev, g, med))
+        # energy_report and energy_suite consume their prev: each gets a copy, kept to compare
+        report_prev, suite_prev = prev.copy(), prev.copy()
+        sums = (energy_report(curr, report_prev, med, g), energy_suite(curr, suite_prev, med, g),
+                metrics(curr, prev, g, med), divergence(curr, med, g))
+        states = (report_prev, suite_prev, stepper.carry(curr, g, med))
+        return sums, [a.tobytes() for state in states for _, a in state.components()]
 
     force_split(monkeypatch)
+    real_split, splits = stepper.on_two_threads, []
+
+    def counting(here, there):
+        splits.append(there)
+        return real_split(here, there)
+
+    monkeypatch.setattr(stepper, "on_two_threads", counting)
     monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+    monkeypatch.setattr(stepper, "_SPLIT_MIN", 10 ** 9)
     alone = tick()
+    assert splits == []
     monkeypatch.setattr(norms, "_THREAD_MIN", 0)
-    assert tick() == alone
+    monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
+    assert tick() == alone  # each float with ==, each lattice byte for byte
+    # energy_report and energy_suite: the difference and two sums each; metrics: the error,
+    # its difference and two sums; divergence; carry
+    assert len(splits) == 3 + 3 + 4 + 1 + 1
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["single", "threaded"])
+def test_time_difference_in_prev_is_the_fresh_one(threaded, rng, monkeypatch):
+    # energy_report forms (curr - prev)/dt in prev's arrays with the operations of
+    # oracles.time_diff, so its sums are those of the fresh difference, bit for bit; the
+    # difference of two PEC levels keeps exact (positive) zeros on the tangential-E walls,
+    # which the stage writing the next level into those arrays needs
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    prev = random_state(g, rng)
+    curr = step(prev, g, med)
+    fresh = time_diff(curr, prev, g.dt)
+    if threaded:
+        force_split(monkeypatch)
+    consumed = prev.copy()
+    now, d = energy_report(curr, consumed, med, g)
+    assert now == state_sums(curr, med, g) and d == state_sums(fresh, med, g)
+    assert all(a.tobytes() == getattr(fresh, name).tobytes()
+               for name, a in consumed.components())
+    for comp, walls in (("ex", (1, 2)), ("ey", (0, 2)), ("ez", (0, 1))):
+        for axis in walls:
+            wall = np.moveaxis(getattr(consumed, comp), axis, 0)[[0, -1]]
+            assert wall.tobytes() == np.zeros_like(wall).tobytes(), (comp, axis)
 
 
 @pytest.mark.parametrize("threaded, bound", [(False, 0.38), (True, 0.75)],

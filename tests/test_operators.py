@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from adimax import diff, make_grid, time_diff, sample_exact, zero_state
+from adimax import diff, make_grid, sample_exact, zero_state
 
 from conftest import grid4, random_state
-from oracles import lincomb, mode_component, split_curl_neg, split_curl_pos
+from oracles import lincomb, mode_component, split_curl_neg, split_curl_pos, time_diff
 
 
 def test_diff_of_constant_is_zero():
