@@ -245,8 +245,8 @@ def test_aborted_driver_writes_the_manifest_of_what_it_wrote(tmp_path, monkeypat
     # directory holds exactly the files its MANIFEST lists, and a later run into it cleans it
     cfg = desk_cfg(tmp_path, kind=kind, **_LISTS.get(kind, {}))
     out = tmp_path / "out"
-    (out / "MANIFEST").parent.mkdir()
-    (out / "MANIFEST").write_text("stale.csv\n")  # an earlier run's list: no file is named
+    out.mkdir()
+    (out / "MANIFEST").write_text("stale.csv\n")  # an earlier run's, naming a file now gone
     real = harness.sample_exact
 
     def poisoned(t, grid):
