@@ -9,17 +9,17 @@ its own work on those levels: report ticks for `run`, the audit and
 `stability`, the last pair per resolution for the convergence studies.  A
 driver names in `lends` the steps where the trajectory must hold no carried
 right-hand side, since its own work there makes a whole-state temporary:
-`run` its ticks, where `metrics` forms a whole error state, and the
-convergence studies their last step, graded after the trajectory has ended.
-The audit lends none, as its ticks form the time difference in prev's arrays
-and make no whole-state temporary, and `stability` reads no `prev`.  A
-non-finite field ends the trajectory with
-a RuntimeError naming the step that made it: the stepper raises where an
-operation makes a NaN or infinity, and the initial level, where none is made,
-is checked once, as step 1.  A non-finite CSV cell (a functional that
-overflows on finite fields) is a RuntimeError naming the file, the column and
-the row, and nothing of that CSV is written.  A driver that raises still
-writes the MANIFEST of the files it wrote (`_driver`).
+`run` alone lends, its ticks, where `metrics` forms a whole error state.  The
+convergence studies grade their last pair after the trajectory has ended, when
+its carried state is gone with it; the audit's ticks form the time difference
+in prev's arrays and make no whole-state temporary, and `stability` reads no
+`prev`.  A non-finite field ends the trajectory with a RuntimeError naming the
+step that made it: the stepper raises where an operation makes a NaN or
+infinity, and the initial level, where none is made, is checked once, as step
+1.  A non-finite CSV cell (a functional that overflows on finite fields) is a
+RuntimeError naming the file, the column and the row, and nothing of that CSV
+is written.  A driver that raises still writes the MANIFEST of the files it
+wrote (`_driver`).
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
 directory is set) writes one CSV per experiment kind plus `config.echo` (the
@@ -282,13 +282,15 @@ def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
     Each new level is written into the arrays of the level yielded as previous
     one step earlier, which the caller is done with: a yielded level stays valid
     until the caller asks for the level after next, and the caller may overwrite
-    the previous level (the tick functionals form the time difference there) so
+    the previous level (`energy_report` forms the time difference there) so
     long as its tangential-E walls stay zeros.  The steps carry stage one's
     right-hand side (`carry`) from one to the next, a third whole state.  It is
     dropped before each yield of a step in `lends`, the steps where the caller
     makes a whole-state temporary, so that no fourth state is alive while it
     does, and rebuilt from the level after; a rebuilt one rounds apart from a
-    carried one, so the levels depend on `lends` at rounding level."""
+    carried one, so the levels depend on `lends` at rounding level.  It is freed
+    with the generator once the last level is yielded, so work done after the
+    loop needs no lend."""
     med = cfg.to_medium()
     if cfg.init == "zero":
         level = zero_state(grid)
@@ -422,8 +424,8 @@ def _converge(cfg: RunConfig, out: _OutDir, med: Medium, name: str, points,
     k = energy_constants(med)
     rows: list[dict] = []
     for res, grid in points(cfg):
-        for _, prev, state in _trajectory(cfg, grid, lends={round(cfg.T / grid.dt)}):
-            pass  # only the last pair of levels is graded
+        for _, prev, state in _trajectory(cfg, grid):
+            pass  # only the last pair of levels is graded, once the carried state is freed
         e, de = metrics(state, prev, grid, med)  # T >= dt, so prev is a level
         errors = {"ERR1": _ratio(e.h1["x"][1], k["grad"]), "ERR2": _ratio(e.l2, k["total"]),
                   "ERRt1": _ratio(de.h1["x"][1], k["grad_time"]), "ERRt2": _ratio(de.l2, k["time"]),

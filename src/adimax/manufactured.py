@@ -36,10 +36,9 @@ from functools import partial
 
 import numpy as np
 
-from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, check_extents, extent
+from .grid import COMPONENTS, FieldState, GridSpec, HALF_OFFSET, Medium, extent
 # energy_h1 and energy_l2 are unused here; perfbench traces these names to count functionals
-from .norms import (StateSums, energy_h1, energy_l2, state_sums, _check_consecutive,  # noqa: F401
-                    _on_halves, _shaped)
+from .norms import StateSums, energy_h1, energy_l2, _tick_sums  # noqa: F401
 
 OMEGA = math.sqrt(3.0) * math.pi
 
@@ -132,50 +131,15 @@ def sample_semidiscrete(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: boo
 def metrics(curr: FieldState, prev: FieldState | None, grid: GridSpec, med: Medium,
             reference=None) -> tuple[StateSums, StateSums | None]:
     """The sums, along x, of the error of `curr` (reference minus numeric) and, when `prev`
-    is given, of the error's time difference (else None); one pass per state.
+    is given, of the error's time difference (else None); one pass per state.  `prev` is
+    left as it was.
 
     `reference(t, grid, med, lazy=True)` returns one sampler per component of the solution
     graded against (see _flow); None means sample_exact, looked up at call time so that a
-    wrapper installed on this module's attribute sees the call.  It is called here, and
-    the E lattices are sampled here and the H ones by the other part of `_on_halves`: the
-    error in a whole state made here, the error of prev in one lattice of scratch per part.
+    wrapper installed on this module's attribute sees the call.  The sums come from the
+    routine behind `norms.energy_report` (`norms._tick_sums`), given the reference.
     """
-    check_extents(curr, grid)
-    reference = reference or sample_exact
-    err = FieldState(*(np.empty(a.shape) for _, a in curr.components()),
-                     time_level=curr.time_level)
-    sample = reference(curr.time_level * grid.dt, grid, med, lazy=True)
-
-    def error(names):
-        for name in names:
-            e = sample[name](getattr(err, name))
-            np.subtract(e, getattr(curr, name), out=e)
-
-    _on_halves(grid, lambda: error(COMPONENTS[:3]), lambda: error(COMPONENTS[3:]))
-    del sample  # each sampler holds a plane: none is alive during the sums
-    now = state_sums(err, med, grid, axes="x")
-    if prev is None:
-        return now, None
-    _check_consecutive(prev, curr)
-    check_extents(prev, grid)
-    # (err - b) / dt, bit for bit time_diff's, formed in err's arrays with b, the error
-    # of prev, sampled and formed one component at a time: a tick holds no fourth state
-    s, before = 1.0 / grid.dt, reference(prev.time_level * grid.dt, grid, med, lazy=True)
-
-    def difference(names, scratch):
-        for name in names:
-            e = getattr(err, name)
-            b = before[name](_shaped(scratch, e.shape))
-            np.subtract(b, getattr(prev, name), out=b)
-            e *= s
-            e -= np.multiply(b, s, out=b)
-
-    _on_halves(grid, lambda scratch: difference(COMPONENTS[:3], scratch),
-               lambda scratch: difference(COMPONENTS[3:], scratch),
-               max(a.size for _, a in err.components()), 1)
-    del before
-    err.time_level = 0.5 * (prev.time_level + curr.time_level)
-    return now, state_sums(err, med, grid, axes="x")
+    return _tick_sums(curr, prev, med, grid, "x", reference or sample_exact)
 
 
 def observed_rate(errors, resolutions) -> float:

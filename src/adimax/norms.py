@@ -22,25 +22,27 @@ and per axis the tangential-E wall planes; the H half those of H and of
 Each half forms one piece at a time and takes its sums for every axis of the
 pass, by the piece's role (see `energy_h1`), before the next piece reuses the
 array.  The parts are then added in a fixed order, so the sums are bit for bit
-the same on one thread or two.  A report tick takes its functionals as two
-such records, `energy_report`: the sums of a level and of its time difference
-(`energy_suite`: along x alone), the difference formed in the previous level's
-arrays, so that a tick makes no whole-state temporary for it.  Which sum fills
+the same on one thread or two.  A report tick takes its functionals as pairs
+of such records from one routine, `_tick_sums`: the sums of a field u and of
+its time difference, where u is a level (`energy_report`; `energy_suite` along x
+alone) or its error against a reference solution (`manufactured.metrics`).  The
+difference is formed in arrays the routine owns, the previous level's or the
+error's, so that a tick makes no whole-state temporary for it.  Which sum fills
 which CSV column is for `harness` alone to say.
 
 Every whole-lattice pass of a report tick runs as an E part and an H part
-(`_on_halves`): the sums' two halves, the time difference (E components, H
-components), the divergence (each field's lattice, formed and reduced), and
-`manufactured.metrics`' error and error-difference lattices.  From _THREAD_MIN
-cells on, with two usable cores, the H part runs on the stepper's worker and
-calls no name a tracer wraps; below it both parts run here in turn, on one
-set of scratch.  The calling thread allocates all scratch before the parts
-start, and each pass's scratch is released before the next pass (the sums)
-starts, since the worker's glibc arena keeps what the worker allocates (a
-worker half that made its own raised 64^3 tick peak RSS by 4.6 %).  Each entry
-comes from the same operations in the same order either way, so every output
-is bit-identical on one thread or two.  Sum pass time threaded against one
-thread in %, medians of 31 interleaved calls (15 in 100^3's first run), two runs:
+(`_on_halves`): the sums' two halves, the error and the time difference (E
+components, H components), and the divergence (each field's lattice, formed and
+reduced).  From _THREAD_MIN cells on, with two usable cores, the H part runs on
+the stepper's worker and calls no name a tracer wraps; below it both parts run
+here in turn, on one set of scratch.  The calling thread allocates all scratch
+before the parts start, and each pass's scratch is released before the next
+pass (the sums) starts, since the worker's glibc arena keeps what the worker
+allocates (a worker half that made its own raised 64^3 tick peak RSS by 4.6 %).
+Each entry comes from the same operations in the same order either way, so
+every output is bit-identical on one thread or two.  Sum pass time threaded
+against one thread in %, medians of 31 interleaved calls (15 in 100^3's first
+run), two runs:
 
     axes   20^3    28^3    32^3    36^3    40^3    48^3    64^3    100^3
     xyz    +46/+50 +16/+14  -9/+8  -27/-10 -29/-31 -42/-40 -34/-40 -41/-44
@@ -48,7 +50,9 @@ thread in %, medians of 31 interleaved calls (15 in 100^3's first run), two runs
     ""     +73/+71 +28/+22 -17/-20  -9/+6  -18/-11 -32/-23 -32/-32 -48/-45
 
 40^3 to 47^3 stay on one thread: they see one grading per grid of a convergence
-study, where threading saves ~2 ms and costs ~0.5 MiB for starting the worker.
+study, where threading saves ~2 ms and starting the worker costs ~2.7 MiB
+resident (tick-dense's two seed-1 64^3 ops in a fresh process: 75.27 MiB against
+72.60 with _THREAD_MIN = 10**9, medians of eight processes a side, 2-vCPU VM).
 
 The index ranges of each squared sum are not arbitrary: they are exactly the
 sets on which the corresponding half-update equation holds, which is what
@@ -251,13 +255,6 @@ def energy_h1(state: FieldState, axis: str, med: Medium, grid: GridSpec) -> floa
     return state_sums(state, med, grid, axes=axis).h1[axis][1]
 
 
-def _check_consecutive(prev: FieldState, curr: FieldState) -> None:
-    if abs(curr.time_level - prev.time_level - 1.0) > 1e-9:
-        raise ValueError(
-            f"expected consecutive whole levels, got {prev.time_level} -> {curr.time_level}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Divergence diagnostics
 # ---------------------------------------------------------------------------
@@ -311,43 +308,74 @@ def _div(pieces, grid: GridSpec, total: np.ndarray, term: np.ndarray) -> tuple[f
 # Per-level energy reporting
 # ---------------------------------------------------------------------------
 
-def _time_diff_in_prev(curr: FieldState, prev: FieldState, grid: GridSpec) -> FieldState:
-    """(curr - prev)/dt, labeled at the midpoint level, in prev's arrays: per component
-    a s - b s with s = 1/dt, a s formed in scratch, so the same bits as forming it in fresh
-    arrays.  E walls that are zeros in both levels stay exact (positive) zeros."""
-    _check_consecutive(prev, curr)
+def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,
+               axes: str, reference=None) -> tuple[StateSums, StateSums | None]:
+    """The sums of u and, when `prev` is given, of (u - u_prev)/dt (else None); one pass
+    per state.  u is `curr` or, given `reference`, its error: reference minus numeric,
+    where `reference(t, grid, med, lazy=True)` returns one sampler per component of the
+    solution graded against (see `manufactured._flow`).
+
+    The difference is a s - b s per component, s = 1/dt, with a s formed in scratch or in
+    a's own arrays: the same bits as forming it in fresh arrays.  Without a reference it
+    goes into prev's arrays, so `prev` is consumed (the E walls of two PEC levels stay
+    exact zeros, as a stage's `out` needs); with one, into the error's arrays, prev's
+    error sampled into one lattice of scratch per part, and `prev` is left as it was."""
+    check_extents(curr, grid)
+
+    def on_parts(job, *scratch):  # job(names, *scratch) for the E names and for the H names
+        return _on_halves(grid, lambda *s: job(COMPONENTS[:3], *s),
+                          lambda *s: job(COMPONENTS[3:], *s), *scratch)
+
+    u = curr
+    if reference is not None:  # the error in a whole state made here
+        u = FieldState(*(np.empty(a.shape) for _, a in curr.components()),
+                       time_level=curr.time_level)
+        sample = reference(curr.time_level * grid.dt, grid, med, lazy=True)
+
+        def error(names):
+            for name in names:
+                e = sample[name](getattr(u, name))
+                np.subtract(e, getattr(curr, name), out=e)
+
+        on_parts(error)
+        del sample  # each sampler holds a plane: none is alive during the sums
+    now = state_sums(u, med, grid, axes)
+    if prev is None:
+        return now, None
+    if abs(curr.time_level - prev.time_level - 1.0) > 1e-9:
+        raise ValueError(
+            f"expected consecutive whole levels, got {prev.time_level} -> {curr.time_level}")
     check_extents(prev, grid)
-    s = 1.0 / grid.dt
+    s, own, before = 1.0 / grid.dt, prev, None
+    if reference is not None:  # into the error's arrays, prev's error sampled into scratch
+        own, before = u, reference(prev.time_level * grid.dt, grid, med, lazy=True)
 
-    def part(names, scratch):
+    def difference(names, scratch):
         for name in names:
-            a, b = getattr(curr, name), getattr(prev, name)
-            a_s = np.multiply(a, s, out=_shaped(scratch, a.shape))
-            np.subtract(a_s, np.multiply(b, s, out=b), out=b)
+            a, b = getattr(u, name), getattr(prev, name)
+            w = _shaped(scratch, a.shape)
+            if before is not None:  # b: prev's error, in the scratch; a s in a's arrays
+                b, w = np.subtract(before[name](w), b, out=w), a
+            np.subtract(np.multiply(a, s, out=w), np.multiply(b, s, out=b),
+                        out=getattr(own, name))
 
-    _on_halves(grid, lambda scratch: part(COMPONENTS[:3], scratch),
-               lambda scratch: part(COMPONENTS[3:], scratch),
-               max(a.size for _, a in prev.components()), 1)
-    return FieldState(*(getattr(prev, name) for name in COMPONENTS),
-                      time_level=0.5 * (prev.time_level + curr.time_level))
+    on_parts(difference, max(a.size for _, a in curr.components()), 1)
+    del before
+    return now, state_sums(FieldState(*(getattr(own, n) for n in COMPONENTS),
+                                      time_level=0.5 * (prev.time_level + curr.time_level)),
+                           med, grid, axes)
 
 
 def energy_report(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,
                   axes: str = "xyz") -> tuple[StateSums, StateSums | None]:
-    """The sums of `curr` and, when `prev` is given, of (curr - prev)/dt (else None);
-    one pass per state.
-
-    The time difference is formed in prev's arrays, so `prev` is consumed: its arrays hold
-    the difference afterwards (with the E walls still zeros, as a stage's `out` needs).  A
+    """The sums of `curr` and, when `prev` is given, of (curr - prev)/dt (else None).
+    `prev` is consumed: its arrays hold the difference afterwards (see `_tick_sums`), so a
     caller that reads prev again passes a copy."""
-    now = state_sums(curr, med, grid, axes)
-    if prev is None:
-        return now, None
-    return now, state_sums(_time_diff_in_prev(curr, prev, grid), med, grid, axes)
+    return _tick_sums(curr, prev, med, grid, axes)
 
 
 def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium,
                  grid: GridSpec) -> tuple[StateSums, StateSums | None]:
     """`energy_report` along the x axis alone: the sums an energy audit reads (prev is
     consumed likewise)."""
-    return energy_report(curr, prev, med, grid, axes="x")
+    return _tick_sums(curr, prev, med, grid, "x")

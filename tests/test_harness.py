@@ -344,9 +344,9 @@ def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
 
 @pytest.mark.parametrize("kind", ["run", "converge-time", "converge-space"])
 def test_no_carried_state_alive_where_prev_is_read(tmp_path, monkeypatch, kind):
-    # where a driver that lends reads the previous level, the trajectory holds it and the
-    # level (two whole states) but not the carried right-hand side (a third); traced memory
-    # says so
+    # where run reads the previous level (a tick it lends) or a convergence study does
+    # (after its trajectory has ended), the trajectory holds it and the level (two whole
+    # states) but not the carried right-hand side (a third); traced memory says so
     import tracemalloc
     keys = dict(cadence=3) if kind == "run" else {}
     keys |= dict(grid_list=(24,)) if kind == "converge-space" else dict(nx=24, ny=24, nz=24)
@@ -632,7 +632,6 @@ def _count_passes(monkeypatch):
         raise AssertionError("rotate_state called")
 
     monkeypatch.setattr(norms, "state_sums", counting)
-    monkeypatch.setattr(manufactured, "state_sums", counting)
     monkeypatch.setattr(harness, "stage1", marking)
     monkeypatch.setattr(norms, "rotate_state", no_copy)
     monkeypatch.setattr(grid_module, "rotate_state", no_copy)

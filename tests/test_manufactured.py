@@ -7,7 +7,7 @@ import pytest
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
                     OMEGA, Medium, energy_report, energy_suite, enforce_pec, make_grid, metrics,
                     observed_rate, sample_exact, sample_semidiscrete, step, zero_state)
-from adimax import manufactured
+from adimax import norms
 from adimax.manufactured import energy_constants
 from adimax.norms import state_sums
 
@@ -138,7 +138,7 @@ def test_mode_energies_scale_with_the_medium():
 def _recorded_passes(monkeypatch) -> list:
     """Copies of the states `metrics` hands to state_sums, in call order."""
     passes = []
-    monkeypatch.setattr(manufactured, "state_sums",
+    monkeypatch.setattr(norms, "state_sums",
                         lambda state, *a, **k: passes.append(state.copy()) or state_sums(state, *a, **k))
     return passes
 
@@ -187,7 +187,12 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
     k = energy_constants(medium)
     s0 = enforce_pec(sample_exact(0.0, g, medium))
     s1 = step(s0, g, medium)
+    kept = s0.copy()
     e, de = metrics(s1, s0, g, medium)
+    # unlike energy_report's, metrics' difference goes into the error's arrays: prev is
+    # left as it was, byte for byte, so run can call metrics before energy_report
+    assert s0.time_level == kept.time_level
+    assert all(a.tobytes() == getattr(kept, name).tobytes() for name, a in s0.components())
     for value_sq, const in ((e.l2_core, k["total"]), (e.h1["x"][1], k["grad"]),
                             (e.l2, k["total"]), (de.h1["x"][1], k["grad_time"]),
                             (de.l2, k["time"])):

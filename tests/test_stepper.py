@@ -254,6 +254,21 @@ def test_split_solves_and_guards_run_on_the_calling_thread(rng, monkeypatch):
     assert len(workers) == 6 * 3 and threading.get_ident() not in workers
 
 
+def test_halves_give_each_thread_its_own_scratch(monkeypatch):
+    # on two threads the calling thread's scratch and the worker's share no memory, so one
+    # part cannot write over the other's; on one thread the parts run in turn on one set
+    force_split(monkeypatch)
+    part = lambda *scratch: (threading.get_ident(), scratch)  # noqa: E731
+    (here, mine), (there, theirs) = stepper.halves(8, 0, part, part, 16, 2)
+    assert here == threading.get_ident() != there
+    assert [a.size for a in (*mine, *theirs)] == [16] * 4
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+    assert not np.shares_memory(*mine)
+    (here, mine), (there, theirs) = stepper.halves(8, 10 ** 9, part, part, 16, 2)
+    assert here == there == threading.get_ident()
+    assert all(a is b for a, b in zip(mine, theirs, strict=True))
+
+
 def test_error_state_is_restored_on_both_threads(rng, monkeypatch):
     # each stage job raises on numpy's floating-point flags on the thread that runs it,
     # and leaves both threads' error state as it found it, also when it raised
