@@ -8,12 +8,15 @@ n = 0); level n+1 is written into the arrays of `prev`.  Each driver does only
 its own work on those levels: report ticks for `run`, the audit and
 `stability`, the last pair per resolution for the convergence studies.  A
 driver names in `lends` the steps where the trajectory must hold no carried
-right-hand side, since its own work there makes a whole-state temporary:
-`run` alone lends, its ticks, where `metrics` forms a whole error state.  The
+right-hand side, since its own work there would hold a fourth state's worth:
+`run` alone lends, its ticks.  `metrics` makes no whole error state, but its
+scratch on two threads, an error lattice, a piece and a buffer each, is about
+one state, so a run tick that kept the carried state would hold four (prev,
+level, the carried state and the scratch), more than a step's 3.34.  The
 convergence studies grade their last pair after the trajectory has ended, when
 its carried state is gone with it; the audit's ticks form the time difference
-in prev's arrays and make no whole-state temporary, and `stability` reads no
-`prev`.  A non-finite field ends the trajectory with a RuntimeError naming the
+in prev's arrays with about two thirds of a state of scratch, and `stability`
+reads no `prev`.  A non-finite field ends the trajectory with a RuntimeError naming the
 step that made it: the stepper raises where an operation makes a NaN or
 infinity, and the initial level, where none is made, is checked once, as step
 1.  A non-finite CSV cell (a functional that overflows on finite fields) is a
@@ -285,10 +288,12 @@ def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
     the previous level (`energy_report` forms the time difference there) so
     long as its tangential-E walls stay zeros.  The steps carry stage one's
     right-hand side (`carry`) from one to the next, a third whole state.  It is
-    dropped before each yield of a step in `lends`, the steps where the caller
-    makes a whole-state temporary, so that no fourth state is alive while it
-    does, and rebuilt from the level after; a rebuilt one rounds apart from a
-    carried one, so the levels depend on `lends` at rounding level.  It is freed
+    dropped before each yield of a step in `lends`, the steps where the caller's
+    own work holds about a state more (`run`'s ticks, where `metrics` on two
+    threads has six lattices of scratch), so that no fourth state is alive then
+    and a tick stays under a step's 3.34 states, and rebuilt from the level
+    after; a rebuilt one rounds apart from a carried one, so the levels depend
+    on `lends` at rounding level.  It is freed
     with the generator once the last level is yielded, so work done after the
     loop needs no lend."""
     med = cfg.to_medium()

@@ -14,35 +14,39 @@ Their time-difference variants (the same forms applied to (next - prev)/dt
 across two consecutive whole levels) are conserved as well.
 
 All of them, their core forms (without the dt^2 terms) and the component
-norms |E|_E^2, |H|_H^2 are partial sums of one pass over a state, `state_sums`,
-the one way to any lattice norm.  It runs in two independent halves: the E half
-takes every lattice sum of E and of the curl pieces (d_y ez, d_z ex, d_x ey),
-and per axis the tangential-E wall planes; the H half those of H and of
-(d_z hy, d_x hz, d_y hx), trimmed to the E sets, and the normal-H wall planes.
-Each half forms one piece at a time and takes its sums for every axis of the
-pass, by the piece's role (see `energy_h1`), before the next piece reuses the
-array.  The parts are then added in a fixed order, so the sums are bit for bit
-the same on one thread or two.  A report tick takes its functionals as pairs
-of such records from one routine, `_tick_sums`: the sums of a field u and of
-its time difference, where u is a level (`energy_report`; `energy_suite` along x
-alone) or its error against a reference solution (`manufactured.metrics`).  The
-difference is formed in arrays the routine owns, the previous level's or the
-error's, so that a tick makes no whole-state temporary for it.  Which sum fills
-which CSV column is for `harness` alone to say.
+norms |E|_E^2, |H|_H^2 are partial sums of one pass over a field, `state_sums`
+for a state, the one way to any lattice norm.  It runs in two independent
+halves: the E half takes every lattice sum of E and of the curl pieces (d_y ez,
+d_z ex, d_x ey), and per axis the tangential-E wall planes; the H half those of
+H and of (d_z hy, d_x hz, d_y hx), trimmed to the E sets, and the normal-H wall
+planes.  Every one of these sums reads one component lattice, so each half
+takes its components in turn (`_e_sums`, `_h_sums`): a component's own sums,
+and its piece, formed in scratch, with the piece's sums for every axis of the
+pass by its role (see `energy_h1`).  The terms are then added in a fixed order,
+so the sums are bit for bit the same on one thread or two.  A report tick takes
+its functionals as pairs of such records from one routine, `_tick_sums`: the
+sums of a field u and of its time difference, where u is a level
+(`energy_report`; `energy_suite` along x alone) or its error against a
+reference solution (`manufactured.metrics`).  It forms u and the difference a
+component at a time, in the lattice it reads them from, in scratch or in the
+previous level's arrays, so that a tick makes no whole-state temporary: no
+error state and no time-difference state.  Which sum fills which CSV column is
+for `harness` alone to say.
 
 Every whole-lattice pass of a report tick runs as an E part and an H part
-(`_on_halves`): the sums' two halves, the error and the time difference (E
-components, H components), and the divergence (each field's lattice, formed and
-reduced).  From _THREAD_MIN cells on, with two usable cores, the H part runs on
-the stepper's worker and calls no name a tracer wraps; below it both parts run
-here in turn, on one set of scratch.  The calling thread allocates all scratch
-before the parts start, and each pass's scratch is released before the next
-pass (the sums) starts, since the worker's glibc arena keeps what the worker
+(`_on_halves`): the tick functionals' one pass (E components, H components)
+and the divergence (each field's lattice, formed and reduced).  From
+_THREAD_MIN cells on, with two usable cores, the H part runs on the stepper's
+worker and calls no name a tracer wraps; below it both parts run here in turn,
+on one set of scratch.  A part's scratch is a piece lattice and a buffer and,
+when u is an error, an error lattice: two or three lattices a thread, about a
+third or a half of a state a thread.  The calling thread allocates all scratch
+before the parts start, since the worker's glibc arena keeps what the worker
 allocates (a worker half that made its own raised 64^3 tick peak RSS by 4.6 %).
 Each entry comes from the same operations in the same order either way, so
 every output is bit-identical on one thread or two.  Sum pass time threaded
 against one thread in %, medians of 31 interleaved calls (15 in 100^3's first
-run), two runs:
+run), two runs, measured when each half took whole pieces of a whole state:
 
     axes   20^3    28^3    32^3    36^3    40^3    48^3    64^3    100^3
     xyz    +46/+50 +16/+14  -9/+8  -27/-10 -29/-31 -42/-40 -34/-40 -41/-44
@@ -141,10 +145,10 @@ class StateSums:
     h1: dict
 
 
-def _on_halves(grid: GridSpec, e_part, h_part, size: int = 0, lattices: int = 0) -> tuple:
+def _on_halves(grid: GridSpec, e_part, h_part, sizes=()) -> tuple:
     """`stepper.halves` of a tick pass's E and H parts, h_part on the worker from
     _THREAD_MIN cells on."""
-    return halves(math.prod(grid.cells), _THREAD_MIN, e_part, h_part, size, lattices)
+    return halves(math.prod(grid.cells), _THREAD_MIN, e_part, h_part, sizes)
 
 
 def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -152,17 +156,24 @@ def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
+def _diff_in(u: np.ndarray, axis: int, grid: GridSpec, buf: np.ndarray) -> np.ndarray:
+    """diff(u, axis), formed in the leading entries of the flat buffer `buf`."""
+    shape = tuple(m - (d == axis) for d, m in enumerate(u.shape))
+    return diff(u, axis, grid, out=_shaped(buf, shape))
+
+
 def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz") -> StateSums:
     """Every quadratic functional of `state` in one pass: the L2-type energy and
     its parts, and the directional H1-type energies along `axes`."""
-    check_extents(state, grid)
-    idx = [_AXES[axis] for axis in axes]
-    size = max(m.size for m in state.h_triple())  # every piece and square fits in it
-    (e_sq, curl_pos_e, e_h1), (h_sq, curl_neg_h, h_h1) = _on_halves(  # (piece, buffer) each
-        grid, lambda *scratch: _e_half(state, med, grid, idx, *scratch),
-        lambda *scratch: _h_half(state, med, grid, idx, *scratch), size, 2)
+    return _tick_sums(state, None, med, grid, axes)[0]
+
+
+def _from_halves(e_half: tuple, h_half: tuple, med: Medium, grid: GridSpec, axes: str) -> StateSums:
+    """The StateSums of one field from its E and H halves' totals."""
+    (e_sq, curl_pos_e, e_h1), (h_sq, curl_neg_h, h_h1) = e_half, h_half
     q, by_axis = grid.dt ** 2 / (4.0 * med.eps * med.mu), {}
-    for axis, a in zip(axes, idx):
+    for axis in axes:
+        a = _AXES[axis]
         (vol_e, pert_e, (fe1, fe2), face_e), (vol_h, pert_h, (fh1, fh2), face_h) = e_h1[a], h_h1[a]
         vol, pert, fpert = vol_e + vol_h, pert_h + pert_e, fh1 + fe1 + fh2 + fe2  # i' = 1, nx-1
         faces = face_e + face_h
@@ -173,70 +184,114 @@ def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz"
                      l2_core + q * (curl_neg_h + curl_pos_e), by_axis)
 
 
-def _by_piece(pieces, roles, axes, grid: GridSpec, piece: np.ndarray, buf: np.ndarray):
-    """Each piece k = diff(*pieces[k]), formed in `piece` in turn: its sum of squares and, per
-    axis a, its d_a sum and plain sums over the index roles roles(n0, n1, n2)[(k - a) % 3]."""
-    sq, by_role = [], {a: [()] * 3 for a in axes}
-    for k, (u, axis) in enumerate(pieces):
-        shape = tuple(m - (d == axis) for d, m in enumerate(u.shape))
-        p = diff(u, axis, grid, out=_shaped(piece, shape))
-        for a in axes:
-            r = (k - a) % 3
-            diffed, *plain = roles(*_roles(grid.cells, a))[r]
-            by_role[a][r] = (_dssq(p, a, grid, buf, *diffed),
-                             *(_ssq(p[_ix(a, *s)]) for s in plain))
-        sq.append(_ssq(p))
-    return sq, by_role
-
-
-def _e_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) -> tuple:
-    """e_sq, curl_pos_e and, per axis, the E parts (vol, pert, fpert, faces) of the H1 sums."""
-    e, eps, every = state.e_triple(), med.eps, slice(None)
-    # roles of (d_y e2, d_z e0, d_x e1): d_x sums; H planes i' = 1, nx-1; d_x e1's vol term
-    roles = lambda n0, n1, n2: (
-        ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((every, slice(1, n1)),),
-        ((every, every, slice(1, n2)), (slice(1, n0 - 1), every, slice(1, n2))))
-    sq, by_role = _by_piece([(e[2], 1), (e[0], 2), (e[1], 0)], roles, axes, grid, piece, buf)
-    parts = {}
+def _piece_sums(p: np.ndarray, k: int, roles, axes, grid: GridSpec, buf: np.ndarray) -> dict:
+    """Per axis a, the d_a sum and plain sums of piece k of a half, p, over the index roles
+    roles(n0, n1, n2)[(k - a) % 3]."""
+    by_axis = {}
     for a in axes:
-        (t0, f1, f2), (t1,), (t2, v) = by_role[a]
+        diffed, *plain = roles(*_roles(grid.cells, a))[(k - a) % 3]
+        by_axis[a] = (_dssq(p, a, grid, buf, *diffed), *(_ssq(p[_ix(a, *s)]) for s in plain))
+    return by_axis
+
+
+def _by_component(sums, names, lattices, grid: GridSpec, axes, piece, buf) -> zip:
+    """sums(c, u, ...) of each lattice u of each component c of a half, taken in turn as
+    `lattices(name)` yields them (each valid until the next is asked for), grouped per
+    field: one triple of component sums each."""
+    return zip(*([sums(c, u, grid, axes, piece, buf) for u in lattices(name)]
+                 for c, name in enumerate(names)))
+
+
+# roles of the E pieces (d_y e2, d_z e0, d_x e1): d_x sums; H planes i' = 1, nx-1; d_x
+# e1's vol term
+_E_ROLES = lambda n0, n1, n2: (  # noqa: E731
+    ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((slice(None), slice(1, n1)),),
+    ((slice(None), slice(None), slice(1, n2)), (slice(1, n0 - 1), slice(None), slice(1, n2))))
+# roles of the H pieces (d_z m1, d_x m2, d_y m0), trimmed to the E sets (the only ones
+# read): d_x sums; the planes i' - 1 next to the E planes
+_H_ROLES = lambda n0, n1, n2: (((),), ((), (0,), (n0 - 2,)), ((), (0,), (n0 - 2,)))  # noqa: E731
+
+
+def _e_sums(c: int, u: np.ndarray, grid: GridSpec, axes, piece, buf) -> tuple:
+    """The sums of E component c (ex, ey, ez) on its lattice u: its interior sum of squares,
+    its piece's sum of squares (piece (c + 1) % 3, in `piece`) and, per axis a, the piece's
+    role sums and u's own sums as e0, e1 or e2 of a ((c - a) % 3)."""
+    every = slice(None)
+    n = _roles(grid.cells, c)  # each E lattice on its interior nodes, every half-offset index
+    norm = _ssq(u[_ix(c, every, slice(1, n[1]), slice(1, n[2]))])
+    p = _diff_in(u, (c + 2) % 3, grid, piece)
+    pieces, by_axis = _piece_sums(p, (c + 1) % 3, _E_ROLES, axes, grid, buf), {}
+    for a in axes:
         n0, n1, n2 = _roles(grid.cells, a)
-        e0, e1, e2 = _roles(e, a)
-        # x-differenced energies on the sets where their update equations hold:
-        # integer x in [1, nx-1], half x in [3/2, nx-3/2] (d_x ey), then ez
-        vol = eps * (_dssq(e0, a, grid, buf, every, slice(1, n1), slice(1, n2)) + v
-                     + _dssq(e2, a, grid, buf, slice(1, n0 - 1), slice(1, n1)))
-        # the wall planes i' = 1, nx-1: tangential ey on interior z, ez on interior y
-        planes = [_ssq(e1[_ix(a, ip, every, slice(1, n2))])
-                  + _ssq(e2[_ix(a, ip, slice(1, n1))]) for ip in (1, n0 - 1)]
-        parts[a] = (vol, eps * (t0 + t1 + t2), (eps * f1, eps * f2),
-                    eps * _cb(grid, a) * (planes[0] + planes[1]))
-    nx, ny, nz = grid.cells  # each E lattice on its interior nodes, every half-offset index
-    e_sq = (_ssq(e[0][:, 1:ny, 1:nz]) + _ssq(e[1][1:nx, :, 1:nz])
-            + _ssq(e[2][1:nx, 1:ny, :]))
-    return eps * grid.dv * e_sq, eps * grid.dv * sum(sq), parts
+        # x-differenced energies on the sets where their update equations hold: integer x
+        # in [1, nx-1] (e0), then ez (e2); the wall planes i' = 1, nx-1: tangential ey on
+        # interior z (e1), ez on interior y (e2)
+        role = (c - a) % 3
+        if role == 0:
+            own = (_dssq(u, a, grid, buf, every, slice(1, n1), slice(1, n2)),)
+        elif role == 1:
+            own = tuple(_ssq(u[_ix(a, ip, every, slice(1, n2))]) for ip in (1, n0 - 1))
+        else:
+            own = (_dssq(u, a, grid, buf, slice(1, n0 - 1), slice(1, n1)),
+                   *(_ssq(u[_ix(a, ip, slice(1, n1))]) for ip in (1, n0 - 1)))
+        by_axis[a] = (pieces[a], own)
+    return norm, _ssq(p), by_axis
 
 
-def _h_half(state: FieldState, med: Medium, grid: GridSpec, axes, piece, buf) -> tuple:
-    """h_sq, curl_neg_h and, per axis, the H parts (vol, pert, fpert, faces) of the H1 sums."""
-    m, mu, every = state.h_triple(), med.mu, slice(None)
-    # roles of (d_z m1, d_x m2, d_y m0), trimmed to the E sets (the only ones read): d_x
-    # sums; the planes i' - 1 next to the E planes
-    roles = lambda n0, n1, n2: (((),), ((), (0,), (n0 - 2,)), ((), (0,), (n0 - 2,)))
-    sq, by_role = _by_piece([(m[1][:, 1:-1], 2), (m[2][:, :, 1:-1], 0), (m[0][1:-1], 1)], roles,
-                            axes, grid, piece, buf)
-    parts = {}
+def _h_sums(c: int, u: np.ndarray, grid: GridSpec, axes, piece, buf) -> tuple:
+    """The sums of H component c (hx, hy, hz) on its lattice u: its sum of squares, its
+    piece's sum of squares (piece (c + 2) % 3, in `piece`) and, per axis a, the piece's role
+    sums and u's own sums as m0, m1 or m2 of a ((c - a) % 3)."""
+    every = slice(None)
+    p = _diff_in(u[_ix(c, slice(1, -1))], (c + 1) % 3, grid, piece)
+    pieces, by_axis = _piece_sums(p, (c + 2) % 3, _H_ROLES, axes, grid, buf), {}
     for a in axes:
-        (t0,), (t1, g1, g2), (t2, k1, k2) = by_role[a]
         n0, n1, _ = _roles(grid.cells, a)
-        m0, m1, _ = _roles(m, a)
         # wall-adjacent x entries dropped: the wall-plane terms hold those pencils
-        vol = mu * (_dssq(m0, a, grid, buf, slice(1, n0 - 1))
-                    + _dssq(m1, a, grid, buf, every, slice(1, n1)) + sq[(a + 1) % 3])
-        parts[a] = (vol, mu * (t0 + t1 + t2), (mu * (g1 + k1), mu * (g2 + k2)),
-                    mu * _cb(grid, a) * (_ssq(m0[_ix(a, 1)]) + _ssq(m0[_ix(a, n0 - 1)])))
-    h_sq = _ssq(m[0]) + _ssq(m[1]) + _ssq(m[2])  # every H lattice entry
-    return mu * grid.dv * h_sq, mu * grid.dv * sum(sq), parts
+        role = (c - a) % 3
+        if role == 0:
+            own = (_dssq(u, a, grid, buf, slice(1, n0 - 1)), _ssq(u[_ix(a, 1)]),
+                   _ssq(u[_ix(a, n0 - 1)]))
+        elif role == 1:
+            own = (_dssq(u, a, grid, buf, every, slice(1, n1)),)
+        else:
+            own = ()
+        by_axis[a] = (pieces[a], own)
+    return _ssq(u), _ssq(p), by_axis
+
+
+def _e_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
+    """Per field of `lattices` (see _by_component): e_sq, curl_pos_e and, per axis, the E
+    parts (vol, pert, fpert, faces) of the H1 sums, added in a fixed order."""
+    eps, totals = med.eps, []
+    for ex, ey, ez in _by_component(_e_sums, COMPONENTS[:3], lattices, grid, axes, piece, buf):
+        parts = {}
+        for a in axes:  # by role, the piece of e2 is piece a, e0's a + 1 and e1's a + 2
+            e0, e1, e2 = _roles((ex, ey, ez), a)
+            ((t1,), (v0,)), ((t2, v), (q1, qn)), ((t0, f1, f2), (v2, r1, rn)) = (
+                e0[2][a], e1[2][a], e2[2][a])
+            parts[a] = (eps * (v0 + v + v2), eps * (t0 + t1 + t2), (eps * f1, eps * f2),
+                        eps * _cb(grid, a) * ((q1 + r1) + (qn + rn)))
+        sq = ez[1] + ex[1] + ey[1]  # the pieces d_y ez, d_z ex, d_x ey
+        totals.append((eps * grid.dv * (ex[0] + ey[0] + ez[0]), eps * grid.dv * sq, parts))
+    return totals
+
+
+def _h_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
+    """Per field of `lattices` (see _by_component): h_sq, curl_neg_h and, per axis, the H
+    parts (vol, pert, fpert, faces) of the H1 sums, added in a fixed order."""
+    mu, totals = med.mu, []
+    for hx, hy, hz in _by_component(_h_sums, COMPONENTS[3:], lattices, grid, axes, piece, buf):
+        parts = {}
+        for a in axes:  # by role, the piece of m1 is piece a, m2's a + 1 and m0's a + 2
+            m0, m1, m2 = _roles((hx, hy, hz), a)
+            ((t2, k1, k2), (v0, q1, qn)), ((t0,), (v1,)), ((t1, g1, g2), ()) = (
+                m0[2][a], m1[2][a], m2[2][a])
+            parts[a] = (mu * (v0 + v1 + m2[1]), mu * (t0 + t1 + t2),
+                        (mu * (g1 + k1), mu * (g2 + k2)), mu * _cb(grid, a) * (q1 + qn))
+        sq = hy[1] + hz[1] + hx[1]  # the pieces d_z hy, d_x hz, d_y hx
+        totals.append((mu * grid.dv * (hx[0] + hy[0] + hz[0]), mu * grid.dv * sq, parts))
+    return totals
 
 
 def energy_l2(state: FieldState, med: Medium, grid: GridSpec) -> float:
@@ -284,7 +339,7 @@ def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceRepo
     # each differenced piece and each divergence has at most nx ny nz entries
     (e_linf, e_sq), (h_linf, h_sq) = _on_halves(
         grid, lambda *scratch: _div(e_pieces, grid, *scratch),
-        lambda *scratch: _div(h_pieces, grid, *scratch), math.prod(grid.cells), 2)
+        lambda *scratch: _div(h_pieces, grid, *scratch), (math.prod(grid.cells),) * 2)
     return DivergenceReport(
         div_e_linf=med.eps * e_linf,
         div_e_l2=float(np.sqrt(med.eps * grid.dv * e_sq)),
@@ -298,8 +353,7 @@ def _div(pieces, grid: GridSpec, total: np.ndarray, term: np.ndarray) -> tuple[f
     with each later term in `term`."""
     div = None
     for u, axis in pieces:
-        shape = tuple(m - (d == axis) for d, m in enumerate(u.shape))
-        d = diff(u, axis, grid, out=_shaped(term if div is not None else total, shape))
+        d = _diff_in(u, axis, grid, term if div is not None else total)
         div = d if div is None else np.add(div, d, out=div)
     return (max_abs(div) if div.size else 0.0), _ssq(div)
 
@@ -310,60 +364,55 @@ def _div(pieces, grid: GridSpec, total: np.ndarray, term: np.ndarray) -> tuple[f
 
 def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,
                axes: str, reference=None) -> tuple[StateSums, StateSums | None]:
-    """The sums of u and, when `prev` is given, of (u - u_prev)/dt (else None); one pass
-    per state.  u is `curr` or, given `reference`, its error: reference minus numeric,
-    where `reference(t, grid, med, lazy=True)` returns one sampler per component of the
-    solution graded against (see `manufactured._flow`).
+    """The sums of u and, when `prev` is given, of (u - u_prev)/dt (else None), in one pass
+    over the components.  u is `curr` or, given `reference`, its error: reference minus
+    numeric, where `reference(t, grid, med, lazy=True)` returns one sampler per component of
+    the solution graded against (see `manufactured._flow`).
 
-    The difference is a s - b s per component, s = 1/dt, with a s formed in scratch or in
-    a's own arrays: the same bits as forming it in fresh arrays.  Without a reference it
-    goes into prev's arrays, so `prev` is consumed (the E walls of two PEC levels stay
-    exact zeros, as a stage's `out` needs); with one, into the error's arrays, prev's
-    error sampled into one lattice of scratch per part, and `prev` is left as it was."""
+    Each part takes its components in turn, and for each the terms of u and then those of
+    its difference, a s - b s with s = 1/dt, formed with a s in scratch or in a's own
+    lattice: the same bits as forming it in fresh arrays.  Without a reference u is curr's
+    lattice and the difference goes into prev's, so `prev` is consumed (the E walls of two
+    PEC levels stay exact zeros, as a stage's `out` needs).  With one, u is sampled into
+    an error lattice of scratch, prev's error into the piece scratch, and the difference
+    goes into the error lattice; `prev` is left as it was.  Each part holds a piece and a
+    buffer of scratch and, with a reference, an error lattice: no whole state."""
     check_extents(curr, grid)
+    if prev is not None:
+        if abs(curr.time_level - prev.time_level - 1.0) > 1e-9:
+            raise ValueError(f"expected consecutive whole levels, got {prev.time_level} -> "
+                             f"{curr.time_level}")
+        check_extents(prev, grid)
+    idx, s = [_AXES[axis] for axis in axes], 1.0 / grid.dt
+    if reference is not None:  # one sampler per component: u's reference, then prev's
+        sampled = [reference(level.time_level * grid.dt, grid, med, lazy=True)
+                   for level in (curr, prev) if level is not None]
 
-    def on_parts(job, *scratch):  # job(names, *scratch) for the E names and for the H names
-        return _on_halves(grid, lambda *s: job(COMPONENTS[:3], *s),
-                          lambda *s: job(COMPONENTS[3:], *s), *scratch)
+    def lattices(name, piece, error):  # u's lattice of `name`, then its time difference's
+        a = getattr(curr, name)
+        if error is not None:
+            e = _shaped(error, a.shape)
+            a = np.subtract(sampled[0][name](e), a, out=e)
+        yield a
+        if prev is not None:
+            b = own = getattr(prev, name)
+            w = _shaped(piece, a.shape)
+            if error is not None:  # b: prev's error, in the piece scratch; a s in a's lattice
+                b, w, own = np.subtract(sampled[1][name](w), b, out=w), a, a
+            yield np.subtract(np.multiply(a, s, out=w), np.multiply(b, s, out=b), out=own)
 
-    u = curr
-    if reference is not None:  # the error in a whole state made here
-        u = FieldState(*(np.empty(a.shape) for _, a in curr.components()),
-                       time_level=curr.time_level)
-        sample = reference(curr.time_level * grid.dt, grid, med, lazy=True)
+    def part(half):  # half's job on the scratch that _on_halves gives it
+        return lambda piece, buf, error=None: half(
+            lambda name: lattices(name, piece, error), med, grid, idx, piece, buf)
 
-        def error(names):
-            for name in names:
-                e = sample[name](getattr(u, name))
-                np.subtract(e, getattr(curr, name), out=e)
-
-        on_parts(error)
-        del sample  # each sampler holds a plane: none is alive during the sums
-    now = state_sums(u, med, grid, axes)
-    if prev is None:
-        return now, None
-    if abs(curr.time_level - prev.time_level - 1.0) > 1e-9:
-        raise ValueError(
-            f"expected consecutive whole levels, got {prev.time_level} -> {curr.time_level}")
-    check_extents(prev, grid)
-    s, own, before = 1.0 / grid.dt, prev, None
-    if reference is not None:  # into the error's arrays, prev's error sampled into scratch
-        own, before = u, reference(prev.time_level * grid.dt, grid, med, lazy=True)
-
-    def difference(names, scratch):
-        for name in names:
-            a, b = getattr(u, name), getattr(prev, name)
-            w = _shaped(scratch, a.shape)
-            if before is not None:  # b: prev's error, in the scratch; a s in a's arrays
-                b, w = np.subtract(before[name](w), b, out=w), a
-            np.subtract(np.multiply(a, s, out=w), np.multiply(b, s, out=b),
-                        out=getattr(own, name))
-
-    on_parts(difference, max(a.size for _, a in curr.components()), 1)
-    del before
-    return now, state_sums(FieldState(*(getattr(own, n) for n in COMPONENTS),
-                                      time_level=0.5 * (prev.time_level + curr.time_level)),
-                           med, grid, axes)
+    # a piece, prev's error and a s fit in a component lattice; every _dssq operand, one
+    # fewer entry along its differenced axis than its cells, in the buffer
+    cells = math.prod(grid.cells)
+    lattice = max(a.size for _, a in curr.components())
+    sizes = (lattice, cells - cells // max(grid.cells)) + (lattice,) * (reference is not None)
+    e_fields, h_fields = _on_halves(grid, part(_e_half), part(_h_half), sizes)
+    u, *difference = (_from_halves(e, h, med, grid, axes) for e, h in zip(e_fields, h_fields))
+    return u, (difference[0] if difference else None)
 
 
 def energy_report(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,

@@ -280,14 +280,15 @@ def on_two_threads(here, there) -> tuple:
     return first, later.result()
 
 
-def halves(cells: int, min_cells: int, here, there, size: int = 0, lattices: int = 0) -> tuple:
+def halves(cells: int, min_cells: int, here, there, sizes=()) -> tuple:
     """(here(*scratch), there(*scratch)): there() on the worker as in on_two_threads from
-    min_cells cells on (see two_threads), else both here in turn.  Each is given `lattices`
-    flat scratch arrays of `size` entries, all made here before either starts (one set,
-    shared, when both run here), since the worker's glibc arena keeps what it allocates."""
+    min_cells cells on (see two_threads), else both here in turn.  Each is given one flat
+    scratch array per entry of `sizes`, of that many entries, all made here before either
+    starts (one set, shared, when both run here), since the worker's glibc arena keeps what
+    it allocates."""
     threaded = two_threads(cells, min_cells)
-    mine = [np.empty(size) for _ in range(lattices)]
-    theirs = [np.empty(size) for _ in range(lattices)] if threaded else mine
+    mine = [np.empty(n) for n in sizes]
+    theirs = [np.empty(n) for n in sizes] if threaded else mine
     first, second = lambda: here(*mine), lambda: there(*theirs)
     return on_two_threads(first, second) if threaded else (first(), second())
 

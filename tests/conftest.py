@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adimax import FieldState, Medium, enforce_pec, extent, make_grid, norms, stepper
+from adimax.grid import COMPONENTS
 
 
 @pytest.fixture
@@ -58,3 +59,26 @@ def force_split(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(stepper, "_sweep", recording)
     return threads
+
+
+
+def summed_lattices(monkeypatch) -> dict:
+    """Copies of the lattices that norms' passes sum, by component name in call order,
+    recorded from the per-component sums (`_e_sums`, `_h_sums`): every pass sums each
+    component once, so entry i of each list is that component of the i-th field summed."""
+    lattices = {name: [] for name in COMPONENTS}
+
+    def recording(sums, names):
+        def record(c, u, *args):
+            lattices[names[c]].append(u.copy())
+            return sums(c, u, *args)
+        return record
+
+    monkeypatch.setattr(norms, "_e_sums", recording(norms._e_sums, COMPONENTS[:3]))
+    monkeypatch.setattr(norms, "_h_sums", recording(norms._h_sums, COMPONENTS[3:]))
+    return lattices
+
+
+def summed_field(lattices: dict, i: int) -> FieldState:
+    """The i-th field of `summed_lattices`."""
+    return FieldState(*(lattices[name][i] for name in COMPONENTS))

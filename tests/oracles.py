@@ -3,7 +3,9 @@
 Everything here is written with explicit triple loops and longhand difference
 quotients (or dense linear algebra for the implicit solves), deliberately
 avoiding the package's vectorized kernels, slicing tables, and axis-rotation
-tricks.  Only meant for tiny grids.
+tricks.  Only meant for tiny grids.  The exceptions are the whole-array
+formulas (`residual_formula`, `state_sums_formula`), which repeat a kernel's
+operations in its order on whole arrays so that the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from adimax import COMPONENTS, FieldState, GridSpec
+from adimax.norms import StateSums
 
 
 def dense_tridiag_solve(lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -406,3 +409,89 @@ def residual_formula(before, after, grid, med, stage):
     worst = max(worst, float(np.max(np.abs(r))))
 
     return worst / max(1.0, before.max_abs(), after.max_abs())
+
+
+def _ssq(a):
+    """Sum of squares, by the einsum the package takes it with."""
+    sub = "ijk"[:a.ndim]
+    return float(np.einsum(f"{sub},{sub}->", a, a)) if a.size else 0.0
+
+
+def _ix(a, *roles):
+    """Index tuple that applies roles[r] along array axis (a + r) % 3."""
+    idx = [slice(None)] * 3
+    for r, s in enumerate(roles):
+        idx[(a + r) % 3] = s
+    return tuple(idx)
+
+
+def _rolled(seq, a):
+    return tuple(seq[(a + r) % 3] for r in range(3))
+
+
+def _dssq(u, a, grid, *roles):
+    """Sum of squares of the axis-a difference quotient of u on the roles' index set."""
+    idx = _ix(a, *roles)
+    start, stop, _ = idx[a].indices(u.shape[a] - 1)
+    hi, lo = list(idx), list(idx)
+    hi[a], lo[a] = slice(start + 1, stop + 1), slice(start, stop)
+    return _ssq(np.subtract(u[tuple(hi)], u[tuple(lo)])) / grid.spacing(a) ** 2
+
+
+def _pieces_sums(pieces, roles, axes, grid):
+    """Per whole-array piece diff(u, axis): its sum of squares and per axis a its role sums."""
+    sq, by_role = [], {a: [()] * 3 for a in axes}
+    for k, (u, axis) in enumerate(pieces):
+        hi = (slice(None),) * axis + (slice(1, None),)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        p = np.subtract(u[hi], u[lo])
+        p /= grid.spacing(axis)
+        for a in axes:
+            diffed, *plain = roles(*_rolled(grid.cells, a))[(k - a) % 3]
+            by_role[a][(k - a) % 3] = (_dssq(p, a, grid, *diffed),
+                                       *(_ssq(p[_ix(a, *s)]) for s in plain))
+        sq.append(_ssq(p))
+    return sq, by_role
+
+
+def state_sums_formula(state, med, grid, axes="xyz"):
+    """`norms.state_sums` from whole lattices: every piece of the curls formed whole, and
+    the sums added in the package's fixed order, so that the two agree bit for bit."""
+    idx, every = ["xyz".index(axis) for axis in axes], slice(None)
+    e, m, eps, mu = state.e_triple(), state.h_triple(), med.eps, med.mu
+    nx, ny, nz = grid.cells
+    e_roles = lambda n0, n1, n2: (  # noqa: E731
+        ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((every, slice(1, n1)),),
+        ((every, every, slice(1, n2)), (slice(1, n0 - 1), every, slice(1, n2))))
+    e_sqs, e_by = _pieces_sums([(e[2], 1), (e[0], 2), (e[1], 0)], e_roles, idx, grid)
+    h_roles = lambda n0, n1, n2: (((),), ((), (0,), (n0 - 2,)), ((), (0,), (n0 - 2,)))  # noqa: E731
+    h_sqs, h_by = _pieces_sums([(m[1][:, 1:-1], 2), (m[2][:, :, 1:-1], 0), (m[0][1:-1], 1)],
+                               h_roles, idx, grid)
+    q, by_axis = grid.dt ** 2 / (4.0 * eps * mu), {}
+    for axis, a in zip(axes, idx):
+        n0, n1, n2 = _rolled(grid.cells, a)
+        e0, e1, e2 = _rolled(e, a)
+        m0, m1, _ = _rolled(m, a)
+        (t0, f1, f2), (t1,), (t2, v) = e_by[a]
+        planes = [_ssq(e1[_ix(a, ip, every, slice(1, n2))]) + _ssq(e2[_ix(a, ip, slice(1, n1))])
+                  for ip in (1, n0 - 1)]
+        vol_e = eps * (_dssq(e0, a, grid, every, slice(1, n1), slice(1, n2)) + v
+                       + _dssq(e2, a, grid, slice(1, n0 - 1), slice(1, n1)))
+        cb = grid.spacing((a + 1) % 3) * grid.spacing((a + 2) % 3) / grid.spacing(a)
+        pert_e, fe1, fe2 = eps * (t0 + t1 + t2), eps * f1, eps * f2
+        face_e = eps * cb * (planes[0] + planes[1])
+        (s0,), (s1, g1, g2), (s2, k1, k2) = h_by[a]
+        vol_h = mu * (_dssq(m0, a, grid, slice(1, n0 - 1)) + _dssq(m1, a, grid, every, slice(1, n1))
+                      + h_sqs[(a + 1) % 3])
+        pert_h, fh1, fh2 = mu * (s0 + s1 + s2), mu * (g1 + k1), mu * (g2 + k2)
+        face_h = mu * cb * (_ssq(m0[_ix(a, 1)]) + _ssq(m0[_ix(a, n0 - 1)]))
+        vol, pert, fpert = vol_e + vol_h, pert_h + pert_e, fh1 + fe1 + fh2 + fe2
+        faces = face_e + face_h
+        by_axis[axis] = (grid.dv * vol + faces, grid.dv * (vol + q * pert) + faces + q * cb * fpert)
+    e_sq = eps * grid.dv * (_ssq(e[0][:, 1:ny, 1:nz]) + _ssq(e[1][1:nx, :, 1:nz])
+                            + _ssq(e[2][1:nx, 1:ny, :]))
+    h_sq = mu * grid.dv * (_ssq(m[0]) + _ssq(m[1]) + _ssq(m[2]))
+    curl_pos_e, curl_neg_h = eps * grid.dv * sum(e_sqs), mu * grid.dv * sum(h_sqs)
+    l2_core = e_sq + h_sq
+    return StateSums(e_sq, h_sq, curl_pos_e, curl_neg_h, l2_core,
+                     l2_core + q * (curl_neg_h + curl_pos_e), by_axis)

@@ -337,7 +337,7 @@ def test_levels_alive_during_a_step(tmp_path, monkeypatch, kind, held):
     assert [c for _, c in alive] == [1, 1] * steps  # one carried state at a time
     assert len(recycled) == steps - 1 and all(recycled)
     # rebuilt after each step but the last that the driver lends: the run's ticks (cadence
-    # 2), whose metrics makes a whole error state; none for the others, the audit included
+    # 2), whose metrics holds about a state of scratch; none for the others, the audit included
     rebuilt = {"run": steps // 2 - 1}.get(kind, 0)
     assert len(carried) == 1 + rebuilt
 
@@ -375,8 +375,9 @@ def test_audit_tick_allocates_no_whole_state_temporary(tmp_path, monkeypatch):
     # the audit lends no step, so it reads prev with the carried right-hand side alive
     # (three whole states); its tick must add less than one more: the time difference is
     # formed in prev's arrays, and each pass's scratch is a few lattices.  Traced peaks on
-    # 24^3, in whole states: 0.52 on one thread and 0.85 on two (4 H lattices of sums
-    # scratch, plus numpy's iteration buffers); 1.52 and 1.86 with a fresh time difference
+    # 24^3, in whole states: 0.52 on one thread and 0.85 on two (a piece lattice and a
+    # buffer a part, plus numpy's iteration buffers); 1.52 and 1.86 with a fresh time
+    # difference
     import tracemalloc
     cfg = desk_cfg(tmp_path, kind="energy-audit", nx=24, ny=24, nz=24, T=0.4, cadence=3)
     state = sum(a.nbytes for _, a in zero_state(cfg.to_grid()).components())
@@ -404,6 +405,43 @@ def test_audit_tick_allocates_no_whole_state_temporary(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert len(peaks) == 3  # step 1 and the ticks at steps 3 and 4
         assert max(held) < 3.5 * state and max(peaks) < state, threaded
+
+
+def test_run_tick_grades_the_error_in_no_whole_error_state(tmp_path, monkeypatch):
+    # run lends its ticks, so metrics reads prev with two whole states alive; it takes the
+    # error and its time difference one component at a time, in three lattices of scratch
+    # per part (the error, a piece and a buffer), and builds no whole error state.  Traced
+    # peaks above the two levels on 64^3, in whole states: 0.54 on one thread and 1.05 on
+    # two (three lattices a part, plus the samplers' planes and numpy's iteration
+    # buffers); 1.34 and 1.68 with a whole error state
+    import tracemalloc
+    cfg = desk_cfg(tmp_path, nx=64, ny=64, nz=64, dt=0.05, T=0.1, cadence=1)
+    state = sum(a.nbytes for _, a in zero_state(cfg.to_grid()).components())
+    real = harness.metrics
+    for threaded, bound in ((False, 0.75), (True, 1.25)):
+        if threaded:
+            force_split(monkeypatch)
+        monkeypatch.setattr(norms, "_THREAD_MIN", 0 if threaded else 10 ** 9)
+        held, peaks = [], []
+
+        def measuring(curr, prev, *args, **kwargs):
+            at_call = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sums = real(curr, prev, *args, **kwargs)
+            if prev is not None:
+                held.append(at_call - base)
+                peaks.append(tracemalloc.get_traced_memory()[1] - at_call)
+            return sums
+
+        monkeypatch.setattr(harness, "metrics", measuring)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2  # the ticks at steps 1 and 2
+        assert max(held) < 2.5 * state and max(peaks) < bound * state, threaded
 
 
 def test_run_reports_nonfinite_at_the_step_that_made_it(tmp_path, monkeypatch):
@@ -615,14 +653,14 @@ def test_energy_audit_ratios_near_one(tmp_path):
 # --- report ticks: one pass per field state ----------------------------------
 
 def _count_passes(monkeypatch):
-    """Count state_sums passes per step interval (entry n: the tick after step n)
-    and fail on any rotation copy."""
+    """Count the passes over a field per step interval (entry n: the tick after step n),
+    each pass summing the field's ex lattice once, and fail on any rotation copy."""
     counts = [0]
-    real_sums, real_stage1 = norms.state_sums, harness.stage1
+    real_sums, real_stage1 = norms._e_sums, harness.stage1
 
-    def counting(*args, **kwargs):
-        counts[-1] += 1
-        return real_sums(*args, **kwargs)
+    def counting(c, *args, **kwargs):
+        counts[-1] += c == 0
+        return real_sums(c, *args, **kwargs)
 
     def marking(*args, **kwargs):
         counts.append(0)
@@ -631,7 +669,7 @@ def _count_passes(monkeypatch):
     def no_copy(*args, **kwargs):
         raise AssertionError("rotate_state called")
 
-    monkeypatch.setattr(norms, "state_sums", counting)
+    monkeypatch.setattr(norms, "_e_sums", counting)
     monkeypatch.setattr(harness, "stage1", marking)
     monkeypatch.setattr(norms, "rotate_state", no_copy)
     monkeypatch.setattr(grid_module, "rotate_state", no_copy)
@@ -641,7 +679,7 @@ def _count_passes(monkeypatch):
 def _trajectory(cfg, grid=None):
     """Levels 0 ... round(T / dt) on `grid` (the config's if None), bit for bit as the
     driver of cfg.kind steps them: `run` drops the carried right-hand side after each tick,
-    where metrics makes a whole error state, and the rebuilt one rounds apart from the
+    where metrics holds about a state of scratch, and the rebuilt one rounds apart from the
     carried one; the audit's ticks make no whole-state temporary, so it lends no step."""
     grid, med = grid or cfg.to_grid(), cfg.to_medium()
     steps = round(cfg.T / grid.dt)

@@ -7,11 +7,10 @@ import pytest
 from adimax import (ENERGY_GRAD_SQ, ENERGY_GRAD_TIME_SQ, ENERGY_TIME_SQ, ENERGY_TOTAL_SQ,
                     OMEGA, Medium, energy_report, energy_suite, enforce_pec, make_grid, metrics,
                     observed_rate, sample_exact, sample_semidiscrete, step, zero_state)
-from adimax import norms
 from adimax.manufactured import energy_constants
 from adimax.norms import state_sums
 
-from conftest import max_component_diff
+from conftest import max_component_diff, summed_field, summed_lattices
 from oracles import lincomb, mode_component
 
 
@@ -135,26 +134,18 @@ def test_mode_energies_scale_with_the_medium():
                                           "grad_time": ENERGY_GRAD_TIME_SQ}
 
 
-def _recorded_passes(monkeypatch) -> list:
-    """Copies of the states `metrics` hands to state_sums, in call order."""
-    passes = []
-    monkeypatch.setattr(norms, "state_sums",
-                        lambda state, *a, **k: passes.append(state.copy()) or state_sums(state, *a, **k))
-    return passes
-
-
 def test_error_state_trivial_cases(medium, monkeypatch):
     # the error state that metrics grades is reference minus numeric: zero for the
     # reference itself, and the reference's own bits for the zero state
     g = make_grid(5, 5, 5, 0.125)
     exact = sample_exact(0.375, g, medium)  # level 3, whose time 3 * dt is 0.375 exactly
-    passes = _recorded_passes(monkeypatch)
+    summed = summed_lattices(monkeypatch)
     metrics(exact, None, g, medium)
-    assert passes[-1].max_abs() == 0.0
+    assert summed_field(summed, -1).max_abs() == 0.0
     zero = zero_state(g)
     zero.time_level = exact.time_level
     metrics(zero, None, g, medium)
-    assert max_component_diff(passes[-1], exact) == 0.0
+    assert max_component_diff(summed_field(summed, -1), exact) == 0.0
 
 
 def test_error_small_after_one_step(medium):
@@ -203,14 +194,18 @@ def test_metrics_with_consecutive_levels(medium, monkeypatch):
     # the error's time difference, formed in place, has the bits of the linear
     # combination (levels 1 -> 2: the error of level 0 is zero), against either reference
     s2 = step(s1, g, medium)
-    passes = _recorded_passes(monkeypatch)
-    for reference in (sample_exact, sample_semidiscrete):
+    summed = summed_lattices(monkeypatch)
+    for i, reference in enumerate((sample_exact, sample_semidiscrete)):
         metrics(s2, s1, g, medium, None if reference is sample_exact else reference)
         errors = [lincomb(1.0, reference(t, g, medium), -1.0, s)
                   for t, s in ((2 * g.dt, s2), (g.dt, s1))]
         ref = lincomb(1.0 / g.dt, errors[0], -1.0 / g.dt, errors[1])
-        assert passes[-1].time_level == 1.5
-        assert all(np.array_equal(getattr(passes[-1], c), x) for c, x in ref.components())
+        # each call sums two fields, the error and then its time difference
+        assert len(summed["ex"]) == 2 * (i + 1)
+        assert all(np.array_equal(getattr(summed_field(summed, -2), c), x)
+                   for c, x in errors[0].components())
+        assert all(np.array_equal(getattr(summed_field(summed, -1), c), x)
+                   for c, x in ref.components())
 
 
 @pytest.mark.parametrize("functional, bound", [

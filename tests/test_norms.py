@@ -11,14 +11,14 @@ import pytest
 
 from adimax import (DivergenceReport, Medium, divergence, energy_h1, energy_l2,
                     energy_report, energy_suite, enforce_pec, make_grid, metrics,
-                    norms, sample_exact, step, stepper, zero_state)
+                    norms, sample_exact, sample_semidiscrete, step, stepper, zero_state)
 from adimax.harness import _OutDir, format_value
 from adimax.manufactured import OMEGA, energy_constants
 from adimax.norms import state_sums
 
 from conftest import force_split, grid3, grid4, random_state
 from oracles import (divergence_loop, energy_h1_loop, energy_l2_loop, lincomb,
-                     norm_e_loop, norm_h_loop, time_diff)
+                     norm_e_loop, norm_h_loop, state_sums_formula, time_diff)
 
 
 def test_electric_norm_counting_example(medium):
@@ -230,6 +230,32 @@ def test_energy_suite_keys(rng, medium):
     assert energy_suite(s0, None, medium, g)[1] is None
 
 
+@pytest.mark.parametrize("threaded", [False, True], ids=["single", "threaded"])
+def test_tick_sums_are_the_sums_of_whole_states(threaded, medium, rng, monkeypatch):
+    # the tick functionals take their sums one component at a time, the error and each
+    # time difference formed a lattice at a time in scratch or in prev's arrays; they are
+    # the sums of the whole states formed explicitly, taken from whole lattices, bit for
+    # bit, on one thread and on two
+    g = make_grid(12, 20, 9, 0.7)
+    prev = random_state(g, rng, time_level=2.0)
+    curr = step(prev, g, medium)
+    if threaded:
+        force_split(monkeypatch)
+    else:
+        monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+    whole = lambda u, axes="x": state_sums_formula(u, medium, g, axes)  # noqa: E731
+    for reference in (sample_exact, sample_semidiscrete):
+        errors = [lincomb(1.0, reference(s.time_level * g.dt, g, medium), -1.0, s)
+                  for s in (curr, prev)]
+        want = (whole(errors[0]), whole(time_diff(*errors, g.dt)))
+        assert metrics(curr, prev, g, medium, reference) == want
+        assert metrics(curr, None, g, medium, reference) == (want[0], None)
+    for axes, functional in (("xyz", energy_report), ("x", energy_suite)):
+        want = (whole(curr, axes), whole(time_diff(curr, prev, g.dt), axes))
+        assert functional(curr, prev.copy(), medium, g) == want  # the copy is consumed
+    assert all(state_sums(curr, medium, g, axes) == whole(curr, axes) for axes in ("", "zy"))
+
+
 def test_face_norm_requires_three_cells():
     # make_grid rejects fewer than 3 cells, so the two wall planes of an
     # axis (i' = 1, n - 1) never collide
@@ -302,9 +328,9 @@ def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
     monkeypatch.setattr(norms, "_THREAD_MIN", 0)
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
     assert tick() == alone  # each float with ==, each lattice byte for byte
-    # energy_report and energy_suite: the difference and two sums each; metrics: the error,
-    # its difference and two sums; divergence; carry
-    assert len(splits) == 3 + 3 + 4 + 1 + 1
+    # one pass each over the components (the sums of the level or the error and of its time
+    # difference) for energy_report, energy_suite and metrics; divergence; carry
+    assert len(splits) == 1 + 1 + 1 + 1 + 1
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["single", "threaded"])
@@ -334,8 +360,8 @@ def test_time_difference_in_prev_is_the_fresh_one(threaded, rng, monkeypatch):
 @pytest.mark.parametrize("threaded, bound", [(False, 0.38), (True, 0.75)],
                          ids=["single", "threaded"])
 def test_state_sums_scratch_stays_under_bound(threaded, bound, monkeypatch):
-    """Scratch peak of one pass on 40^3, in field states: a piece and a buffer, each
-    the size of an H lattice, per half, shared by the halves on one thread.
+    """Scratch peak of one pass on 40^3, in field states: a piece, the size of a component
+    lattice, and a buffer per half, shared by the halves on one thread.
 
     In numpy 2.4, ufuncs over non-contiguous views allocate iteration buffers that
     tracemalloc counts, so the peak overstates the live lattices by up to about one."""

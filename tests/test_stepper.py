@@ -259,12 +259,12 @@ def test_halves_give_each_thread_its_own_scratch(monkeypatch):
     # part cannot write over the other's; on one thread the parts run in turn on one set
     force_split(monkeypatch)
     part = lambda *scratch: (threading.get_ident(), scratch)  # noqa: E731
-    (here, mine), (there, theirs) = stepper.halves(8, 0, part, part, 16, 2)
+    (here, mine), (there, theirs) = stepper.halves(8, 0, part, part, (16, 16))
     assert here == threading.get_ident() != there
     assert [a.size for a in (*mine, *theirs)] == [16] * 4
     assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
     assert not np.shares_memory(*mine)
-    (here, mine), (there, theirs) = stepper.halves(8, 10 ** 9, part, part, 16, 2)
+    (here, mine), (there, theirs) = stepper.halves(8, 10 ** 9, part, part, (16, 16))
     assert here == there == threading.get_ident()
     assert all(a is b for a, b in zip(mine, theirs, strict=True))
 
