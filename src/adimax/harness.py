@@ -16,12 +16,12 @@ level, the carried state and the scratch), more than a step's 3.34.  The
 convergence studies grade their last pair after the trajectory has ended, when
 its carried state is gone with it; the audit's ticks form the time difference
 in prev's arrays with about two thirds of a state of scratch, and `stability`
-reads no `prev`.  A non-finite field ends the trajectory with a RuntimeError naming the
-step that made it: the stepper raises where an operation makes a NaN or
-infinity, and the initial level, where none is made, is checked once, as step
-1.  A non-finite CSV cell (a functional that overflows on finite fields) is a
-RuntimeError naming the file, the column and the row, and nothing of that CSV
-is written.  A driver that raises still writes the MANIFEST of the files it
+reads no `prev`.  A non-finite field ends the trajectory with a RuntimeError
+naming the step that made it: the stepper raises where an operation makes a NaN
+or infinity, and the initial level, where none is made, is checked once, as
+step 1.  A non-finite CSV cell (a functional that overflows on finite fields)
+is a RuntimeError naming the file, the column and the row, and nothing of that
+CSV is written.  A driver that raises still writes the MANIFEST of the files it
 wrote (`_driver`).
 
 Every driver takes a RunConfig, runs deterministically, and (when an output
@@ -293,9 +293,8 @@ def _trajectory(cfg: RunConfig, grid: GridSpec, lends=()):
     threads has six lattices of scratch), so that no fourth state is alive then
     and a tick stays under a step's 3.34 states, and rebuilt from the level
     after; a rebuilt one rounds apart from a carried one, so the levels depend
-    on `lends` at rounding level.  It is freed
-    with the generator once the last level is yielded, so work done after the
-    loop needs no lend."""
+    on `lends` at rounding level.  It is freed with the generator once the last
+    level is yielded, so work done after the loop needs no lend."""
     med = cfg.to_medium()
     if cfg.init == "zero":
         level = zero_state(grid)

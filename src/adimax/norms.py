@@ -21,8 +21,9 @@ d_z ex, d_x ey), and per axis the tangential-E wall planes; the H half those of
 H and of (d_z hy, d_x hz, d_y hx), trimmed to the E sets, and the normal-H wall
 planes.  Every one of these sums reads one component lattice, so each half
 takes its components in turn (`_e_sums`, `_h_sums`): a component's own sums,
-and its piece, formed in scratch, with the piece's sums for every axis of the
-pass by its role (see `energy_h1`).  The terms are then added in a fixed order,
+and its piece, formed in scratch, with the piece's sums, for every axis of the
+pass by the component's or piece's role (`_E_OWN`, `_E_PIECES`, `_H_OWN`,
+`_H_PIECES`; see `energy_h1`).  The terms are then added in a fixed order,
 so the sums are bit for bit the same on one thread or two.  A report tick takes
 its functionals as pairs of such records from one routine, `_tick_sums`: the
 sums of a field u and of its time difference, where u is a level
@@ -62,7 +63,7 @@ The index ranges of each squared sum are not arbitrary: they are exactly the
 sets on which the corresponding half-update equation holds, which is what
 makes every summation-by-parts cancellation close without remainder.  Getting
 a single range wrong breaks exact conservation, so the invariance tests are
-the authoritative check on the tables below.  Weights follow the field
+the authoritative check on the role tables below.  Weights follow the field
 identity (eps for E-derived quantities, mu for H-derived ones); index ranges
 follow the lattice the quantity lives on.
 
@@ -184,13 +185,15 @@ def _from_halves(e_half: tuple, h_half: tuple, med: Medium, grid: GridSpec, axes
                      l2_core + q * (curl_neg_h + curl_pos_e), by_axis)
 
 
-def _piece_sums(p: np.ndarray, k: int, roles, axes, grid: GridSpec, buf: np.ndarray) -> dict:
-    """Per axis a, the d_a sum and plain sums of piece k of a half, p, over the index roles
-    roles(n0, n1, n2)[(k - a) % 3]."""
+def _role_sums(u: np.ndarray, k: int, roles, axes, grid: GridSpec, buf: np.ndarray) -> dict:
+    """Per axis a, the sums of u, a half's component or piece k, by its role for a:
+    roles(n0, n1, n2)[(k - a) % 3] is the index set of u's d_a sum (None: no d_a sum),
+    then those of its plain sums."""
     by_axis = {}
     for a in axes:
         diffed, *plain = roles(*_roles(grid.cells, a))[(k - a) % 3]
-        by_axis[a] = (_dssq(p, a, grid, buf, *diffed), *(_ssq(p[_ix(a, *s)]) for s in plain))
+        d_a = () if diffed is None else (_dssq(u, a, grid, buf, *diffed),)
+        by_axis[a] = (*d_a, *(_ssq(u[_ix(a, *s)]) for s in plain))
     return by_axis
 
 
@@ -202,62 +205,46 @@ def _by_component(sums, names, lattices, grid: GridSpec, axes, piece, buf) -> zi
                  for c, name in enumerate(names)))
 
 
+_ALL = slice(None)
 # roles of the E pieces (d_y e2, d_z e0, d_x e1): d_x sums; H planes i' = 1, nx-1; d_x
 # e1's vol term
-_E_ROLES = lambda n0, n1, n2: (  # noqa: E731
-    ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((slice(None), slice(1, n1)),),
-    ((slice(None), slice(None), slice(1, n2)), (slice(1, n0 - 1), slice(None), slice(1, n2))))
+_E_PIECES = lambda n0, n1, n2: (  # noqa: E731
+    ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((_ALL, slice(1, n1)),),
+    ((_ALL, _ALL, slice(1, n2)), (slice(1, n0 - 1), _ALL, slice(1, n2))))
+# roles of (e0, e1, e2): x-differenced energies on the sets where their update equations
+# hold, integer x in [1, nx-1] (e0), then ez (e2); the wall planes i' = 1, nx-1,
+# tangential ey on interior z (e1) and ez on interior y (e2)
+_E_OWN = lambda n0, n1, n2: (  # noqa: E731
+    ((_ALL, slice(1, n1), slice(1, n2)),),
+    (None, (1, _ALL, slice(1, n2)), (n0 - 1, _ALL, slice(1, n2))),
+    ((slice(1, n0 - 1), slice(1, n1)), (1, slice(1, n1)), (n0 - 1, slice(1, n1))))
 # roles of the H pieces (d_z m1, d_x m2, d_y m0), trimmed to the E sets (the only ones
 # read): d_x sums; the planes i' - 1 next to the E planes
-_H_ROLES = lambda n0, n1, n2: (((),), ((), (0,), (n0 - 2,)), ((), (0,), (n0 - 2,)))  # noqa: E731
+_H_PIECES = lambda n0, n1, n2: (((),), ((), (0,), (n0 - 2,)), ((), (0,), (n0 - 2,)))  # noqa: E731
+# roles of (m0, m1, m2), wall-adjacent x entries dropped (the wall-plane terms hold those
+# pencils): the d_x sums of m0 and m1, and m0's wall planes
+_H_OWN = lambda n0, n1, n2: (  # noqa: E731
+    ((slice(1, n0 - 1),), (1,), (n0 - 1,)), ((_ALL, slice(1, n1)),), (None,))
 
 
 def _e_sums(c: int, u: np.ndarray, grid: GridSpec, axes, piece, buf) -> tuple:
     """The sums of E component c (ex, ey, ez) on its lattice u: its interior sum of squares,
-    its piece's sum of squares (piece (c + 1) % 3, in `piece`) and, per axis a, the piece's
-    role sums and u's own sums as e0, e1 or e2 of a ((c - a) % 3)."""
-    every = slice(None)
+    the sum of squares of its piece, (c + 1) % 3, formed in `piece`, and per axis the
+    piece's sums and u's own by their roles."""
     n = _roles(grid.cells, c)  # each E lattice on its interior nodes, every half-offset index
-    norm = _ssq(u[_ix(c, every, slice(1, n[1]), slice(1, n[2]))])
     p = _diff_in(u, (c + 2) % 3, grid, piece)
-    pieces, by_axis = _piece_sums(p, (c + 1) % 3, _E_ROLES, axes, grid, buf), {}
-    for a in axes:
-        n0, n1, n2 = _roles(grid.cells, a)
-        # x-differenced energies on the sets where their update equations hold: integer x
-        # in [1, nx-1] (e0), then ez (e2); the wall planes i' = 1, nx-1: tangential ey on
-        # interior z (e1), ez on interior y (e2)
-        role = (c - a) % 3
-        if role == 0:
-            own = (_dssq(u, a, grid, buf, every, slice(1, n1), slice(1, n2)),)
-        elif role == 1:
-            own = tuple(_ssq(u[_ix(a, ip, every, slice(1, n2))]) for ip in (1, n0 - 1))
-        else:
-            own = (_dssq(u, a, grid, buf, slice(1, n0 - 1), slice(1, n1)),
-                   *(_ssq(u[_ix(a, ip, slice(1, n1))]) for ip in (1, n0 - 1)))
-        by_axis[a] = (pieces[a], own)
-    return norm, _ssq(p), by_axis
+    return (_ssq(u[_ix(c, _ALL, slice(1, n[1]), slice(1, n[2]))]), _ssq(p),
+            _role_sums(p, (c + 1) % 3, _E_PIECES, axes, grid, buf),
+            _role_sums(u, c, _E_OWN, axes, grid, buf))
 
 
 def _h_sums(c: int, u: np.ndarray, grid: GridSpec, axes, piece, buf) -> tuple:
-    """The sums of H component c (hx, hy, hz) on its lattice u: its sum of squares, its
-    piece's sum of squares (piece (c + 2) % 3, in `piece`) and, per axis a, the piece's role
-    sums and u's own sums as m0, m1 or m2 of a ((c - a) % 3)."""
-    every = slice(None)
+    """The sums of H component c (hx, hy, hz) on its lattice u: its sum of squares, the sum
+    of squares of its piece, (c + 2) % 3, formed in `piece`, and per axis the piece's sums
+    and u's own by their roles."""
     p = _diff_in(u[_ix(c, slice(1, -1))], (c + 1) % 3, grid, piece)
-    pieces, by_axis = _piece_sums(p, (c + 2) % 3, _H_ROLES, axes, grid, buf), {}
-    for a in axes:
-        n0, n1, _ = _roles(grid.cells, a)
-        # wall-adjacent x entries dropped: the wall-plane terms hold those pencils
-        role = (c - a) % 3
-        if role == 0:
-            own = (_dssq(u, a, grid, buf, slice(1, n0 - 1)), _ssq(u[_ix(a, 1)]),
-                   _ssq(u[_ix(a, n0 - 1)]))
-        elif role == 1:
-            own = (_dssq(u, a, grid, buf, every, slice(1, n1)),)
-        else:
-            own = ()
-        by_axis[a] = (pieces[a], own)
-    return _ssq(u), _ssq(p), by_axis
+    return (_ssq(u), _ssq(p), _role_sums(p, (c + 2) % 3, _H_PIECES, axes, grid, buf),
+            _role_sums(u, c, _H_OWN, axes, grid, buf))
 
 
 def _e_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
@@ -267,9 +254,8 @@ def _e_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
     for ex, ey, ez in _by_component(_e_sums, COMPONENTS[:3], lattices, grid, axes, piece, buf):
         parts = {}
         for a in axes:  # by role, the piece of e2 is piece a, e0's a + 1 and e1's a + 2
-            e0, e1, e2 = _roles((ex, ey, ez), a)
             ((t1,), (v0,)), ((t2, v), (q1, qn)), ((t0, f1, f2), (v2, r1, rn)) = (
-                e0[2][a], e1[2][a], e2[2][a])
+                (e[2][a], e[3][a]) for e in _roles((ex, ey, ez), a))
             parts[a] = (eps * (v0 + v + v2), eps * (t0 + t1 + t2), (eps * f1, eps * f2),
                         eps * _cb(grid, a) * ((q1 + r1) + (qn + rn)))
         sq = ez[1] + ex[1] + ey[1]  # the pieces d_y ez, d_z ex, d_x ey
@@ -286,7 +272,7 @@ def _h_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
         for a in axes:  # by role, the piece of m1 is piece a, m2's a + 1 and m0's a + 2
             m0, m1, m2 = _roles((hx, hy, hz), a)
             ((t2, k1, k2), (v0, q1, qn)), ((t0,), (v1,)), ((t1, g1, g2), ()) = (
-                m0[2][a], m1[2][a], m2[2][a])
+                (m[2][a], m[3][a]) for m in (m0, m1, m2))
             parts[a] = (mu * (v0 + v1 + m2[1]), mu * (t0 + t1 + t2),
                         (mu * (g1 + k1), mu * (g2 + k2)), mu * _cb(grid, a) * (q1 + qn))
         sq = hy[1] + hz[1] + hx[1]  # the pieces d_z hy, d_x hz, d_y hx
