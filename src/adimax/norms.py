@@ -391,8 +391,8 @@ def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: Gri
         return lambda piece, buf, error=None: half(
             lambda name: lattices(name, piece, error), med, grid, idx, piece, buf)
 
-    # a piece, prev's error and a s fit in a component lattice; every _dssq operand, one
-    # fewer entry along its differenced axis than its cells, in the buffer
+    # a piece, prev's error and a s fit in a component lattice; each difference that _dssq
+    # forms, at most n_a - 1 entries along its axis a and n_b across, in the buffer
     cells = math.prod(grid.cells)
     lattice = max(a.size for _, a in curr.components())
     sizes = (lattice, cells - cells // max(grid.cells)) + (lattice,) * (reference is not None)
