@@ -44,7 +44,13 @@ when u is an error, an error lattice: two or three lattices a thread, about a
 third or a half of a state a thread.  The calling thread allocates all scratch
 before the parts start, since the worker's glibc arena keeps what the worker
 allocates (a worker half that made its own raised 64^3 tick peak RSS by 4.6 %).
-Each entry comes from the same operations in the same order either way, so
+Each part also sets numpy's ufunc buffer to _BUFSIZE entries on its thread: a
+ufunc over strided views takes that many entries per strided operand, 8 KiB
+where numpy's default takes 64 KiB, so when the two threads' strided
+differences coincide they hold about 35 KiB, not 260 KiB.  At 24^3 those
+buffers lifted an audit tick's traced peak from 0.85 to 1.04 states (0.69
+now); elementwise results and the einsum sums keep their bits, and a strided
+100^3 subtract took 1.10 ms against 1.35 (medians of 30 calls).  Each entry comes from the same operations in the same order either way, so
 every output is bit-identical on one thread or two.  Sum pass time threaded
 against one thread in %, medians of 31 interleaved calls (15 in 100^3's first
 run), two runs, measured when each half took whole pieces of a whole state:
@@ -91,6 +97,7 @@ from .stepper import halves
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 _THREAD_MIN = 48 ** 3  # grid cells from which state_sums runs its H half on the worker
+_BUFSIZE = 1024  # entries of numpy's buffer per strided ufunc operand in a tick part
 
 
 # einsum subscripts of the sum of squares of an array with 1, 2 or 3 axes
@@ -148,8 +155,15 @@ class StateSums:
 
 def _on_halves(grid: GridSpec, e_part, h_part, sizes=()) -> tuple:
     """`stepper.halves` of a tick pass's E and H parts, h_part on the worker from
-    _THREAD_MIN cells on."""
-    return halves(math.prod(grid.cells), _THREAD_MIN, e_part, h_part, sizes)
+    _THREAD_MIN cells on, each with numpy's ufunc buffer at _BUFSIZE entries."""
+    def small_buffers(part):
+        def job(*scratch):
+            with np.errstate():  # restores the thread's buffer size on exit
+                np.setbufsize(_BUFSIZE)
+                return part(*scratch)
+        return job
+    return halves(math.prod(grid.cells), _THREAD_MIN, small_buffers(e_part),
+                  small_buffers(h_part), sizes)
 
 
 def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:

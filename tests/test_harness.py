@@ -375,9 +375,10 @@ def test_audit_tick_allocates_no_whole_state_temporary(tmp_path, monkeypatch):
     # the audit lends no step, so it reads prev with the carried right-hand side alive
     # (three whole states); its tick must add less than one more: the time difference is
     # formed in prev's arrays, and each pass's scratch is a few lattices.  Traced peaks on
-    # 24^3, in whole states: 0.52 on one thread and 0.85 on two (a piece lattice and a
-    # buffer a part, plus numpy's iteration buffers); 1.52 and 1.86 with a fresh time
-    # difference
+    # 24^3, in whole states: 0.36 on one thread and 0.69 on two (a piece lattice and a
+    # buffer a part, plus numpy's iteration buffers; 0.52 and 0.85, and 1.04 when the two
+    # threads' buffers coincided, at numpy's default buffer size); 1.52 and 1.86 with a
+    # fresh time difference
     import tracemalloc
     cfg = desk_cfg(tmp_path, kind="energy-audit", nx=24, ny=24, nz=24, T=0.4, cadence=3)
     state = sum(a.nbytes for _, a in zero_state(cfg.to_grid()).components())
@@ -411,7 +412,7 @@ def test_run_tick_grades_the_error_in_no_whole_error_state(tmp_path, monkeypatch
     # run lends its ticks, so metrics reads prev with two whole states alive; it takes the
     # error and its time difference one component at a time, in three lattices of scratch
     # per part (the error, a piece and a buffer), and builds no whole error state.  Traced
-    # peaks above the two levels on 64^3, in whole states: 0.54 on one thread and 1.05 on
+    # peaks above the two levels on 64^3, in whole states: 0.53 on one thread and 1.03 on
     # two (three lattices a part, plus the samplers' planes and numpy's iteration
     # buffers); 1.34 and 1.68 with a whole error state
     import tracemalloc
