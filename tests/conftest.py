@@ -61,7 +61,6 @@ def force_split(monkeypatch) -> list[int]:
     return threads
 
 
-
 def summed_lattices(monkeypatch) -> dict:
     """Copies of the lattices that norms' passes sum, by component name in call order,
     recorded from the per-component sums (`_e_sums`, `_h_sums`): every pass sums each
