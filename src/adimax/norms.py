@@ -35,23 +35,25 @@ error state and no time-difference state.  Which sum fills which CSV column is
 for `harness` alone to say.
 
 Every whole-lattice pass of a report tick runs as an E part and an H part
-(`_on_halves`): the tick functionals' one pass (E components, H components)
-and the divergence (each field's lattice, formed and reduced).  From
-_THREAD_MIN cells on, with two usable cores, the H part runs on the stepper's
-worker and calls no name a tracer wraps; below it both parts run here in turn,
-on one set of scratch.  A part's scratch is a piece lattice and a buffer and,
-when u is an error, an error lattice: two or three lattices a thread, about a
-third or a half of a state a thread.  The calling thread allocates all scratch
-before the parts start, since the worker's glibc arena keeps what the worker
-allocates (a worker half that made its own raised 64^3 tick peak RSS by 4.6 %).
-Each part also sets numpy's ufunc buffer to _BUFSIZE entries on its thread: a
-ufunc over strided views takes that many entries per strided operand, 8 KiB
-where numpy's default takes 64 KiB, so when the two threads' strided
-differences coincide they hold about 35 KiB, not 260 KiB.  At 24^3 those
-buffers lifted an audit tick's traced peak from 0.85 to 1.04 states (0.69
-now); elementwise results and the einsum sums keep their bits, and a strided
-100^3 subtract took 1.10 ms against 1.35 (medians of 30 calls).  Each entry comes from the same operations in the same order either way, so
-every output is bit-identical on one thread or two.  Sum pass time threaded
+through `stepper.halves`, the one hand-off to the worker: the tick
+functionals' one pass (E components, H components) and the divergence (each
+field's lattice, formed and reduced).  From _THREAD_MIN cells on, with two
+usable cores, the H part runs on the stepper's worker and calls no name a
+tracer wraps; below it both parts run here in turn, on one set of scratch.  A
+part's scratch is a piece lattice and a buffer and, when u is an error, an
+error lattice: two or three lattices a thread, about a third or a half of a
+state a thread.  The calling thread allocates all scratch before the parts
+start, since the worker's glibc arena keeps what the worker allocates (a
+worker half that made its own raised 64^3 tick peak RSS by 4.6 %).  `halves`
+also runs each part with numpy's ufunc buffer at `stepper._BUFSIZE` entries on
+its thread: a ufunc over strided views takes that many entries per strided
+operand, 8 KiB where numpy's default takes 64 KiB, so when the two threads'
+strided differences coincide they hold about 35 KiB, not 260 KiB.  At 24^3
+those buffers lifted an audit tick's traced peak from 0.85 to 1.04 states
+(0.69 now); elementwise results and the einsum sums keep their bits, and a
+strided 100^3 subtract took 1.10 ms against 1.35 (medians of 30 calls).  Each
+entry comes from the same operations in the same order either way, so every
+output is bit-identical on one thread or two.  Sum pass time threaded
 against one thread in %, medians of 31 interleaved calls (15 in 100^3's first
 run), two runs, measured when each half took whole pieces of a whole state:
 
@@ -97,7 +99,6 @@ from .stepper import halves
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 _THREAD_MIN = 48 ** 3  # grid cells from which state_sums runs its H half on the worker
-_BUFSIZE = 1024  # entries of numpy's buffer per strided ufunc operand in a tick part
 
 
 # einsum subscripts of the sum of squares of an array with 1, 2 or 3 axes
@@ -151,19 +152,6 @@ class StateSums:
     l2_core: float
     l2: float
     h1: dict
-
-
-def _on_halves(grid: GridSpec, e_part, h_part, sizes=()) -> tuple:
-    """`stepper.halves` of a tick pass's E and H parts, h_part on the worker from
-    _THREAD_MIN cells on, each with numpy's ufunc buffer at _BUFSIZE entries."""
-    def small_buffers(part):
-        def job(*scratch):
-            with np.errstate():  # restores the thread's buffer size on exit
-                np.setbufsize(_BUFSIZE)
-                return part(*scratch)
-        return job
-    return halves(math.prod(grid.cells), _THREAD_MIN, small_buffers(e_part),
-                  small_buffers(h_part), sizes)
 
 
 def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -330,16 +318,17 @@ class DivergenceReport:
 
 def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceReport:
     """Divergence report of `state`: E at interior nodes, H at cell centers, each field's
-    lattice formed and reduced by one part of `_on_halves` in scratch made here."""
+    lattice formed and reduced by one part of `halves` in scratch made here."""
     check_extents(state, grid)
     nx, ny, nz = grid.cells
     e_pieces = ((state.ex[:, 1:ny, 1:nz], 0), (state.ey[1:nx, :, 1:nz], 1),
                 (state.ez[1:nx, 1:ny, :], 2))
     h_pieces = ((state.hx, 0), (state.hy, 1), (state.hz, 2))
     # each differenced piece and each divergence has at most nx ny nz entries
-    (e_linf, e_sq), (h_linf, h_sq) = _on_halves(
-        grid, lambda *scratch: _div(e_pieces, grid, *scratch),
-        lambda *scratch: _div(h_pieces, grid, *scratch), (math.prod(grid.cells),) * 2)
+    cells = math.prod(grid.cells)
+    (e_linf, e_sq), (h_linf, h_sq) = halves(
+        cells, _THREAD_MIN, lambda *scratch: _div(e_pieces, grid, *scratch),
+        lambda *scratch: _div(h_pieces, grid, *scratch), (cells,) * 2)
     return DivergenceReport(
         div_e_linf=med.eps * e_linf,
         div_e_l2=float(np.sqrt(med.eps * grid.dv * e_sq)),
@@ -401,7 +390,7 @@ def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: Gri
                 b, w, own = np.subtract(sampled[1][name](w), b, out=w), a, a
             yield np.subtract(np.multiply(a, s, out=w), np.multiply(b, s, out=b), out=own)
 
-    def part(half):  # half's job on the scratch that _on_halves gives it
+    def part(half):  # half's job on the scratch that halves gives it
         return lambda piece, buf, error=None: half(
             lambda name: lattices(name, piece, error), med, grid, idx, piece, buf)
 
@@ -410,7 +399,7 @@ def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: Gri
     cells = math.prod(grid.cells)
     lattice = max(a.size for _, a in curr.components())
     sizes = (lattice, cells - cells // max(grid.cells)) + (lattice,) * (reference is not None)
-    e_fields, h_fields = _on_halves(grid, part(_e_half), part(_h_half), sizes)
+    e_fields, h_fields = halves(cells, _THREAD_MIN, part(_e_half), part(_h_half), sizes)
     u, *difference = (_from_halves(e, h, med, grid, axes) for e, h in zip(e_fields, h_fields))
     return u, (difference[0] if difference else None)
 

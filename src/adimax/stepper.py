@@ -39,10 +39,11 @@ r <- 2u^{n+1} - r, the next step's stage one right-hand side.  So a stage
 forms two differences per component, d_imp r_H and d_imp E_c, and no explicit
 part.  In full-lattice passes per component, besides the sweep: stage one 9,
 stage two 10, where forming (I + A_other) u afresh took 13.  `stage1(u)`,
-`stage2(u)` and `step` keep that classic form: they build (I + A_other) u in
-their output's arrays (`_rhs`) and solve over it.  2x - r rounds apart from
-forming (I + A_s) x anew, by terms of size C |field| at Courant number C, so a
-trajectory agrees with repeated `step` to rounding, not bit for bit.
+`stage2(u)` and `step` keep that classic form: `carry`, the one routine that
+forms (I + A_other) u, builds it in new arrays, and they solve over it in place.
+2x - r rounds apart from forming (I + A_s) x anew, by terms of size C |field|
+at Courant number C, so a trajectory agrees with repeated `step` to rounding,
+not bit for bit.
 
 Below _SPLIT_MIN cells a carried stage sweeps the E solves whose axes have
 equal length (all three on a cube; h = 1/n gives them one lam and m) in one
@@ -63,7 +64,8 @@ and every output entry comes from the same operations in the same order,
 bit-identical to the unsplit update.  Only the calling thread calls
 `_solve_lines`; the worker sweeps through the `_sweep` alias, so outside-in
 tracers see one call stack.  From the same size `carry` forms the E components
-of its right-hand side here and the H ones on the worker (see `halves`).
+of its right-hand side here and the H ones on the worker, through `halves`,
+the one hand-off (also `norms`'), which sets numpy's ufunc buffer (see `norms`).
 _SPLIT_MIN rests on split against unsplit step times of the classic form,
 interleaved on 2 cores, two runs: 48^3 +26/+32%, 64^3 -1/+13%, 72^3 -6/-10%,
 80^3 -4/-18%, 100^3 -25/-31%.
@@ -152,6 +154,7 @@ def _solve_lines(lam: float, rhs: np.ndarray, axis: int) -> np.ndarray:
 _STAGES = {1: (1, 2, 1.0), 2: (2, 1, -1.0)}
 # grid cells from which a half-update runs as two slabs on two threads
 _SPLIT_MIN = 80 ** 3
+_BUFSIZE = 1024  # entries of numpy's buffer per strided ufunc operand in a part `halves` runs
 
 
 def _diff(arr: np.ndarray, axis: int, scale: float, trim: int | None = None,
@@ -185,18 +188,17 @@ _LEAD = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
 
 
 def _rhs(u: FieldState, grid: GridSpec, med: Medium, stage: int, out: FieldState,
-         part: str = "EH") -> FieldState:
-    """(I + A_stage) u, A_stage being the stage's implicit part, in out's arrays (E walls
-    zero): E_c + sigma ce d_imp H_p on E_c's interior and H_p + sigma ch d_imp E_c, of the
-    fields `part` names.  The E and H parts read only u, so they may run on two threads."""
+         part: str) -> None:
+    """The `part` ("E" or "H") of (I + A_stage) u, A_stage being the stage's implicit part,
+    in out's arrays (E walls zero): E_c + sigma ce d_imp H_p on E_c's interior, or
+    H_p + sigma ch d_imp E_c.  Either part reads only u, so the two may run on two threads."""
     e_u, h_u, e, h = u.e_triple(), u.h_triple(), out.e_triple(), out.h_triple()
     for c, (imp, p, se, sh, _) in _pairs(stage, grid, med).items():
-        if "E" in part:
+        if part == "E":
             _diff(h_u[p], imp, se, trim=p, out=e[c][_INNER[c]])
             e[c][_INNER[c]] += e_u[c][_INNER[c]]
-        if "H" in part:
+        else:
             np.add(_diff(e_u[c], imp, sh, out=h[p]), h_u[p], out=h[p])
-    return FieldState(*e, *h, time_level=u.time_level)
 
 
 def _block(buf: np.ndarray, cols: slice, shape: tuple, imp: int) -> np.ndarray:
@@ -269,28 +271,33 @@ def two_threads(cells: int, min_cells: int) -> bool:
     return cells >= min_cells and len(cores) >= 2
 
 
-def on_two_threads(here, there) -> tuple:
-    """(here(), there()) with there() on the worker thread, which is joined before this
-    returns or raises; `there` calls no name a tracer wraps (see `_sweep`)."""
-    later = _worker().submit(there)
-    try:
-        first = here()
-    finally:
-        later.exception()  # waits for the worker's half, also when this half raised
-    return first, later.result()
-
-
 def halves(cells: int, min_cells: int, here, there, sizes=()) -> tuple:
-    """(here(*scratch), there(*scratch)): there() on the worker as in on_two_threads from
-    min_cells cells on (see two_threads), else both here in turn.  Each is given one flat
-    scratch array per entry of `sizes`, of that many entries, all made here before either
-    starts (one set, shared, when both run here), since the worker's glibc arena keeps what
-    it allocates."""
+    """(here(*scratch), there(*scratch)), each with numpy's ufunc buffer at _BUFSIZE entries
+    on the thread that runs it: the one hand-off to the worker.  From min_cells cells on
+    (see two_threads) there() runs on the worker, which is joined before this returns or
+    raises, and calls no name a tracer wraps (see `_sweep`); else both run here in turn.
+    Each is given one flat scratch array per entry of `sizes`, of that many entries, all
+    made here before either starts (one set, shared, when both run here), since the
+    worker's glibc arena keeps what it allocates."""
     threaded = two_threads(cells, min_cells)
     mine = [np.empty(n) for n in sizes]
     theirs = [np.empty(n) for n in sizes] if threaded else mine
-    first, second = lambda: here(*mine), lambda: there(*theirs)
-    return on_two_threads(first, second) if threaded else (first(), second())
+
+    def run(part, scratch):  # numpy's buffer size is per thread: set on the one running part
+        size = np.setbufsize(_BUFSIZE)
+        try:
+            return part(*scratch)
+        finally:
+            np.setbufsize(size)
+
+    if not threaded:
+        return run(here, mine), run(there, theirs)
+    later = _worker().submit(run, there, theirs)
+    try:
+        first = run(here, mine)
+    finally:
+        later.exception()  # waits for the worker's part, also when this one raised
+    return first, later.result()
 
 
 def _half_update(r: FieldState, grid: GridSpec, med: Medium, stage: int, e_out, h_out) -> None:
@@ -306,14 +313,15 @@ def _half_update(r: FieldState, grid: GridSpec, med: Medium, stage: int, e_out, 
         with _flagged(f"stage {stage}"):
             _update(jobs, r, grid, med, stage, e_out, h_out, solve, pack)
 
-    if not two_threads(math.prod(grid.cells), _SPLIT_MIN):
+    cells = math.prod(grid.cells)
+    if not two_threads(cells, _SPLIT_MIN):
         # a replaced r is solved per component (see the module docstring)
         job([(c, 0, n) for c, n in enumerate(grid.cells)], _solve_lines,
             pack=e_out[0] is not r.ex)
     else:
         first = [(c, 0, n // 2) for c, n in enumerate(grid.cells)]
         second = [(c, n // 2, n) for c, n in enumerate(grid.cells)]
-        on_two_threads(lambda: job(first, _solve_lines), lambda: job(second, _sweep))
+        halves(cells, _SPLIT_MIN, lambda: job(first, _solve_lines), lambda: job(second, _sweep))
     r.time_level += 0.5
 
 
@@ -321,16 +329,12 @@ def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: Fiel
            carried: bool) -> FieldState:
     """Stage `stage` from a whole level (classic) or from a carried right-hand side."""
     check_extents(state, grid)
-    if not carried:  # (I + A_other) state in out's arrays, solved for x over them
+    if not carried:  # solved for x in place over (I + A_other) state
         if out is not None:
-            check_extents(out, grid)
-            pairs = ((a, b) for _, a in out.components() for _, b in state.components())
-            if any(np.may_share_memory(a, b) for a, b in pairs):
-                raise ValueError("out may share memory with the input state")
+            raise ValueError("out is for carried stages: a classic stage returns new arrays")
         if not state.all_finite():  # what is already non-finite raises no flag
             raise NonFiniteFieldError(f"non-finite values in the stage {stage} input")
-        with _flagged(f"the stage {stage} right-hand side"):
-            r = _rhs(state, grid, med, 3 - stage, zero_state(grid) if out is None else out)
+        r = carry(state, grid, med, stage)
         _half_update(r, grid, med, stage, r.e_triple(), r.h_triple())
         return r
     out = zero_state(grid) if out is None else out
@@ -340,21 +344,22 @@ def _stage(state: FieldState, grid: GridSpec, med: Medium, stage: int, out: Fiel
     return FieldState(*out.e_triple(), *out.h_triple(), time_level=state.time_level)
 
 
-def carry(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
-    """(I + A2) state: stage one's right-hand side from a whole level, which
-    stage1(..., carried=True) and stage2(..., carried=True) move on in place.  `state` is
-    not checked for NaN or infinity; the caller does that once per trajectory.
+def carry(state: FieldState, grid: GridSpec, med: Medium, stage: int = 1) -> FieldState:
+    """(I + A_other) state, A_other being the implicit part of the stage other than `stage`:
+    that stage's right-hand side from a whole level, in new arrays.  A trajectory starts
+    from carry(u) = (I + A2) u, which stage1(..., carried=True) and stage2(...,
+    carried=True) move on in place; a classic stage solves over its own in place.
+    `state` is not checked for NaN or infinity; the caller does that once per trajectory.
 
-    From _SPLIT_MIN cells on, with two usable cores, the H components are formed on the
-    worker while this thread forms the E ones, each part under `_flagged` on its own
-    thread; the whole state is allocated here first, since the worker's glibc arena keeps
-    what the worker allocates.  Each entry comes from the same operations either way."""
+    From _SPLIT_MIN cells on, with two usable cores, `halves` forms the H components on
+    the worker while this thread forms the E ones, in the state made here, each part under
+    `_flagged` on its own thread.  Each entry comes from the same operations either way."""
     check_extents(state, grid)
     r = zero_state(grid)
 
     def part(fields):
-        with _flagged("the stage 1 right-hand side"):
-            _rhs(state, grid, med, 2, r, fields)
+        with _flagged(f"the stage {stage} right-hand side"):
+            _rhs(state, grid, med, 3 - stage, r, fields)
 
     halves(math.prod(grid.cells), _SPLIT_MIN, lambda: part("E"), lambda: part("H"))
     r.time_level = state.time_level
@@ -363,8 +368,8 @@ def carry(state: FieldState, grid: GridSpec, med: Medium) -> FieldState:
 
 def stage1(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | None = None,
            carried: bool = False) -> FieldState:
-    """Advance from a whole level to the intermediate level, in out's arrays if given (a
-    whole state whose E walls are zeros and that shares no memory with `state`).
+    """Advance from a whole level to the intermediate level, in new arrays; `out` is for
+    the carried form alone (ValueError otherwise).
 
     With `carried`, `state` is instead the right-hand side (I + A2) u of the level u (see
     `carry`): it becomes the next stage's, (I + A1) w, in place and is returned, and the
@@ -374,9 +379,10 @@ def stage1(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | Non
 
 def stage2(state: FieldState, grid: GridSpec, med: Medium, out: FieldState | None = None,
            carried: bool = False) -> FieldState:
-    """Advance from the intermediate level to the next whole level, in out's arrays if
-    given (as for stage1).  With `carried`, `state` is instead (I + A1) w, as stage1 left
-    it: it becomes (I + A2) of the new level in place."""
+    """Advance from the intermediate level to the next whole level, in new arrays (as for
+    stage1).  With `carried`, `state` is instead (I + A1) w, as stage1 left it: it becomes
+    (I + A2) of the new level in place, and the level is written into out's arrays (a
+    whole state whose E walls are zeros, fresh if not given) and returned over them."""
     return _stage(state, grid, med, 2, out, carried)
 
 

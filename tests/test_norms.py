@@ -310,17 +310,18 @@ def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
         report_prev, suite_prev = prev.copy(), prev.copy()
         sums = (energy_report(curr, report_prev, med, g), energy_suite(curr, suite_prev, med, g),
                 metrics(curr, prev, g, med), divergence(curr, med, g))
-        states = (report_prev, suite_prev, stepper.carry(curr, g, med))
+        states = (report_prev, suite_prev, stepper.carry(curr, g, med), step(curr, g, med))
         return sums, [a.tobytes() for state in states for _, a in state.components()]
 
     force_split(monkeypatch)
-    real_split, splits = stepper.on_two_threads, []
+    worker, splits = stepper._worker(), []
 
-    def counting(here, there):
-        splits.append(there)
-        return real_split(here, there)
+    class Counting:  # counts every hand-off to the worker
+        def submit(self, *job):
+            splits.append(job)
+            return worker.submit(*job)
 
-    monkeypatch.setattr(stepper, "on_two_threads", counting)
+    monkeypatch.setattr(stepper, "_worker", Counting)
     monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 10 ** 9)
     alone = tick()
@@ -329,8 +330,9 @@ def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
     assert tick() == alone  # each float with ==, each lattice byte for byte
     # one pass each over the components (the sums of the level or the error and of its time
-    # difference) for energy_report, energy_suite and metrics; divergence; carry
-    assert len(splits) == 1 + 1 + 1 + 1 + 1
+    # difference) for energy_report, energy_suite and metrics; divergence; carry; and per
+    # stage of the classic step, its right-hand side (through carry) and its half-update
+    assert len(splits) == 1 + 1 + 1 + 1 + 1 + 2 * 2
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["single", "threaded"])

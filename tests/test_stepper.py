@@ -11,8 +11,8 @@ import pytest
 
 from adimax import (FieldState, Medium, NonFiniteFieldError, enforce_pec, make_grid,
                     sample_exact, stage1, stage2, step, step_residual, zero_state)
-from adimax import stepper
-from adimax.norms import energy_l2
+from adimax import norms, stepper
+from adimax.norms import energy_l2, energy_report
 from adimax.operators import diff
 
 from conftest import force_split, grid3, grid4, max_component_diff, random_state
@@ -269,6 +269,63 @@ def test_halves_give_each_thread_its_own_scratch(monkeypatch):
     assert all(a is b for a, b in zip(mine, theirs, strict=True))
 
 
+@pytest.mark.parametrize("threaded", [False, True], ids=["in-turn", "threaded"])
+def test_halves_run_every_part_with_small_ufunc_buffers(threaded, rng, monkeypatch):
+    # numpy's ufunc buffer size is per thread: every part halves runs, here or on the
+    # worker, sees _BUFSIZE entries, so a strided difference buffers 8 KiB an operand and
+    # not numpy's default 64 KiB; each thread has its own size back afterwards, also after
+    # a tick and a carry, whose parts all run at _BUFSIZE
+    force_split(monkeypatch)
+    min_cells = 0 if threaded else 10 ** 9
+    monkeypatch.setattr(stepper, "_SPLIT_MIN", min_cells)
+    monkeypatch.setattr(norms, "_THREAD_MIN", min_cells)
+    u = rng.standard_normal((41, 41, 41))
+    outs = [np.empty((40, 39, 39)) for _ in range(2)]
+    seen = []
+
+    def part(out):
+        def strided():
+            np.subtract(u[1:, 1:-1, 1:-1], u[:-1, 1:-1, 1:-1], out=out)  # strided operands
+            return threading.get_ident(), np.getbufsize()
+        return strided
+
+    def recording(real):
+        def call(*args):
+            seen.append(np.getbufsize())
+            return real(*args)
+        return call
+
+    for module, name in ((stepper, "_rhs"), (norms, "_e_half"), (norms, "_h_half")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    mine = np.setbufsize(4096)  # a size that is neither numpy's default nor _BUFSIZE
+    try:
+        worker = stepper._worker().submit(np.getbufsize).result()
+        stepper.halves(8, min_cells, part(outs[0]), part(outs[1]))  # warm, outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (here, in_here), (there, in_there) = stepper.halves(8, min_cells, part(outs[0]),
+                                                                part(outs[1]))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        g = make_grid(12, 20, 9, 0.7)
+        prev = random_state(g, rng)
+        energy_report(step(prev, g, Medium()), prev, Medium(), g)
+        assert np.getbufsize() == 4096
+        stepper.carry(prev, g, Medium())
+        assert np.getbufsize() == 4096
+        assert stepper._worker().submit(np.getbufsize).result() == worker
+    finally:
+        np.setbufsize(mine)
+    assert in_here == in_there == stepper._BUFSIZE
+    assert here == threading.get_ident() and (there != here) == threaded
+    # two parts' two strided operands at 8 KiB each, not 64 KiB each, at once if threaded
+    assert peak < 64 * 1024
+    # the parts of the step's two right-hand sides, of the tick's pass and of the carry
+    assert seen == [stepper._BUFSIZE] * (2 * 2 + 2 + 2)
+
+
 def test_error_state_is_restored_on_both_threads(rng, monkeypatch):
     # each stage job raises on numpy's floating-point flags on the thread that runs it,
     # and leaves both threads' error state as it found it, also when it raised
@@ -460,8 +517,10 @@ def test_stage_outputs_are_contiguous_with_zero_walls(cells, split, rng, monkeyp
         force_split(monkeypatch)
     g = make_grid(*cells, 0.6)
     half = stage1(random_state(g, rng), g, Medium())
-    recycled = step(random_state(g, rng), g, Medium())
-    for out in (half, stage2(half, g, Medium()), stage2(half, g, Medium(), out=recycled)):
+    rhs = stepper.carry(random_state(g, rng), g, Medium())
+    stage1(rhs, g, Medium(), out=zero_state(g), carried=True)
+    recycled = stage2(rhs, g, Medium(), out=step(random_state(g, rng), g, Medium()), carried=True)
+    for out in (half, stage2(half, g, Medium()), recycled):
         _assert_walls_zero(out)
         for name, a in out.components():
             assert a.flags.c_contiguous and a.flags.owndata and a.dtype == np.float64, name
@@ -474,27 +533,36 @@ def test_stage_outputs_are_contiguous_with_zero_walls(cells, split, rng, monkeyp
 ])
 def test_stage2_into_recycled_storage_is_bytewise_a_fresh_stage2(cells, med, split, rng,
                                                                  monkeypatch):
-    # a trajectory writes each new level into the arrays of a level it is done with
+    # a trajectory writes each new level into the arrays of a level it is done with: the
+    # carried stage2 writes there the bytes it writes into fresh arrays, and moves its
+    # right-hand side on alike
     if split:
         force_split(monkeypatch)
     g = make_grid(*cells, 0.7)
     recycled = step(random_state(g, rng), g, med)
     arrays = [a for _, a in recycled.components()]
-    half = stage1(random_state(g, rng), g, med)
-    want = stage2(half, g, med)
-    got = stage2(half, g, med, out=recycled)
+    rhs = stepper.carry(random_state(g, rng), g, med)
+    stage1(rhs, g, med, out=zero_state(g), carried=True)
+    fresh = rhs.copy()
+    want = stage2(fresh, g, med, out=zero_state(g), carried=True)
+    got = stage2(rhs, g, med, out=recycled, carried=True)
     _assert_same_bytes(got, want)
+    _assert_same_bytes(rhs, fresh)
     assert all(a is b for (_, a), b in zip(got.components(), arrays))
 
 
-def test_stage2_rejects_out_sharing_memory_with_its_input(rng, medium):
+def test_classic_stage_given_out_raises(rng, medium):
+    # out is the carried stages' storage; a classic stage returns new arrays and rejects
+    # any out, sharing memory with its input or not, rather than ignore it
     g = grid4()
-    half = stage1(random_state(g, rng), g, medium)
-    partly = step(random_state(g, rng), g, medium)
-    partly.hy = half.hy[...]  # one component a view of the input's
-    for out in (half, partly):
-        with pytest.raises(ValueError, match="share memory"):
-            stage2(half, g, medium, out=out)
+    s = random_state(g, rng)
+    half = stage1(s, g, medium)
+    for stage, state in ((stage1, s), (stage2, half)):
+        kept = state.copy()
+        for out in (zero_state(g), step(random_state(g, rng), g, medium), state):
+            with pytest.raises(ValueError, match="carried stages"):
+                stage(state, g, medium, out=out)
+        _assert_same_bytes(state, kept)
 
 
 @pytest.mark.parametrize("cells, dt, med", [
