@@ -37,35 +37,26 @@ for `harness` alone to say.
 Every whole-lattice pass of a report tick runs as an E part and an H part
 through `stepper.halves`, the one hand-off to the worker: the tick
 functionals' one pass (E components, H components) and the divergence (each
-field's lattice, formed and reduced).  From _THREAD_MIN cells on, with two
-usable cores, the H part runs on the stepper's worker and calls no name a
-tracer wraps; below it both parts run here in turn, on one set of scratch.  A
-part's scratch is a piece lattice and a buffer and, when u is an error, an
-error lattice: two or three lattices a thread, about a third or a half of a
-state a thread.  The calling thread allocates all scratch before the parts
-start, since the worker's glibc arena keeps what the worker allocates (a
-worker half that made its own raised 64^3 tick peak RSS by 4.6 %).  `halves`
-also runs each part with numpy's ufunc buffer at `stepper._BUFSIZE` entries on
-its thread: a ufunc over strided views takes that many entries per strided
-operand, 8 KiB where numpy's default takes 64 KiB, so when the two threads'
-strided differences coincide they hold about 35 KiB, not 260 KiB.  At 24^3
-those buffers lifted an audit tick's traced peak from 0.85 to 1.04 states
-(0.69 now); elementwise results and the einsum sums keep their bits, and a
-strided 100^3 subtract took 1.10 ms against 1.35 (medians of 30 calls).  Each
-entry comes from the same operations in the same order either way, so every
-output is bit-identical on one thread or two.  Sum pass time threaded
-against one thread in %, medians of 31 interleaved calls (15 in 100^3's first
-run), two runs, measured when each half took whole pieces of a whole state:
+field's lattice, formed and reduced).  From `stepper._THREAD_MIN` cells on,
+with two usable cores, the H part runs on the worker; below it both parts run
+here in turn, on one set of scratch.  A part's scratch is a piece lattice and
+a buffer and, when u is an error, an error lattice: two or three lattices a
+thread, about a third or a half of a state a thread, made as `halves` says.
+Each entry comes from the same operations in the same order either way, so
+every output is bit-identical on one thread or two.  Pass time on two threads
+against one in %, medians of 31 interleaved calls (15 at 100^3), two runs
+(at 64^3 one thread takes 38-41 ms for energy_report, 30-31 for metrics):
 
-    axes   20^3    28^3    32^3    36^3    40^3    48^3    64^3    100^3
-    xyz    +46/+50 +16/+14  -9/+8  -27/-10 -29/-31 -42/-40 -34/-40 -41/-44
-    x      +93/+52 +38/+42  -4/+6  -15/+8  -28/-28 -38/-39 -35/-35 -44/-44
-    ""     +73/+71 +28/+22 -17/-20  -9/+6  -18/-11 -32/-23 -32/-32 -48/-45
+    pass           20^3    28^3    32^3  36^3    40^3    48^3    64^3    100^3
+    energy_report  +61/+70 +34/+25 +0/+1 -14/-26 -25/-25 -35/-37 -34/-38 -33/-42
+    energy_suite   +71/+64 +27/+23 -2/+5  -7/-22 -21/-22 -30/-33 -32/-36 -34/-38
+    metrics        +54/+50 +14/+9  -3/-4 -11/-20 -24/-25 -28/-34 -33/-37 -41/-35
+    divergence    +110/+75 +32/+21 +5/+4  +3/-5   -6/-14 -18/-23 -20/-23 -26/-34
 
 40^3 to 47^3 stay on one thread: they see one grading per grid of a convergence
 study, where threading saves ~2 ms and starting the worker costs ~2.7 MiB
 resident (tick-dense's two seed-1 64^3 ops in a fresh process: 75.27 MiB against
-72.60 with _THREAD_MIN = 10**9, medians of eight processes a side, 2-vCPU VM).
+72.60 with the tick passes in turn, medians of eight processes a side, 2-vCPU VM).
 
 The index ranges of each squared sum are not arbitrary: they are exactly the
 sets on which the corresponding half-update equation holds, which is what
@@ -98,7 +89,6 @@ from .operators import diff
 from .stepper import halves
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-_THREAD_MIN = 48 ** 3  # grid cells from which state_sums runs its H half on the worker
 
 
 # einsum subscripts of the sum of squares of an array with 1, 2 or 3 axes
@@ -327,7 +317,7 @@ def divergence(state: FieldState, med: Medium, grid: GridSpec) -> DivergenceRepo
     # each differenced piece and each divergence has at most nx ny nz entries
     cells = math.prod(grid.cells)
     (e_linf, e_sq), (h_linf, h_sq) = halves(
-        cells, _THREAD_MIN, lambda *scratch: _div(e_pieces, grid, *scratch),
+        cells, lambda *scratch: _div(e_pieces, grid, *scratch),
         lambda *scratch: _div(h_pieces, grid, *scratch), (cells,) * 2)
     return DivergenceReport(
         div_e_linf=med.eps * e_linf,
@@ -399,17 +389,17 @@ def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: Gri
     cells = math.prod(grid.cells)
     lattice = max(a.size for _, a in curr.components())
     sizes = (lattice, cells - cells // max(grid.cells)) + (lattice,) * (reference is not None)
-    e_fields, h_fields = halves(cells, _THREAD_MIN, part(_e_half), part(_h_half), sizes)
+    e_fields, h_fields = halves(cells, part(_e_half), part(_h_half), sizes)
     u, *difference = (_from_halves(e, h, med, grid, axes) for e, h in zip(e_fields, h_fields))
     return u, (difference[0] if difference else None)
 
 
-def energy_report(curr: FieldState, prev: FieldState | None, med: Medium, grid: GridSpec,
-                  axes: str = "xyz") -> tuple[StateSums, StateSums | None]:
+def energy_report(curr: FieldState, prev: FieldState | None, med: Medium,
+                  grid: GridSpec) -> tuple[StateSums, StateSums | None]:
     """The sums of `curr` and, when `prev` is given, of (curr - prev)/dt (else None).
     `prev` is consumed: its arrays hold the difference afterwards (see `_tick_sums`), so a
     caller that reads prev again passes a copy."""
-    return _tick_sums(curr, prev, med, grid, axes)
+    return _tick_sums(curr, prev, med, grid, "xyz")
 
 
 def energy_suite(curr: FieldState, prev: FieldState | None, med: Medium,

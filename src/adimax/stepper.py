@@ -63,12 +63,16 @@ imp or p and the pencils lie along imp, so a slab reads nothing past its cut,
 and every output entry comes from the same operations in the same order,
 bit-identical to the unsplit update.  Only the calling thread calls
 `_solve_lines`; the worker sweeps through the `_sweep` alias, so outside-in
-tracers see one call stack.  From the same size `carry` forms the E components
-of its right-hand side here and the H ones on the worker, through `halves`,
-the one hand-off (also `norms`'), which sets numpy's ufunc buffer (see `norms`).
-_SPLIT_MIN rests on split against unsplit step times of the classic form,
-interleaved on 2 cores, two runs: 48^3 +26/+32%, 64^3 -1/+13%, 72^3 -6/-10%,
-80^3 -4/-18%, 100^3 -25/-31%.
+tracers see one call stack.  Every pass on two threads goes through `halves`,
+the one hand-off, which threads from _THREAD_MIN cells on (measured in `norms`):
+`carry` forms the E components of its right-hand side here and the H ones on
+the worker, as the tick passes do, while a half-update decides its slab split
+itself (from _SPLIT_MIN on).  _SPLIT_MIN rests on carried-step times, split
+against unsplit, median of 24 steps in fresh processes, three runs (seven at
+48^3 and 56^3): 48^3 -12/+43% (five of seven slower), 56^3 -12/+14%, 64^3
+-12/+3%, 72^3 -17/-9%, 80^3 -26/-19%, 100^3 -32/-31%.  Splitting from 64^3 took
+tick-dense's wall time 4-11% lower and its peak RSS 2.9-4.2% higher (three
+pairs), so the split starts at 80^3.
 
 The scheme is unconditionally stable, so a NaN or infinity comes only from bad
 input or from an operation that overflows.  IEEE 754 sets the overflow, invalid
@@ -152,8 +156,8 @@ def _solve_lines(lam: float, rhs: np.ndarray, axis: int) -> np.ndarray:
 
 # stage -> (implicit axis offset from c, partner offset from c, sigma)
 _STAGES = {1: (1, 2, 1.0), 2: (2, 1, -1.0)}
-# grid cells from which a half-update runs as two slabs on two threads
-_SPLIT_MIN = 80 ** 3
+_THREAD_MIN = 48 ** 3  # grid cells from which `halves` runs its second part on the worker
+_SPLIT_MIN = 80 ** 3  # grid cells from which a half-update runs as two slabs on two threads
 _BUFSIZE = 1024  # entries of numpy's buffer per strided ufunc operand in a part `halves` runs
 
 
@@ -271,15 +275,22 @@ def two_threads(cells: int, min_cells: int) -> bool:
     return cells >= min_cells and len(cores) >= 2
 
 
-def halves(cells: int, min_cells: int, here, there, sizes=()) -> tuple:
-    """(here(*scratch), there(*scratch)), each with numpy's ufunc buffer at _BUFSIZE entries
-    on the thread that runs it: the one hand-off to the worker.  From min_cells cells on
-    (see two_threads) there() runs on the worker, which is joined before this returns or
-    raises, and calls no name a tracer wraps (see `_sweep`); else both run here in turn.
-    Each is given one flat scratch array per entry of `sizes`, of that many entries, all
-    made here before either starts (one set, shared, when both run here), since the
-    worker's glibc arena keeps what it allocates."""
-    threaded = two_threads(cells, min_cells)
+def halves(cells: int, here, there, sizes=()) -> tuple:
+    """(here(*scratch), there(*scratch)): the one hand-off to the worker.  From _THREAD_MIN
+    cells on (see two_threads) there() runs on the worker, which is joined before this
+    returns or raises, and calls no name a tracer wraps (see `_sweep`); else both run here
+    in turn.  Each is given one flat scratch array per entry of `sizes`, of that many
+    entries, all made here before either starts (one set, shared, when both run here),
+    since the worker's glibc arena keeps what it allocates: a worker tick part that made
+    its own raised 64^3 tick peak RSS by 4.6 %.
+
+    Each runs with numpy's ufunc buffer at _BUFSIZE entries on its thread.  A ufunc over
+    strided views takes that many entries per strided operand, 8 KiB where numpy's default
+    takes 64 KiB, so when the two threads' strided differences coincide they hold about
+    35 KiB, not 260 KiB: at 24^3 the default's buffers lifted an audit tick's traced peak
+    from 0.85 to 1.04 states (0.69 at _BUFSIZE).  Elementwise results and einsum sums keep
+    their bits, and a strided 100^3 subtract took 1.10 ms against 1.35 (medians of 30)."""
+    threaded = two_threads(cells, _THREAD_MIN)
     mine = [np.empty(n) for n in sizes]
     theirs = [np.empty(n) for n in sizes] if threaded else mine
 
@@ -321,7 +332,7 @@ def _half_update(r: FieldState, grid: GridSpec, med: Medium, stage: int, e_out, 
     else:
         first = [(c, 0, n // 2) for c, n in enumerate(grid.cells)]
         second = [(c, n // 2, n) for c, n in enumerate(grid.cells)]
-        halves(cells, _SPLIT_MIN, lambda: job(first, _solve_lines), lambda: job(second, _sweep))
+        halves(cells, lambda: job(first, _solve_lines), lambda: job(second, _sweep))
     r.time_level += 0.5
 
 
@@ -351,7 +362,7 @@ def carry(state: FieldState, grid: GridSpec, med: Medium, stage: int = 1) -> Fie
     carried=True) move on in place; a classic stage solves over its own in place.
     `state` is not checked for NaN or infinity; the caller does that once per trajectory.
 
-    From _SPLIT_MIN cells on, with two usable cores, `halves` forms the H components on
+    From _THREAD_MIN cells on, with two usable cores, `halves` forms the H components on
     the worker while this thread forms the E ones, in the state made here, each part under
     `_flagged` on its own thread.  Each entry comes from the same operations either way."""
     check_extents(state, grid)
@@ -361,7 +372,7 @@ def carry(state: FieldState, grid: GridSpec, med: Medium, stage: int = 1) -> Fie
         with _flagged(f"the stage {stage} right-hand side"):
             _rhs(state, grid, med, 3 - stage, r, fields)
 
-    halves(math.prod(grid.cells), _SPLIT_MIN, lambda: part("E"), lambda: part("H"))
+    halves(math.prod(grid.cells), lambda: part("E"), lambda: part("H"))
     r.time_level = state.time_level
     return r
 
@@ -409,8 +420,7 @@ def _residual(before: FieldState, after: FieldState, grid: GridSpec, med: Medium
     cut = lambda u, axis: u[(slice(None),) * axis + (slice(1, -1),)]  # 1:-1 along axis
     equations = []  # (new, old, coefficient, (lead lattice, axis), (trail lattice, axis))
     for c in range(3):  # E_c on its interior: ce (d_a H_b - d_b H_a); H_c: ch (d_b E_a - d_a E_b)
-        a, b = (c + 1) % 3, (c + 2) % 3
-        inner = tuple(slice(None) if d == c else slice(1, -1) for d in range(3))
+        a, b, inner = (c + 1) % 3, (c + 2) % 3, _INNER[c]
         equations += [(after.e_triple()[c][inner], before.e_triple()[c][inner], ce,
                        (cut(lead.h_triple()[b], b), a), (cut(trail.h_triple()[a], a), b)),
                       (after.h_triple()[c], before.h_triple()[c], ch,

@@ -49,7 +49,7 @@ def force_split(monkeypatch) -> list[int]:
     Returns a list that collects the thread id of every sweep the worker runs.
     """
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
-    monkeypatch.setattr(norms, "_THREAD_MIN", 0)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 0)
     monkeypatch.setattr(stepper.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sweep, threads = stepper._sweep, []
 

@@ -422,7 +422,7 @@ def test_run_tick_grades_the_error_in_no_whole_error_state(tmp_path, monkeypatch
     for threaded, bound in ((False, 0.75), (True, 1.25)):
         if threaded:
             force_split(monkeypatch)
-        monkeypatch.setattr(norms, "_THREAD_MIN", 0 if threaded else 10 ** 9)
+        monkeypatch.setattr(stepper, "_THREAD_MIN", 0 if threaded else 10 ** 9)
         held, peaks = [], []
 
         def measuring(curr, prev, *args, **kwargs):

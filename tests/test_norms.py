@@ -226,7 +226,8 @@ def test_energy_suite_keys(rng, medium):
     assert now.h1["x"][1] == pytest.approx(energy_h1(s1, "x", medium, g), rel=1e-15)
     assert now.l2 == pytest.approx(energy_l2(s1, medium, g), rel=1e-15)
     assert now.h1["x"][0] <= now.h1["x"][1]
-    assert (now, d) == energy_report(s1, s0.copy(), medium, g, axes="x")
+    assert (now, d) == (state_sums(s1, medium, g, "x"),
+                        state_sums(time_diff(s1, s0, g.dt), medium, g, "x"))
     assert energy_suite(s0, None, medium, g)[1] is None
 
 
@@ -242,7 +243,7 @@ def test_tick_sums_are_the_sums_of_whole_states(threaded, medium, rng, monkeypat
     if threaded:
         force_split(monkeypatch)
     else:
-        monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+        monkeypatch.setattr(stepper, "_THREAD_MIN", 10 ** 9)
     whole = lambda u, axes="x": state_sums_formula(u, medium, g, axes)  # noqa: E731
     for reference in (sample_exact, sample_semidiscrete):
         errors = [lincomb(1.0, reference(s.time_level * g.dt, g, medium), -1.0, s)
@@ -254,6 +255,19 @@ def test_tick_sums_are_the_sums_of_whole_states(threaded, medium, rng, monkeypat
         want = (whole(curr, axes), whole(time_diff(curr, prev, g.dt), axes))
         assert functional(curr, prev.copy(), medium, g) == want  # the copy is consumed
     assert all(state_sums(curr, medium, g, axes) == whole(curr, axes) for axes in ("", "zy"))
+
+
+def test_tick_sums_add_the_wall_terms_in_their_order():
+    # large tangential E on the planes i' = 1 weights the wall-plane terms of the E half,
+    # so summing them in another order moves the last bits of the H1 energies along x
+    g = make_grid(12, 20, 9, 5.0)
+    med = Medium(eps=2.5, mu=0.4)
+    s = random_state(g, np.random.default_rng(15))
+    s.ey[1] *= 1e4
+    s.ez[1] *= 1e4
+    s = enforce_pec(s)
+    for axes in ("x", "xyz"):
+        assert state_sums(s, med, g, axes) == state_sums_formula(s, med, g, axes)
 
 
 def test_face_norm_requires_three_cells():
@@ -291,10 +305,10 @@ def test_threaded_sums_are_the_single_thread_sums(cells, dt, med, axes, rng, mon
     s = random_state(g, rng)
     halves = _worker_halves(monkeypatch)
     force_split(monkeypatch)
-    monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 10 ** 9)
     alone = state_sums(s, med, g, axes)
     assert halves == [threading.get_ident()]
-    monkeypatch.setattr(norms, "_THREAD_MIN", 0)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 0)
     assert state_sums(s, med, g, axes) == alone  # every field, each float with ==
     assert len(halves) == 2 and halves[1] != threading.get_ident()
 
@@ -322,11 +336,11 @@ def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
             return worker.submit(*job)
 
     monkeypatch.setattr(stepper, "_worker", Counting)
-    monkeypatch.setattr(norms, "_THREAD_MIN", 10 ** 9)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 10 ** 9)
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 10 ** 9)
     alone = tick()
     assert splits == []
-    monkeypatch.setattr(norms, "_THREAD_MIN", 0)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 0)
     monkeypatch.setattr(stepper, "_SPLIT_MIN", 0)
     assert tick() == alone  # each float with ==, each lattice byte for byte
     # one pass each over the components (the sums of the level or the error and of its time
@@ -371,7 +385,7 @@ def test_state_sums_scratch_stays_under_bound(threaded, bound, monkeypatch):
     med = Medium()
     s = step(enforce_pec(sample_exact(0.0, g, med)), g, med)
     force_split(monkeypatch)
-    monkeypatch.setattr(norms, "_THREAD_MIN", 0 if threaded else 10 ** 9)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 0 if threaded else 10 ** 9)
     state_sums(s, med, g)  # the worker is started outside the measurement
     state_bytes = sum(a.nbytes for _, a in s.components())
     tracemalloc.start()

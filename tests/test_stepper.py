@@ -259,14 +259,46 @@ def test_halves_give_each_thread_its_own_scratch(monkeypatch):
     # part cannot write over the other's; on one thread the parts run in turn on one set
     force_split(monkeypatch)
     part = lambda *scratch: (threading.get_ident(), scratch)  # noqa: E731
-    (here, mine), (there, theirs) = stepper.halves(8, 0, part, part, (16, 16))
+    (here, mine), (there, theirs) = stepper.halves(8, part, part, (16, 16))
     assert here == threading.get_ident() != there
     assert [a.size for a in (*mine, *theirs)] == [16] * 4
     assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
     assert not np.shares_memory(*mine)
-    (here, mine), (there, theirs) = stepper.halves(8, 10 ** 9, part, part, (16, 16))
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 10 ** 9)
+    (here, mine), (there, theirs) = stepper.halves(8, part, part, (16, 16))
     assert here == there == threading.get_ident()
     assert all(a is b for a, b in zip(mine, theirs, strict=True))
+
+
+def test_carry_threads_from_thread_min_and_a_half_update_from_split_min(rng, monkeypatch):
+    # halves threads every pass from _THREAD_MIN cells on, carry's included, while a
+    # half-update splits into slabs only from _SPLIT_MIN: between the two, carry hands its
+    # H part to the worker, bit for bit the in-turn carry, and a carried stage hands off
+    # nothing; the classic step's only hand-offs are its two right-hand sides
+    g = make_grid(12, 20, 9, 0.7)
+    med = Medium(eps=2.5, mu=0.4)
+    s = random_state(g, rng)
+    monkeypatch.setattr(stepper.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 10 ** 9)
+    in_turn = stepper.carry(s, g, med)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", 0)
+    monkeypatch.setattr(stepper, "_SPLIT_MIN", 10 ** 9)
+    worker, submitted = stepper._worker(), []
+
+    class Counting:  # counts every hand-off to the worker
+        def submit(self, *job):
+            submitted.append(job)
+            return worker.submit(*job)
+
+    monkeypatch.setattr(stepper, "_worker", Counting)
+    r = stepper.carry(s, g, med)
+    assert len(submitted) == 1
+    _assert_same_bytes(r, in_turn)
+    submitted.clear()
+    stage2(stage1(r, g, med, carried=True), g, med, carried=True)
+    assert submitted == []
+    step(s, g, med)
+    assert len(submitted) == 2
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["in-turn", "threaded"])
@@ -278,7 +310,7 @@ def test_halves_run_every_part_with_small_ufunc_buffers(threaded, rng, monkeypat
     force_split(monkeypatch)
     min_cells = 0 if threaded else 10 ** 9
     monkeypatch.setattr(stepper, "_SPLIT_MIN", min_cells)
-    monkeypatch.setattr(norms, "_THREAD_MIN", min_cells)
+    monkeypatch.setattr(stepper, "_THREAD_MIN", min_cells)
     u = rng.standard_normal((41, 41, 41))
     outs = [np.empty((40, 39, 39)) for _ in range(2)]
     seen = []
@@ -300,12 +332,11 @@ def test_halves_run_every_part_with_small_ufunc_buffers(threaded, rng, monkeypat
     mine = np.setbufsize(4096)  # a size that is neither numpy's default nor _BUFSIZE
     try:
         worker = stepper._worker().submit(np.getbufsize).result()
-        stepper.halves(8, min_cells, part(outs[0]), part(outs[1]))  # warm, outside the trace
+        stepper.halves(8, part(outs[0]), part(outs[1]))  # warm, outside the trace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            (here, in_here), (there, in_there) = stepper.halves(8, min_cells, part(outs[0]),
-                                                                part(outs[1]))
+            (here, in_here), (there, in_there) = stepper.halves(8, part(outs[0]), part(outs[1]))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
