@@ -84,11 +84,10 @@ def _flow(a_par, a_perp, b, freq, t: float, grid: GridSpec, med: Medium, lazy: b
     w = freq / math.sqrt(med.eps * med.mu)
     amplitudes = dict(zip(COMPONENTS, (*(a_par + a_perp * np.cos(w * t)),
                                        *(b * math.sqrt(med.eps / med.mu) * np.sin(w * t)))))
-    factors = {comp: _factors(comp, amplitudes[comp], grid) for comp in COMPONENTS}
-    if lazy:
-        return {comp: partial(np.multiply, *factors[comp]) for comp in COMPONENTS}
-    return FieldState(*(np.multiply(*factors[comp]) for comp in COMPONENTS),
-                      time_level=t / grid.dt)
+    samplers = {comp: partial(np.multiply, *_factors(comp, amplitudes[comp], grid))
+                for comp in COMPONENTS}
+    return samplers if lazy else FieldState(*(f() for f in samplers.values()),
+                                            time_level=t / grid.dt)
 
 
 def sample_exact(t: float, grid: GridSpec, med: Medium = _UNIT, lazy: bool = False):

@@ -23,16 +23,17 @@ planes.  Every one of these sums reads one component lattice, so each half
 takes its components in turn (`_e_sums`, `_h_sums`): a component's own sums,
 and its piece, formed in scratch, with the piece's sums, for every axis of the
 pass by the component's or piece's role (`_E_OWN`, `_E_PIECES`, `_H_OWN`,
-`_H_PIECES`; see `energy_h1`).  The terms are then added in a fixed order,
-so the sums are bit for bit the same on one thread or two.  A report tick takes
-its functionals as pairs of such records from one routine, `_tick_sums`: the
-sums of a field u and of its time difference, where u is a level
-(`energy_report`; `energy_suite` along x alone) or its error against a
-reference solution (`manufactured.metrics`).  It forms u and the difference a
-component at a time, in the lattice it reads them from, in scratch or in the
-previous level's arrays, so that a tick makes no whole-state temporary: no
-error state and no time-difference state.  Which sum fills which CSV column is
-for `harness` alone to say.
+`_H_PIECES`; see `energy_h1`).  The halves add nothing: `_field_sums` is the
+one place where terms are added, each in a fixed order, so the sums are bit for
+bit the same on one thread or two.  A report tick takes its functionals as
+pairs of such records from one routine, `_tick_sums`: the sums of a field u and
+of its time difference, where u is a level (`energy_report`; `energy_suite`
+along x alone) or its error against a reference solution
+(`manufactured.metrics`).  It forms u and the difference a component at a time,
+in the lattice it reads them from, in scratch or in the previous level's
+arrays, so that a tick makes no whole-state temporary: no error state and no
+time-difference state.  Which sum fills which CSV column is for `harness` alone
+to say.
 
 Every whole-lattice pass of a report tick runs as an E part and an H part
 through `stepper.halves`, the one hand-off to the worker: the tick
@@ -161,22 +162,6 @@ def state_sums(state: FieldState, med: Medium, grid: GridSpec, axes: str = "xyz"
     return _tick_sums(state, None, med, grid, axes)[0]
 
 
-def _from_halves(e_half: tuple, h_half: tuple, med: Medium, grid: GridSpec, axes: str) -> StateSums:
-    """The StateSums of one field from its E and H halves' totals."""
-    (e_sq, curl_pos_e, e_h1), (h_sq, curl_neg_h, h_h1) = e_half, h_half
-    q, by_axis = grid.dt ** 2 / (4.0 * med.eps * med.mu), {}
-    for axis in axes:
-        a = _AXES[axis]
-        (vol_e, pert_e, (fe1, fe2), face_e), (vol_h, pert_h, (fh1, fh2), face_h) = e_h1[a], h_h1[a]
-        vol, pert, fpert = vol_e + vol_h, pert_h + pert_e, fh1 + fe1 + fh2 + fe2  # i' = 1, nx-1
-        faces = face_e + face_h
-        by_axis[axis] = (grid.dv * vol + faces,
-                         grid.dv * (vol + q * pert) + faces + q * _cb(grid, a) * fpert)
-    l2_core = e_sq + h_sq
-    return StateSums(e_sq, h_sq, curl_pos_e, curl_neg_h, l2_core,
-                     l2_core + q * (curl_neg_h + curl_pos_e), by_axis)
-
-
 def _role_sums(u: np.ndarray, k: int, roles, axes, grid: GridSpec, buf: np.ndarray) -> dict:
     """Per axis a, the sums of u, a half's component or piece k, by its role for a:
     roles(n0, n1, n2)[(k - a) % 3] is the index set of u's d_a sum (None: no d_a sum),
@@ -187,14 +172,6 @@ def _role_sums(u: np.ndarray, k: int, roles, axes, grid: GridSpec, buf: np.ndarr
         d_a = () if diffed is None else (_dssq(u, a, grid, buf, *diffed),)
         by_axis[a] = (*d_a, *(_ssq(u[_ix(a, *s)]) for s in plain))
     return by_axis
-
-
-def _by_component(sums, names, lattices, grid: GridSpec, axes, piece, buf) -> zip:
-    """sums(c, u, ...) of each lattice u of each component c of a half, taken in turn as
-    `lattices(name)` yields them (each valid until the next is asked for), grouped per
-    field: one triple of component sums each."""
-    return zip(*([sums(c, u, grid, axes, piece, buf) for u in lattices(name)]
-                 for c, name in enumerate(names)))
 
 
 _ALL = slice(None)
@@ -239,37 +216,33 @@ def _h_sums(c: int, u: np.ndarray, grid: GridSpec, axes, piece, buf) -> tuple:
             _role_sums(u, c, _H_OWN, axes, grid, buf))
 
 
-def _e_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
-    """Per field of `lattices` (see _by_component): e_sq, curl_pos_e and, per axis, the E
-    parts (vol, pert, fpert, faces) of the H1 sums, added in a fixed order."""
-    eps, totals = med.eps, []
-    for ex, ey, ez in _by_component(_e_sums, COMPONENTS[:3], lattices, grid, axes, piece, buf):
-        parts = {}
-        for a in axes:  # by role, the piece of e2 is piece a, e0's a + 1 and e1's a + 2
-            ((t1,), (v0,)), ((t2, v), (q1, qn)), ((t0, f1, f2), (v2, r1, rn)) = (
-                (e[2][a], e[3][a]) for e in _roles((ex, ey, ez), a))
-            parts[a] = (eps * (v0 + v + v2), eps * (t0 + t1 + t2), (eps * f1, eps * f2),
-                        eps * _cb(grid, a) * ((q1 + r1) + (qn + rn)))
-        sq = ez[1] + ex[1] + ey[1]  # the pieces d_y ez, d_z ex, d_x ey
-        totals.append((eps * grid.dv * (ex[0] + ey[0] + ez[0]), eps * grid.dv * sq, parts))
-    return totals
-
-
-def _h_half(lattices, med: Medium, grid: GridSpec, axes, piece, buf) -> list:
-    """Per field of `lattices` (see _by_component): h_sq, curl_neg_h and, per axis, the H
-    parts (vol, pert, fpert, faces) of the H1 sums, added in a fixed order."""
-    mu, totals = med.mu, []
-    for hx, hy, hz in _by_component(_h_sums, COMPONENTS[3:], lattices, grid, axes, piece, buf):
-        parts = {}
-        for a in axes:  # by role, the piece of m1 is piece a, m2's a + 1 and m0's a + 2
-            m0, m1, m2 = _roles((hx, hy, hz), a)
-            ((t2, k1, k2), (v0, q1, qn)), ((t0,), (v1,)), ((t1, g1, g2), ()) = (
-                (m[2][a], m[3][a]) for m in (m0, m1, m2))
-            parts[a] = (mu * (v0 + v1 + m2[1]), mu * (t0 + t1 + t2),
-                        (mu * (g1 + k1), mu * (g2 + k2)), mu * _cb(grid, a) * (q1 + qn))
-        sq = hy[1] + hz[1] + hx[1]  # the pieces d_z hy, d_x hz, d_y hx
-        totals.append((mu * grid.dv * (hx[0] + hy[0] + hz[0]), mu * grid.dv * sq, parts))
-    return totals
+def _field_sums(e, h, med: Medium, grid: GridSpec, axes: str) -> StateSums:
+    """The StateSums of one field from the sums of its E components, e = (ex, ey, ez) from
+    `_e_sums`, and of its H components, h = (hx, hy, hz) from `_h_sums`: the one place
+    where terms are added, each in a fixed order."""
+    (ex, ey, ez), (hx, hy, hz), eps, mu = e, h, med.eps, med.mu
+    q, by_axis = grid.dt ** 2 / (4.0 * eps * mu), {}
+    for axis in axes:
+        a = _AXES[axis]
+        cb = _cb(grid, a)
+        # by role, the pieces of e2, e0 and e1 are pieces a, a + 1 and a + 2; of m1, m2, m0 too
+        ((t1,), (v0,)), ((t2, v1), (q1, qn)), ((t0, f1, f2), (v2, r1, rn)) = (
+            (c[2][a], c[3][a]) for c in _roles(e, a))
+        m0, m1, m2 = _roles(h, a)
+        ((s2, k1, k2), (w0, p1, pn)), ((s0,), (w1,)), ((s1, g1, g2), ()) = (
+            (m[2][a], m[3][a]) for m in (m0, m1, m2))
+        vol = eps * (v0 + v1 + v2) + mu * (w0 + w1 + m2[1])
+        pert = mu * (s0 + s1 + s2) + eps * (t0 + t1 + t2)
+        fpert = mu * (g1 + k1) + eps * f1 + mu * (g2 + k2) + eps * f2  # i' = 1, nx-1
+        faces = eps * cb * ((q1 + r1) + (qn + rn)) + mu * cb * (p1 + pn)
+        by_axis[axis] = (grid.dv * vol + faces,
+                         grid.dv * (vol + q * pert) + faces + q * cb * fpert)
+    e_sq, h_sq = eps * grid.dv * (ex[0] + ey[0] + ez[0]), mu * grid.dv * (hx[0] + hy[0] + hz[0])
+    curl_pos_e = eps * grid.dv * (ez[1] + ex[1] + ey[1])  # the pieces d_y ez, d_z ex, d_x ey
+    curl_neg_h = mu * grid.dv * (hy[1] + hz[1] + hx[1])  # the pieces d_z hy, d_x hz, d_y hx
+    l2_core = e_sq + h_sq
+    return StateSums(e_sq, h_sq, curl_pos_e, curl_neg_h, l2_core,
+                     l2_core + q * (curl_neg_h + curl_pos_e), by_axis)
 
 
 def energy_l2(state: FieldState, med: Medium, grid: GridSpec) -> float:
@@ -380,17 +353,19 @@ def _tick_sums(curr: FieldState, prev: FieldState | None, med: Medium, grid: Gri
                 b, w, own = np.subtract(sampled[1][name](w), b, out=w), a, a
             yield np.subtract(np.multiply(a, s, out=w), np.multiply(b, s, out=b), out=own)
 
-    def part(half):  # half's job on the scratch that halves gives it
-        return lambda piece, buf, error=None: half(
-            lambda name: lattices(name, piece, error), med, grid, idx, piece, buf)
+    def part(sums, names):  # per field, the sums of each component, taken in turn
+        return lambda piece, buf, error=None: zip(*(
+            [sums(c, v, grid, idx, piece, buf) for v in lattices(name, piece, error)]
+            for c, name in enumerate(names)))
 
     # a piece, prev's error and a s fit in a component lattice; each difference that _dssq
     # forms, at most n_a - 1 entries along its axis a and n_b across, in the buffer
     cells = math.prod(grid.cells)
     lattice = max(a.size for _, a in curr.components())
     sizes = (lattice, cells - cells // max(grid.cells)) + (lattice,) * (reference is not None)
-    e_fields, h_fields = halves(cells, part(_e_half), part(_h_half), sizes)
-    u, *difference = (_from_halves(e, h, med, grid, axes) for e, h in zip(e_fields, h_fields))
+    e_fields, h_fields = halves(cells, part(_e_sums, COMPONENTS[:3]),
+                                part(_h_sums, COMPONENTS[3:]), sizes)
+    u, *difference = (_field_sums(e, h, med, grid, axes) for e, h in zip(e_fields, h_fields))
     return u, (difference[0] if difference else None)
 
 

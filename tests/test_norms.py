@@ -287,14 +287,15 @@ _SUM_GRIDS = [
 
 
 def _worker_halves(monkeypatch) -> list[int]:
-    """Record the thread id of every H half of `state_sums`."""
-    h_half, threads = norms._h_half, []
+    """Record the thread id of every H component's sums (`_h_sums`) of `state_sums`: three
+    per H half."""
+    h_sums, threads = norms._h_sums, []
 
     def recording(*args):
         threads.append(threading.get_ident())
-        return h_half(*args)
+        return h_sums(*args)
 
-    monkeypatch.setattr(norms, "_h_half", recording)
+    monkeypatch.setattr(norms, "_h_sums", recording)
     return threads
 
 
@@ -307,10 +308,11 @@ def test_threaded_sums_are_the_single_thread_sums(cells, dt, med, axes, rng, mon
     force_split(monkeypatch)
     monkeypatch.setattr(stepper, "_THREAD_MIN", 10 ** 9)
     alone = state_sums(s, med, g, axes)
-    assert halves == [threading.get_ident()]
+    assert halves == [threading.get_ident()] * 3
     monkeypatch.setattr(stepper, "_THREAD_MIN", 0)
     assert state_sums(s, med, g, axes) == alone  # every field, each float with ==
-    assert len(halves) == 2 and halves[1] != threading.get_ident()
+    assert len(halves) == 6 and halves[3:] == [halves[3]] * 3
+    assert halves[3] != threading.get_ident()
 
 
 def test_threaded_tick_functionals_are_the_single_thread_ones(monkeypatch):
@@ -398,14 +400,14 @@ def test_state_sums_scratch_stays_under_bound(threaded, bound, monkeypatch):
     assert peak / state_bytes < bound
 
 
-@pytest.mark.parametrize("failing", ["_e_half", "_h_half"], ids=["caller", "worker"])
+@pytest.mark.parametrize("failing", ["_e_sums", "_h_sums"], ids=["caller", "worker"])
 def test_threaded_sums_join_the_worker_before_raising(failing, rng, monkeypatch):
     g = make_grid(12, 20, 9, 0.7)
     med = Medium(eps=2.5, mu=0.4)
     s = random_state(g, rng)
     want = state_sums(s, med, g)
     force_split(monkeypatch)
-    other = "_h_half" if failing == "_e_half" else "_e_half"
+    other = "_h_sums" if failing == "_e_sums" else "_e_sums"
     half, finished = getattr(norms, other), []
 
     def slow(*args):
@@ -422,7 +424,7 @@ def test_threaded_sums_join_the_worker_before_raising(failing, rng, monkeypatch)
         patch.setattr(norms, failing, boom)
         with pytest.raises(ArithmeticError, match="half failed"):
             state_sums(s, med, g)
-        assert finished == [other]
+        assert finished == [other] * 3  # the other half's three components
     assert state_sums(s, med, g) == want  # the worker is idle again
 
 
@@ -449,7 +451,7 @@ def test_threaded_sums_from_more_callers_than_cores(rng, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert len(halves) == 5 * len(states)
+    assert len(halves) == 3 * 5 * len(states)
     assert got == [[w] * 5 for w in want]
 
 

@@ -327,7 +327,7 @@ def test_halves_run_every_part_with_small_ufunc_buffers(threaded, rng, monkeypat
             return real(*args)
         return call
 
-    for module, name in ((stepper, "_rhs"), (norms, "_e_half"), (norms, "_h_half")):
+    for module, name in ((stepper, "_rhs"), (norms, "_e_sums"), (norms, "_h_sums")):
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     mine = np.setbufsize(4096)  # a size that is neither numpy's default nor _BUFSIZE
     try:
@@ -353,8 +353,9 @@ def test_halves_run_every_part_with_small_ufunc_buffers(threaded, rng, monkeypat
     assert here == threading.get_ident() and (there != here) == threaded
     # two parts' two strided operands at 8 KiB each, not 64 KiB each, at once if threaded
     assert peak < 64 * 1024
-    # the parts of the step's two right-hand sides, of the tick's pass and of the carry
-    assert seen == [stepper._BUFSIZE] * (2 * 2 + 2 + 2)
+    # the parts of the step's two right-hand sides, the tick pass's component sums (three
+    # per part for each of its two fields) and the parts of the carry
+    assert seen == [stepper._BUFSIZE] * (2 * 2 + 2 * 3 * 2 + 2)
 
 
 def test_error_state_is_restored_on_both_threads(rng, monkeypatch):
